@@ -12,11 +12,12 @@ import argparse
 import csv
 import sys
 import time
+from dataclasses import replace
 
 from pcosync.analysis import AnalysisQuery, solve_query
 from pcosync.cli import load_profile, parse_range
 from pcosync.core import ModelParams
-from pcosync.dtmc import HardwareProfile, RestabilisationSpec, build_dtmc, state_count
+from pcosync.dtmc import RestabilisationSpec, build_dtmc, state_count
 
 
 def main() -> int:
@@ -34,10 +35,7 @@ def main() -> int:
 
     profile = load_profile(args.profile)
     if args.cycle is not None:
-        profile = HardwareProfile(
-            profile.name, profile.idle_a, profile.receive_a, profile.transmit_a,
-            profile.voltage, args.cycle, profile.message_s,
-        )
+        profile = replace(profile, cycle_s=args.cycle)
 
     out = sys.stdout if args.output == "-" else open(args.output, "w", newline="")
     writer = csv.writer(out, lineterminator="\n")

@@ -11,11 +11,12 @@ import argparse
 import csv
 import sys
 import time
+from dataclasses import replace
 
 from pcosync.analysis import aggregate, expected_reward, reach_probability, target_set
 from pcosync.cli import load_profile, parse_range
 from pcosync.core import ModelParams
-from pcosync.dtmc import HardwareProfile, build_dtmc
+from pcosync.dtmc import build_dtmc
 
 
 def main() -> int:
@@ -33,10 +34,7 @@ def main() -> int:
 
     profile = load_profile(args.profile)
     if args.cycle is not None:
-        profile = HardwareProfile(
-            profile.name, profile.idle_a, profile.receive_a, profile.transmit_a,
-            profile.voltage, args.cycle, profile.message_s,
-        )
+        profile = replace(profile, cycle_s=args.cycle)
 
     out = sys.stdout if args.output == "-" else open(args.output, "w", newline="")
     writer = csv.writer(out, lineterminator="\n")

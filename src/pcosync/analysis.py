@@ -4,13 +4,14 @@ Queries target the set of states whose phase coherence meets a threshold.
 Expected accumulated rewards (time in cycles, energy in Watt-hours) are
 solved from the linear fixed-point equations, either by direct elimination
 or by value iteration; states that fail to reach the target with
-probability one get an infinite expected reward.
+probability one get an infinite expected reward.  Direct elimination
+factors each restricted system once per model and target set and reuses
+the factor for the reachability and every reward right-hand side.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,6 @@ class SolverConfig:
     kind: str = "exact"  # "exact" | "iterative"
     tolerance: float = 1e-9
     max_iterations: int = 1_000_000
-    dense_threshold: int = 2_000
 
 
 @dataclass(frozen=True)
@@ -63,116 +63,185 @@ class AnalysisResult:
     states_explored: int
     solve_iterations: int
     wall_time: float
+    #: Largest ||(I - A) x - b||_inf over the reachability and reward solves.
+    residual: float = 0.0
+
+
+class _System:
+    """The fixed-point system x = a x + b over one set of unknown states,
+    with the LU factor of I - a once an exact solve has asked for it."""
+
+    def __init__(self, idx: np.ndarray, a: sp.csr_matrix) -> None:
+        self.idx = idx
+        self.a = a
+        self.lu: spla.SuperLU | None = None
+
+    def solve(self, b: np.ndarray, solver: SolverConfig) -> tuple[np.ndarray, int, float]:
+        """Solution, iteration count and residual ||(I - a) x - b||_inf."""
+        n = len(self.idx)
+        if n == 0:
+            return np.zeros(0), 0, 0.0
+        if solver.kind == "exact":
+            if self.lu is None:
+                # the lexicographic state order fills in less than COLAMD
+                system = (sp.identity(n, format="csr") - self.a).tocsc()
+                self.lu = spla.splu(system, permc_spec="NATURAL")
+            x, iterations = self.lu.solve(b), 0
+        elif solver.kind == "iterative":
+            x, iterations = _value_iteration(self.a, b, solver)
+        else:
+            raise ValueError(f"unknown solver kind {solver.kind!r}")
+        return x, iterations, float(np.max(np.abs(x - self.a @ x - b)))
+
+
+def _value_iteration(
+    a: sp.csr_matrix, b: np.ndarray, solver: SolverConfig
+) -> tuple[np.ndarray, int]:
+    x = np.zeros(len(b))
+    for it in range(1, solver.max_iterations + 1):
+        x_new = a @ x + b
+        diff = np.max(np.abs(x_new - x))
+        x = x_new
+        if diff < solver.tolerance:
+            return x, it
+    residual = np.max(np.abs(a @ x + b - x))
+    raise SolverError(
+        f"value iteration did not converge in {solver.max_iterations} iterations"
+        f" (residual {residual:.3e})"
+    )
+
+
+class _ModelCache:
+    """Arrays derived once from a model, and the systems of its current
+    target set.
+
+    The transitions are flat arrays in row order, as in CSR: entry k goes
+    from state src[k] to state indices[k] with probability prob[k].  The
+    transposed CSR lists the predecessors of state j in
+    pred[pred_ptr[j]:pred_ptr[j+1]].  Systems are keyed by their unknown
+    mask, because the reachability unknowns (reaching - targets) and the
+    reward unknowns (certain - targets) differ when some states are trapped.
+    Moving to another target set drops the systems of the previous one.
+    """
+
+    def __init__(self, model: DtmcModel) -> None:
+        n = model.n_states
+        flat = np.array(
+            [tr for row in model.transitions for tr in row], dtype=float
+        ).reshape(-1, 4)
+        self.src = np.repeat(np.arange(n), [len(row) for row in model.transitions])
+        self.indices = flat[:, 0].astype(np.int64)
+        self.prob = flat[:, 1]
+        self.pred = self.src[np.argsort(self.indices, kind="stable")]
+        self.pred_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.indices, minlength=n), out=self.pred_ptr[1:])
+        #: expected one-step reward of every state, per reward kind
+        self.reward_b = {
+            kind: np.bincount(self.src, weights=self.prob * flat[:, col], minlength=n)
+            for kind, col in (("time", 2), ("power", 3))
+        }
+        self.coherence = np.array([phase_coherence(s, model.params.t) for s in model.states])
+        self.targets: frozenset[int] | None = None
+        self.systems: dict[bytes, _System] = {}
+
+    def use_targets(self, targets: frozenset[int]) -> None:
+        if targets == self.targets:
+            return
+        n = len(self.coherence)
+        self.targets = targets
+        self.target_mask = np.zeros(n, dtype=bool)
+        self.target_mask[np.fromiter(targets, dtype=np.int64, count=len(targets))] = True
+        self.reaching = _reaching_states(self)
+        # one-step probability of entering the target set
+        self.reach_b = np.bincount(
+            self.src, weights=self.prob * self.target_mask[self.indices], minlength=n
+        )
+        self.systems = {}
+
+    def system(self, unknown: np.ndarray) -> _System:
+        """Transition sub-matrix over the unknown states."""
+        key = unknown.tobytes()
+        found = self.systems.get(key)
+        if found is None:
+            idx = np.flatnonzero(unknown)
+            pos = np.full(len(unknown), -1, dtype=np.int64)
+            pos[idx] = np.arange(len(idx))
+            inner = unknown[self.src] & unknown[self.indices]
+            a = sp.csr_matrix(
+                (self.prob[inner], (pos[self.src[inner]], pos[self.indices[inner]])),
+                shape=(len(idx), len(idx)),
+            )
+            found = self.systems[key] = _System(idx, a)
+        return found
+
+
+def _cache_of(model: DtmcModel) -> _ModelCache:
+    cache = model._analysis
+    if cache is None:
+        cache = _ModelCache(model)
+        object.__setattr__(model, "_analysis", cache)
+    return cache
 
 
 def target_set(model: DtmcModel, lam: float) -> frozenset[int]:
     """Indices of states whose phase coherence is at least lam."""
-    t = model.params.t
-    return frozenset(
-        i for i, sigma in enumerate(model.states) if phase_coherence(sigma, t) >= lam
-    )
+    return frozenset(np.flatnonzero(_cache_of(model).coherence >= lam).tolist())
 
 
-def _reaching_states(model: DtmcModel, targets: frozenset[int]) -> np.ndarray:
+def _reaching_states(cache: _ModelCache) -> np.ndarray:
     """Boolean mask of states from which the target set is reachable."""
-    n = model.n_states
-    predecessors: list[list[int]] = [[] for _ in range(n)]
-    for src, row in enumerate(model.transitions):
-        for tr in row:
-            predecessors[tr.target].append(src)
-    mask = np.zeros(n, dtype=bool)
-    queue = deque(targets)
-    for i in targets:
-        mask[i] = True
-    while queue:
-        j = queue.popleft()
-        for src in predecessors[j]:
-            if not mask[src]:
-                mask[src] = True
-                queue.append(src)
+    mask = cache.target_mask.copy()
+    frontier = np.flatnonzero(mask)
+    while frontier.size:
+        starts = cache.pred_ptr[frontier]
+        counts = cache.pred_ptr[frontier + 1] - starts
+        # positions of all predecessors of the frontier in cache.pred
+        pos = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        found = cache.pred[pos]
+        found = found[~mask[found]]
+        mask[found] = True
+        frontier = np.unique(found)
     return mask
 
 
-def _solve_linear(
-    a: sp.csr_matrix, b: np.ndarray, solver: SolverConfig
-) -> tuple[np.ndarray, int]:
-    """Solve x = a x + b; returns the solution and iteration count."""
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0), 0
-    if solver.kind == "exact":
-        system = sp.identity(n, format="csr") - a
-        if n <= solver.dense_threshold:
-            x = np.linalg.solve(system.toarray(), b)
-        else:
-            x = spla.spsolve(system.tocsc(), b)
-        return x, 0
-    if solver.kind == "iterative":
-        x = np.zeros(n)
-        for it in range(1, solver.max_iterations + 1):
-            x_new = a @ x + b
-            diff = np.max(np.abs(x_new - x))
-            x = x_new
-            if diff < solver.tolerance:
-                return x, it
-        residual = np.max(np.abs(a @ x + b - x))
-        raise SolverError(
-            f"value iteration did not converge in {solver.max_iterations} iterations"
-            f" (residual {residual:.3e})"
-        )
-    raise ValueError(f"unknown solver kind {solver.kind!r}")
+def _reach(
+    model: DtmcModel, targets: frozenset[int], solver: SolverConfig
+) -> tuple[np.ndarray, int, float]:
+    cache = _cache_of(model)
+    cache.use_targets(targets)
+    system = cache.system(cache.reaching & ~cache.target_mask)
+    sol, iterations, residual = system.solve(cache.reach_b[system.idx], solver)
+    x = cache.target_mask.astype(float)
+    x[system.idx] = np.clip(sol, 0.0, 1.0)
+    return x, iterations, residual
 
 
-def _restricted_system(
+def _reward(
     model: DtmcModel,
-    unknown: np.ndarray,
     targets: frozenset[int],
-    reward_kind: str | None,
-) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """Transition sub-matrix over the unknown states plus the constant term.
-
-    With reward_kind None the constant term is the one-step probability of
-    entering the target set (reachability); otherwise it is the expected
-    one-step reward of the chosen kind.
-    """
-    pos = -np.ones(model.n_states, dtype=np.int64)
-    unknown_idx = np.flatnonzero(unknown)
-    pos[unknown_idx] = np.arange(len(unknown_idx))
-    rows, cols, vals = [], [], []
-    b = np.zeros(len(unknown_idx))
-    for local, src in enumerate(unknown_idx):
-        for tr in model.transitions[src]:
-            if reward_kind is not None:
-                r = tr.time_reward if reward_kind == "time" else tr.power_reward
-                b[local] += tr.probability * r
-            if tr.target in targets:
-                if reward_kind is None:
-                    b[local] += tr.probability
-            elif unknown[tr.target]:
-                rows.append(local)
-                cols.append(pos[tr.target])
-                vals.append(tr.probability)
-    a = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(len(unknown_idx), len(unknown_idx))
-    )
-    return a, b, unknown_idx
+    reward_kind: str,
+    solver: SolverConfig,
+    reach: np.ndarray | None,
+) -> tuple[np.ndarray, int, float]:
+    if reward_kind not in ("time", "power"):
+        raise ValueError(f"unknown reward kind {reward_kind!r}")
+    if reach is None:
+        reach, _, _ = _reach(model, targets, solver)
+    cache = _cache_of(model)
+    cache.use_targets(targets)
+    certain = reach >= 1.0 - INFINITY_REACH_TOL
+    values = np.where(certain, 0.0, np.inf)
+    system = cache.system(certain & ~cache.target_mask)
+    sol, iterations, residual = system.solve(cache.reward_b[reward_kind][system.idx], solver)
+    values[system.idx] = np.maximum(sol, 0.0)
+    return values, iterations, residual
 
 
 def reach_probability(
     model: DtmcModel, targets: frozenset[int], solver: SolverConfig = SolverConfig()
 ) -> tuple[np.ndarray, int]:
     """Per-state probability of eventually reaching the target set."""
-    n = model.n_states
-    x = np.zeros(n)
-    for i in targets:
-        x[i] = 1.0
-    reaching = _reaching_states(model, targets)
-    unknown = reaching.copy()
-    for i in targets:
-        unknown[i] = False
-    a, b, unknown_idx = _restricted_system(model, unknown, targets, None)
-    sol, iterations = _solve_linear(a, b, solver)
-    x[unknown_idx] = np.clip(sol, 0.0, 1.0)
+    x, iterations, _ = _reach(model, targets, solver)
     return x, iterations
 
 
@@ -187,20 +256,7 @@ def expected_reward(
 
     Infinite wherever the target is not reached with probability one.
     """
-    if reward_kind not in ("time", "power"):
-        raise ValueError(f"unknown reward kind {reward_kind!r}")
-    if reach is None:
-        reach, _ = reach_probability(model, targets, solver)
-    n = model.n_states
-    values = np.zeros(n)
-    certain = reach >= 1.0 - INFINITY_REACH_TOL
-    values[~certain] = np.inf
-    unknown = certain.copy()
-    for i in targets:
-        unknown[i] = False
-    a, b, unknown_idx = _restricted_system(model, unknown, targets, reward_kind)
-    sol, iterations = _solve_linear(a, b, solver)
-    values[unknown_idx] = np.maximum(sol, 0.0)
+    values, iterations, _ = _reward(model, targets, reward_kind, solver, reach)
     return values, iterations
 
 
@@ -212,6 +268,7 @@ def aggregate(
     reward_kind: str,
     solve_iterations: int = 0,
     wall_time: float = 0.0,
+    residual: float = 0.0,
 ) -> AnalysisResult:
     """Aggregate per-state expected values over the initial distribution."""
     support = sorted(model.initial)
@@ -242,6 +299,7 @@ def aggregate(
         states_explored=model.n_states,
         solve_iterations=solve_iterations,
         wall_time=wall_time,
+        residual=residual,
     )
 
 
@@ -250,12 +308,12 @@ def solve_query(model: DtmcModel, query: AnalysisQuery) -> AnalysisResult:
     reward, aggregation."""
     start = time.perf_counter()
     targets = target_set(model, query.lam)
-    reach, it1 = reach_probability(model, targets, query.solver)
-    values, it2 = expected_reward(model, targets, query.reward_kind, query.solver, reach)
+    reach, it1, res1 = _reach(model, targets, query.solver)
+    values, it2, res2 = _reward(model, targets, query.reward_kind, query.solver, reach)
     wall = time.perf_counter() - start
     return aggregate(
         model, values, reach, query.aggregate, query.reward_kind,
-        solve_iterations=it1 + it2, wall_time=wall,
+        solve_iterations=it1 + it2, wall_time=wall, residual=max(res1, res2),
     )
 
 

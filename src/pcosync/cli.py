@@ -15,6 +15,7 @@ import csv
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -182,17 +183,7 @@ def _resolve_profile(args: argparse.Namespace) -> HardwareProfile:
         overrides["cycle_s"] = args.cycle
     if getattr(args, "msg_time", None) is not None:
         overrides["message_s"] = args.msg_time
-    if overrides:
-        profile = HardwareProfile(
-            name=profile.name,
-            idle_a=profile.idle_a,
-            receive_a=profile.receive_a,
-            transmit_a=profile.transmit_a,
-            voltage=profile.voltage,
-            cycle_s=overrides.get("cycle_s", profile.cycle_s),
-            message_s=overrides.get("message_s", profile.message_s),
-        )
-    return profile
+    return replace(profile, **overrides)
 
 
 def _param_grid(args: argparse.Namespace, with_u: bool) -> list[tuple]:

@@ -101,6 +101,9 @@ class DtmcModel:
     index: dict[State, int] = field(repr=False)
     transitions: tuple[tuple[Transition, ...], ...] = field(repr=False)
     initial: dict[int, float] = field(repr=False)
+    #: Derived data of the analysis layer (transition arrays, LU factors),
+    #: created on first use; it lives and dies with the model.
+    _analysis: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_states(self) -> int:

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from pcosync.analysis import (
+    INFINITY_REACH_TOL,
     AnalysisQuery,
     SolverConfig,
     aggregate,
@@ -137,6 +139,142 @@ class TestAggregate:
         values, _ = expected_reward(hand_model, targets, "power", reach=reach)
         result = aggregate(hand_model, values, reach, "avg", "power")
         assert result.per_node_mWh == pytest.approx(result.value / 2 * 1000.0)
+
+
+def loop_reference(model, targets, reward_kind):
+    """Per-state reachability and expected reward straight from the
+    transition tuples: a backward search over predecessor lists, then one
+    dense solve per system."""
+    n = model.n_states
+    predecessors = [[] for _ in range(n)]
+    for src, row in enumerate(model.transitions):
+        for tr in row:
+            predecessors[tr.target].append(src)
+    reaching, queue = set(targets), list(targets)
+    while queue:
+        for src in predecessors[queue.pop()]:
+            if src not in reaching:
+                reaching.add(src)
+                queue.append(src)
+
+    def solve(unknown, one_step):
+        idx = sorted(unknown)
+        pos = {s: i for i, s in enumerate(idx)}
+        system, b = np.eye(len(idx)), np.zeros(len(idx))
+        for s in idx:
+            for tr in model.transitions[s]:
+                b[pos[s]] += one_step(tr)
+                if tr.target in pos:
+                    system[pos[s], pos[tr.target]] -= tr.probability
+        return idx, np.linalg.solve(system, b) if idx else np.zeros(0)
+
+    reach = np.zeros(n)
+    reach[list(targets)] = 1.0
+    idx, sol = solve(reaching - targets, lambda tr: tr.probability * (tr.target in targets))
+    reach[idx] = sol
+    certain = {s for s in range(n) if reach[s] >= 1.0 - INFINITY_REACH_TOL}
+    values = np.full(n, np.inf)
+    values[list(certain)] = 0.0
+    attr = "time_reward" if reward_kind == "time" else "power_reward"
+    idx, sol = solve(certain - targets, lambda tr: tr.probability * getattr(tr, attr))
+    values[idx] = sol
+    return reach, values
+
+
+# name -> (params, mode); in "restab" and "partial" some states reach the
+# target with probability strictly between 0 and 1, so the reachability and
+# the reward systems have different unknowns.  In "trapped" both are empty.
+FACTOR_MODELS = {
+    "full": (ModelParams(n=5, t=8, r=1, epsilon=0.1, mu=0.2), "full"),
+    "restab": (ModelParams(n=12, t=6, r=2, epsilon=0.1, mu=0.2), RestabilisationSpec(2)),
+    "trapped": (params(n=2, t=2, r=1, mu=0.2), "full"),
+    "partial": (ModelParams(n=3, t=4, r=2, epsilon=0.5, mu=0.2), "full"),
+}
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Sizes of the systems handed to splu while the test runs."""
+    calls = []
+    real = spla.splu
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    return calls
+
+
+class TestFactorReuse:
+    @pytest.mark.parametrize("name", sorted(FACTOR_MODELS))
+    def test_cached_factor_matches_fresh_factor(self, name):
+        p, mode = FACTOR_MODELS[name]
+        cached = build_dtmc(p, MICAZ, mode)
+        for kind in ("time", "power"):
+            for agg in ("min", "avg", "max"):
+                query = AnalysisQuery(lam=1.0, reward_kind=kind, aggregate=agg)
+                got = solve_query(cached, query)
+                want = solve_query(build_dtmc(p, MICAZ, mode), query)
+                assert got.value == pytest.approx(want.value, rel=1e-12)
+                assert got.reach_probability == pytest.approx(want.reach_probability, rel=1e-12)
+                fresh = build_dtmc(p, MICAZ, mode)
+                want_values, _ = expected_reward(fresh, target_set(fresh, 1.0), kind)
+                got_values, _ = expected_reward(cached, target_set(cached, 1.0), kind)
+                np.testing.assert_allclose(got_values, want_values, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("name", sorted(FACTOR_MODELS))
+    @pytest.mark.parametrize("lam", [1.0, 0.6])
+    def test_matches_loop_reference(self, name, lam):
+        p, mode = FACTOR_MODELS[name]
+        model = build_dtmc(p, MICAZ, mode)
+        targets = target_set(model, lam)
+        for kind in ("time", "power"):
+            want_reach, want_values = loop_reference(model, targets, kind)
+            reach, _ = reach_probability(model, targets)
+            values, _ = expected_reward(model, targets, kind, reach=reach)
+            np.testing.assert_allclose(reach, want_reach, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(values, want_values, rtol=1e-10, atol=0.0)
+
+    def test_four_queries_factor_once(self, splu_calls):
+        model = build_dtmc(FACTOR_MODELS["full"][0])
+        for kind in ("time", "power"):
+            for agg in ("avg", "max"):
+                solve_query(model, AnalysisQuery(lam=1.0, reward_kind=kind, aggregate=agg))
+        assert splu_calls == [784]
+
+    def test_differing_unknowns_get_their_own_factor(self, splu_calls):
+        p, mode = FACTOR_MODELS["partial"]
+        model = build_dtmc(p, MICAZ, mode)
+        for kind in ("time", "power"):
+            solve_query(model, AnalysisQuery(lam=1.0, reward_kind=kind))
+        assert splu_calls == [12, 8]
+
+    def test_new_target_set_refactors(self, splu_calls):
+        p, _ = FACTOR_MODELS["full"]
+        model = build_dtmc(p)
+        values = [solve_query(model, AnalysisQuery(lam=lam)).value for lam in (1.0, 0.6, 1.0)]
+        assert len(splu_calls) == 3
+        fresh = [solve_query(build_dtmc(p), AnalysisQuery(lam=lam)).value for lam in (1.0, 0.6)]
+        assert values == pytest.approx(fresh + fresh[:1], rel=1e-12)
+
+    def test_residual_is_reported(self):
+        model = build_dtmc(FACTOR_MODELS["full"][0])
+        result = solve_query(model, AnalysisQuery(lam=1.0, reward_kind="power"))
+        # reach values are of order one, power values of order 1e-4 Wh
+        assert 0.0 < result.residual < 1e-14
+
+    def test_iterative_still_iterates(self, splu_calls):
+        model = build_dtmc(FACTOR_MODELS["full"][0])
+        exact = solve_query(model, AnalysisQuery(lam=1.0))
+        splu_calls.clear()
+        iterative = solve_query(
+            model, AnalysisQuery(lam=1.0, solver=SolverConfig(kind="iterative", tolerance=1e-12))
+        )
+        assert iterative.solve_iterations > 0
+        assert splu_calls == []
+        assert iterative.value == pytest.approx(exact.value, rel=1e-9)
+        assert exact.residual < iterative.residual < 1e-11
 
 
 class TestQueryValidation:
