@@ -18,9 +18,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core import ModelParams, State, is_firing, refractory, validate_params
+from .core import ModelParams, State, is_firing, validate_params
 from .dtmc import DtmcModel, HardwareProfile, InitialMode, initial_distribution, MICAZ, skip_power, state_power
-from .dynamics import skip_successor
+from .dynamics import FiringTable, skip_successor
 from .metrics import phase_coherence
 
 #: A state counts as failing to reach the target when its reachability
@@ -339,17 +339,19 @@ def monte_carlo(
 ) -> MonteCarloResult:
     """Estimate the average accumulated reward by simulating runs.
 
-    Failure counts are drawn per fired phase group from the binomial
-    distribution, independently of the exact transition construction.  Runs
-    exceeding step_cap are censored at the accumulated value and counted.
+    In a firing state the failure count of the firing group is drawn from
+    the binomial distribution and the successor is read from the model's
+    ``FiringTable``; the failures of absorbed groups change neither the
+    successor nor the rewards.  Runs exceeding step_cap are censored at the
+    accumulated value and counted.
     """
     validate_params(p)
     rng = np.random.default_rng(seed)
     init = initial_distribution(p, mode)
     init_states = list(init)
     init_weights = np.array([init[s] for s in init_states])
-    t, r, eps, mu = p.t, p.r, p.epsilon, p.mu
-    response = p.response_fn
+    t, mu = p.t, p.mu
+    table = FiringTable(p)
     w_t = profile.w_transmit()
 
     in_target: dict[State, bool] = {}
@@ -361,27 +363,6 @@ def monte_carlo(
             hit = phase_coherence(sigma, t) >= lam
             in_target[sigma] = hit
         return hit
-
-    def firing_step(sigma: State) -> tuple[State, float]:
-        # sample one chain-reaction outcome; returns successor and its power
-        new = [0] * t
-        k_t = sigma[t - 1]
-        failures = int(rng.binomial(k_t, mu)) if 0.0 < mu < 1.0 else (k_t if mu >= 1.0 else 0)
-        s = k_t - failures
-        new[0] += k_t
-        for phi in range(t - 1, 0, -1):
-            k = sigma[phi - 1]
-            if not k:
-                continue
-            delta = refractory(phi, response(phi, s, eps), r)
-            upd = phi + 1 + delta
-            if upd > t:
-                new[0] += k
-            else:
-                new[upd - 1] += k
-        succ = tuple(new)
-        power = state_power(sigma, p, profile) + succ[0] * w_t
-        return succ, power
 
     totals = np.zeros(samples)
     censored = 0
@@ -395,9 +376,13 @@ def monte_carlo(
                 censored += 1
                 break
             if is_firing(sigma):
-                succ, power = firing_step(sigma)
-                acc += 1.0 / t if reward_kind == "time" else power
-                sigma = succ
+                k_t = sigma[t - 1]
+                failures = int(rng.binomial(k_t, mu)) if 0.0 < mu < 1.0 else (k_t if mu >= 1.0 else 0)
+                succ = table.successor(sigma, k_t - failures)
+                if reward_kind == "time":
+                    acc += 1.0 / t
+                else:
+                    acc += state_power(sigma, p, profile) + succ[0] * w_t
             else:
                 cached = skip_cache.get(sigma)
                 if cached is None:
@@ -406,7 +391,7 @@ def monte_carlo(
                     skip_cache[sigma] = cached
                 succ, time_r, power_r = cached
                 acc += time_r if reward_kind == "time" else power_r
-                sigma = succ
+            sigma = succ
             steps += 1
         totals[run] = acc
 

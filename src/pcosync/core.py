@@ -41,11 +41,6 @@ RESPONSE_FUNCTIONS: dict[str, ResponseFn] = {
 }
 
 
-def register_response(name: str, fn: ResponseFn) -> None:
-    """Register a phase response function; must be positive and increasing."""
-    RESPONSE_FUNCTIONS[name] = fn
-
-
 def refractory(phi: int, delta: int, r: int) -> int:
     """Suppress a perturbation inside the refractory interval [1, r].
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Union
 
 from .core import ModelParams, State, is_firing, validate_params
-from .dynamics import skip_successor, successor_distribution
+from .dynamics import FiringTable, skip_successor
 
 
 class StateSpaceLimitExceeded(RuntimeError):
@@ -213,47 +213,40 @@ def build_dtmc(
     """
     validate_params(p)
     init = initial_distribution(p, mode)
+    table = FiringTable(p)
+    time_fire = 1.0 / p.t
+    w_t = profile.w_transmit()
     frontier = list(init)
     seen: set[State] = set(frontier)
-    succ: dict[State, list[tuple[State, float]]] = {}
+    # per state: (target state, probability, time reward, power reward)
+    succ: dict[State, list[tuple[State, float, float, float]]] = {}
     n_transitions = 0
     while frontier:
         sigma = frontier.pop()
         if is_firing(sigma):
-            dist = successor_distribution(sigma, p)
-            out = [(b.target, b.probability) for b in dist.branches]
+            base_power = state_power(sigma, p, profile)
+            out = [
+                (tgt, prob, time_fire, base_power + tgt[0] * w_t)
+                for tgt, prob in table.firing_row(sigma)
+            ]
         else:
-            target, _ = skip_successor(sigma)
-            out = [(target, 1.0)]
+            tgt, skipped = skip_successor(sigma)
+            out = [(tgt, 1.0, skipped / p.t, skip_power(sigma, p, profile))]
         succ[sigma] = out
         n_transitions += len(out)
-        for target, _ in out:
-            if target not in seen:
-                seen.add(target)
-                frontier.append(target)
+        for tgt, *_ in out:
+            if tgt not in seen:
+                seen.add(tgt)
+                frontier.append(tgt)
         if max_states is not None and len(seen) > max_states:
             raise StateSpaceLimitExceeded(len(seen), n_transitions, max_states)
 
     states = tuple(sorted(seen))
     index = {sigma: i for i, sigma in enumerate(states)}
-    w_t = profile.w_transmit()
-    rows: list[tuple[Transition, ...]] = []
-    for sigma in states:
-        if is_firing(sigma):
-            time_r = 1.0 / p.t
-            base_power = state_power(sigma, p, profile)
-            row = tuple(
-                Transition(index[tgt], prob, time_r, base_power + tgt[0] * w_t)
-                for tgt, prob in succ[sigma]
-            )
-        else:
-            _, skipped = skip_successor(sigma)
-            (tgt, prob), = succ[sigma]
-            row = (
-                Transition(index[tgt], prob, skipped / p.t, skip_power(sigma, p, profile)),
-            )
-        rows.append(row)
-
+    rows = tuple(
+        tuple(Transition(index[tgt], *rest) for tgt, *rest in succ[sigma])
+        for sigma in states
+    )
     initial = {index[sigma]: weight for sigma, weight in init.items()}
     return DtmcModel(
         params=p,
@@ -261,6 +254,6 @@ def build_dtmc(
         mode=mode,
         states=states,
         index=index,
-        transitions=tuple(rows),
+        transitions=rows,
         initial=initial,
     )

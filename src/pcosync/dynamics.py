@@ -33,12 +33,11 @@ class InconsistentFailureVector(ValueError):
 
 @dataclass(frozen=True)
 class ChainOutcome:
-    """Resolution of one chain reaction: per-phase fire flag, updated phase
-    and perceived successful-broadcast count (all indexed by phase - 1)."""
+    """Resolution of one chain reaction: per-phase fire flag and updated
+    phase (both indexed by phase - 1)."""
 
     fired: tuple[bool, ...]
     updated: tuple[int, ...]
-    perceived: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -71,23 +70,15 @@ def skip_successor(sigma: State) -> tuple[State, int]:
     return tuple(new), shift
 
 
-def chain_updates(sigma: State, successes: int, p: ModelParams) -> tuple[list[bool], list[int]]:
+def chain_updates(successes: int, p: ModelParams) -> tuple[list[bool], list[int]]:
     """Fire flags and updated phases for all phase groups, given the number
     of successful broadcasts from the firing group at phase T."""
-    t = p.t
-    response = p.response_fn
-    fired = [False] * t
-    updated = [0] * t
-    for phi in range(1, t + 1):
-        if phi == t:
-            fired[phi - 1] = True
-            updated[phi - 1] = t + 1
-            continue
-        delta = refractory(phi, response(phi, successes, p.epsilon), p.r)
-        upd = phi + 1 + delta
-        fired[phi - 1] = upd > t
-        updated[phi - 1] = upd
-    return fired, updated
+    updated = [
+        phi + 1 + refractory(phi, p.response_fn(phi, successes, p.epsilon), p.r)
+        for phi in range(1, p.t)
+    ]
+    updated.append(p.t + 1)  # the firing group itself
+    return [upd > p.t for upd in updated], updated
 
 
 def resolve_chain(sigma: State, fv: FailureVector, p: ModelParams) -> ChainOutcome:
@@ -104,10 +95,7 @@ def resolve_chain(sigma: State, fv: FailureVector, p: ModelParams) -> ChainOutco
         raise InconsistentFailureVector(
             f"failure entry {f_t} invalid for the firing group k_{t}={sigma[t - 1]} in {sigma}"
         )
-    successes = sigma[t - 1] - f_t
-    fired, updated = chain_updates(sigma, successes, p)
-    perceived = [successes] * t
-    perceived[t - 1] = 0
+    fired, updated = chain_updates(sigma[t - 1] - f_t, p)
     for phi in range(t - 1, 0, -1):
         k = sigma[phi - 1]
         f = fv[phi - 1]
@@ -124,7 +112,7 @@ def resolve_chain(sigma: State, fv: FailureVector, p: ModelParams) -> ChainOutco
             raise InconsistentFailureVector(
                 f"phase {phi} does not fire in {sigma} but {format_failure_vector(fv)} records {f} failures"
             )
-    return ChainOutcome(tuple(fired), tuple(updated), tuple(perceived))
+    return ChainOutcome(tuple(fired), tuple(updated))
 
 
 def enumerate_failure_vectors(sigma: State, p: ModelParams) -> list[FailureVector]:
@@ -142,7 +130,7 @@ def enumerate_failure_vectors(sigma: State, p: ModelParams) -> list[FailureVecto
     k_t = sigma[t - 1]
     vectors: list[FailureVector] = []
     for f_t in range(k_t + 1):
-        fired, _ = chain_updates(sigma, k_t - f_t, p)
+        fired, _ = chain_updates(k_t - f_t, p)
         entries: list[int | None] = [None] * t
         entries[t - 1] = f_t
         choice_phases = []
@@ -215,3 +203,58 @@ def successor_distribution(sigma: State, p: ModelParams) -> SuccessorDistributio
         for target, (prob, wits) in sorted(merged.items())
     )
     return SuccessorDistribution(sigma, branches)
+
+
+class FiringTable:
+    """Firing successors of one model, read from a per-success chain table.
+
+    The fired set and the updated phases depend only on the number s of
+    successful broadcasts, so ``chain[s]`` is ``chain_updates(s, p)`` for
+    s = 0..N.  The build and the sampler use this table;
+    ``successor_distribution`` stays the reference it is tested against.
+    """
+
+    def __init__(self, p: ModelParams):
+        self.t, self.mu = p.t, p.mu
+        self.chain = [chain_updates(s, p) for s in range(p.n + 1)]
+        # per success count, the phase each group lands on
+        self.dest = [[1 if f else u for f, u in zip(*entry)] for entry in self.chain]
+        self._masses: dict[int, list[float]] = {}
+
+    def successor(self, sigma: State, successes: int) -> State:
+        new = [0] * self.t
+        for k, d in zip(sigma, self.dest[successes]):
+            new[d - 1] += k
+        return tuple(new)
+
+    def masses(self, k: int) -> list[float]:
+        """Failure-count masses of a group of k, formed as in ``failure_probability``."""
+        if k not in self._masses:
+            mu = self.mu
+            self._masses[k] = [math.comb(k, f) * mu**f * (1.0 - mu) ** (k - f) for f in range(k + 1)]
+        return self._masses[k]
+
+    def firing_row(self, sigma: State) -> list[tuple[State, float]]:
+        """The (target, probability) branches of ``successor_distribution``,
+        bit for bit: each failure pattern's product runs over the phases in
+        ascending order with the firing group last, and products that are
+        not exactly 0.0 are summed per target in enumeration order (f_T
+        outermost, then the highest absorbed phase)."""
+        k_t = sigma[-1]
+        merged: dict[State, float] = {}
+        for f_t, m_t in enumerate(self.masses(k_t)):
+            if not m_t:  # every product of this f_T is 0.0
+                continue
+            fired = self.chain[k_t - f_t][0]
+            products = [1.0]
+            for i in range(self.t - 1):
+                if fired[i] and sigma[i]:
+                    products = [q * m for m in self.masses(sigma[i]) for q in products]
+            target = self.successor(sigma, k_t - f_t)
+            acc = merged.get(target, 0.0)
+            for q in products:
+                if prob := q * m_t:
+                    acc += prob
+            if acc:
+                merged[target] = acc
+        return sorted(merged.items())

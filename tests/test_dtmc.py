@@ -2,7 +2,7 @@ import math
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import materialized_skip_power
 from pcosync.core import ModelParams, is_firing
@@ -20,6 +20,7 @@ from pcosync.dtmc import (
     state_count,
     state_power,
 )
+from pcosync.dynamics import FiringTable, chain_updates, successor_distribution
 
 
 def params(**kw):
@@ -216,3 +217,49 @@ class TestBuildDtmc:
         model = build_dtmc(p)
         for row in model.transitions:
             assert sum(tr.probability for tr in row) == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def small_models(draw):
+    t = draw(st.integers(min_value=2, max_value=8))
+    return ModelParams(
+        n=draw(st.integers(min_value=1, max_value=6)),
+        t=t,
+        r=draw(st.integers(min_value=0, max_value=t - 1)),
+        epsilon=draw(st.floats(min_value=0.01, max_value=3.0)),
+        mu=draw(st.sampled_from([0.0, 0.2, 0.5, 0.99, 1.0])),
+    )
+
+
+def assert_firing_rows_match_oracle(model):
+    """Every firing row equals successor_distribution exactly: same targets
+    in the same order, bit-identical probabilities."""
+    p = model.params
+    for i, sigma in enumerate(model.states):
+        if not is_firing(sigma):
+            continue
+        want = [(b.target, b.probability) for b in successor_distribution(sigma, p).branches]
+        got = [(model.states[tr.target], tr.probability) for tr in model.transitions[i]]
+        assert got == want, (sigma, p)
+
+
+class TestFiringTable:
+    @pytest.mark.parametrize("p", [params(n=8, t=10, r=2), params(n=5, t=6, r=0, epsilon=2.5)])
+    def test_chain_entries_equal_chain_updates(self, p):
+        table = FiringTable(p)
+        assert len(table.chain) == p.n + 1
+        for s in range(p.n + 1):
+            assert table.chain[s] == chain_updates(s, p)
+
+    # the examples sum products over two or more absorbed groups in rows
+    # whose last bits depend on the summation order
+    @given(small_models())
+    @example(ModelParams(n=5, t=4, r=0, epsilon=3.0, mu=0.2))
+    @example(ModelParams(n=6, t=8, r=1, epsilon=3.0, mu=0.2))
+    @settings(max_examples=100, deadline=None)
+    def test_build_rows_equal_oracle(self, p):
+        assert_firing_rows_match_oracle(build_dtmc(p))
+
+    def test_restabilisation_rows_equal_oracle(self):
+        p = params(n=35, t=10, r=4)
+        assert_firing_rows_match_oracle(build_dtmc(p, MICAZ, RestabilisationSpec(3)))

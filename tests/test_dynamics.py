@@ -11,6 +11,7 @@ from pcosync.core import ModelParams, is_firing, is_synchronised
 from pcosync.dtmc import enumerate_states
 from pcosync.dynamics import (
     InconsistentFailureVector,
+    chain_updates,
     enumerate_failure_vectors,
     failure_probability,
     firing_successor,
@@ -179,16 +180,24 @@ class TestFiringSuccessor:
         assert firing_successor(SIGMA_1, zero_failure_vector(SIGMA_1, REF_PARAMS), REF_PARAMS) == SIGMA_2
         assert firing_successor(SIGMA_2, zero_failure_vector(SIGMA_2, REF_PARAMS), REF_PARAMS) == SIGMA_3
 
-    @given(random_state())
+    @given(random_state(), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_population_conserved(self, sp):
+    def test_population_conserved(self, sp, data):
         sigma, p = sp
         if not is_firing(sigma):
             return
-        for fv in enumerate_failure_vectors(sigma, p):
-            succ = firing_successor(sigma, fv, p)
-            assert sum(succ) == sum(sigma)
-            assert succ[0] >= sigma[p.t - 1]  # the firing group resets to phase 1
+        # one consistent failure vector per example: f_T fixes the absorbed
+        # groups, each of which then draws its own failure count
+        t, k_t = p.t, sigma[p.t - 1]
+        fv = [None] * t
+        fv[t - 1] = f_t = data.draw(st.integers(min_value=0, max_value=k_t))
+        fired, _ = chain_updates(k_t - f_t, p)
+        for phi in range(t - 1, 0, -1):
+            if fired[phi - 1]:
+                fv[phi - 1] = data.draw(st.integers(min_value=0, max_value=sigma[phi - 1]))
+        succ = firing_successor(sigma, tuple(fv), p)
+        assert sum(succ) == sum(sigma)
+        assert succ[0] >= sigma[p.t - 1]  # the firing group resets to phase 1
 
 
 class TestFailureProbability:
