@@ -115,30 +115,23 @@ class _ModelCache:
     """Arrays derived once from a model, and the systems of its current
     target set.
 
-    The transitions are flat arrays in row order, as in CSR: entry k goes
-    from state src[k] to state indices[k] with probability prob[k].  The
-    transposed CSR lists the predecessors of state j in
-    pred[pred_ptr[j]:pred_ptr[j+1]].  Systems are keyed by their unknown
-    mask, because the reachability unknowns (reaching - targets) and the
-    reward unknowns (certain - targets) differ when some states are trapped.
-    Moving to another target set drops the systems of the previous one.
+    ``p`` is the model's own transition matrix, ``pred`` its CSC copy, whose
+    column j lists the predecessors of state j.  Systems are keyed by their
+    unknown mask, because the reachability unknowns (reaching - targets) and
+    the reward unknowns (certain - targets) differ when some states are
+    trapped.  Moving to another target set drops the systems of the
+    previous one.
     """
 
     def __init__(self, model: DtmcModel) -> None:
-        n = model.n_states
-        flat = np.array(
-            [tr for row in model.transitions for tr in row], dtype=float
-        ).reshape(-1, 4)
-        self.src = np.repeat(np.arange(n), [len(row) for row in model.transitions])
-        self.indices = flat[:, 0].astype(np.int64)
-        self.prob = flat[:, 1]
-        self.pred = self.src[np.argsort(self.indices, kind="stable")]
-        self.pred_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.indices, minlength=n), out=self.pred_ptr[1:])
-        #: expected one-step reward of every state, per reward kind
+        self.p = p = model.transitions
+        self.pred = p.tocsc()
+        #: expected one-step reward of every state, per reward kind; a matvec
+        #: adds each row in stored order, np.add.reduceat would pair terms up
         self.reward_b = {
-            kind: np.bincount(self.src, weights=self.prob * flat[:, col], minlength=n)
-            for kind, col in (("time", 2), ("power", 3))
+            kind: sp.csr_matrix((p.data * r, p.indices, p.indptr), shape=p.shape)
+            @ np.ones(p.shape[1])
+            for kind, r in model.rewards.items()
         }
         self.coherence = np.array([phase_coherence(s, model.params.t) for s in model.states])
         self.targets: frozenset[int] | None = None
@@ -147,15 +140,12 @@ class _ModelCache:
     def use_targets(self, targets: frozenset[int]) -> None:
         if targets == self.targets:
             return
-        n = len(self.coherence)
         self.targets = targets
-        self.target_mask = np.zeros(n, dtype=bool)
+        self.target_mask = np.zeros(len(self.coherence), dtype=bool)
         self.target_mask[np.fromiter(targets, dtype=np.int64, count=len(targets))] = True
         self.reaching = _reaching_states(self)
         # one-step probability of entering the target set
-        self.reach_b = np.bincount(
-            self.src, weights=self.prob * self.target_mask[self.indices], minlength=n
-        )
+        self.reach_b = self.p @ self.target_mask
         self.systems = {}
 
     def system(self, unknown: np.ndarray) -> _System:
@@ -164,14 +154,7 @@ class _ModelCache:
         found = self.systems.get(key)
         if found is None:
             idx = np.flatnonzero(unknown)
-            pos = np.full(len(unknown), -1, dtype=np.int64)
-            pos[idx] = np.arange(len(idx))
-            inner = unknown[self.src] & unknown[self.indices]
-            a = sp.csr_matrix(
-                (self.prob[inner], (pos[self.src[inner]], pos[self.indices[inner]])),
-                shape=(len(idx), len(idx)),
-            )
-            found = self.systems[key] = _System(idx, a)
+            found = self.systems[key] = _System(idx, self.p[idx][:, idx])
         return found
 
 
@@ -193,11 +176,7 @@ def _reaching_states(cache: _ModelCache) -> np.ndarray:
     mask = cache.target_mask.copy()
     frontier = np.flatnonzero(mask)
     while frontier.size:
-        starts = cache.pred_ptr[frontier]
-        counts = cache.pred_ptr[frontier + 1] - starts
-        # positions of all predecessors of the frontier in cache.pred
-        pos = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        found = cache.pred[pos]
+        found = cache.pred[:, frontier].indices
         found = found[~mask[found]]
         mask[found] = True
         frontier = np.unique(found)
@@ -223,7 +202,7 @@ def _reward(
     solver: SolverConfig,
     reach: np.ndarray | None,
 ) -> tuple[np.ndarray, int, float]:
-    if reward_kind not in ("time", "power"):
+    if reward_kind not in model.rewards:
         raise ValueError(f"unknown reward kind {reward_kind!r}")
     if reach is None:
         reach, _, _ = _reach(model, targets, solver)

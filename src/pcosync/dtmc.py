@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator, Union
+
+import numpy as np
+import scipy.sparse as sp
 
 from .core import ModelParams, State, is_firing, validate_params
 from .dynamics import FiringTable, skip_successor
@@ -85,13 +88,6 @@ class RestabilisationSpec:
 InitialMode = Union[str, RestabilisationSpec]  # "full" or a restabilisation spec
 
 
-class Transition(NamedTuple):
-    target: int
-    probability: float
-    time_reward: float
-    power_reward: float
-
-
 @dataclass(frozen=True)
 class DtmcModel:
     params: ModelParams
@@ -99,9 +95,16 @@ class DtmcModel:
     mode: InitialMode
     states: tuple[State, ...]
     index: dict[State, int] = field(repr=False)
-    transitions: tuple[tuple[Transition, ...], ...] = field(repr=False)
+    #: Transition probabilities, row = source state, column = target state.
+    #: Each row's targets are unique and sorted by index, so the matrix is in
+    #: canonical form and no SciPy call reorders ``data``.  The chain follows
+    #: from params, profile and mode, so equality does not compare arrays.
+    transitions: sp.csr_matrix = field(repr=False, compare=False)
+    #: One-step reward per transition, keyed "time" and "power"; entry k
+    #: belongs to the transition stored at ``transitions.data[k]``.
+    rewards: dict[str, np.ndarray] = field(repr=False, compare=False)
     initial: dict[int, float] = field(repr=False)
-    #: Derived data of the analysis layer (transition arrays, LU factors),
+    #: Derived data of the analysis layer (predecessors, LU factors),
     #: created on first use; it lives and dies with the model.
     _analysis: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -111,7 +114,7 @@ class DtmcModel:
 
     @property
     def n_transitions(self) -> int:
-        return sum(len(row) for row in self.transitions)
+        return self.transitions.nnz
 
 
 def state_count(p: ModelParams) -> int:
@@ -191,10 +194,11 @@ def skip_power(sigma: State, p: ModelParams, profile: HardwareProfile) -> float:
     w_r = profile.w_receive(p.t)
     t, r = p.t, p.r
     delta = max(phi for phi in range(1, t + 1) if sigma[phi - 1] > 0)
+    n = sum(sigma)
     total = 0.0
     for j in range(t - delta):
-        idle = sum(sigma[phi - 1] for phi in range(1, max(r - j, 0) + 1))
-        recv = sum(sigma[phi - 1] for phi in range(max(r + 1 - j, 1), delta + 1))
+        idle = sum(sigma[: max(r - j, 0)])
+        recv = n - idle
         total += idle * w_i + recv * w_r
     return total
 
@@ -243,10 +247,14 @@ def build_dtmc(
 
     states = tuple(sorted(seen))
     index = {sigma: i for i, sigma in enumerate(states)}
-    rows = tuple(
-        tuple(Transition(index[tgt], *rest) for tgt, *rest in succ[sigma])
-        for sigma in states
+    # firing rows come sorted by target tuple, which is sorted by index
+    rows = [succ[sigma] for sigma in states]
+    cols, prob, time_r, power_r = (
+        np.array(column)
+        for column in zip(*((index[tgt], *rest) for row in rows for tgt, *rest in row))
     )
+    indptr = np.cumsum([0, *map(len, rows)])
+    transitions = sp.csr_matrix((prob, cols, indptr), shape=(len(states), len(states)))
     initial = {index[sigma]: weight for sigma, weight in init.items()}
     return DtmcModel(
         params=p,
@@ -254,6 +262,7 @@ def build_dtmc(
         mode=mode,
         states=states,
         index=index,
-        transitions=rows,
+        transitions=transitions,
+        rewards={"time": time_r, "power": power_r},
         initial=initial,
     )

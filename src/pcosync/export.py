@@ -10,6 +10,9 @@ rewards are printed with 17 significant digits so re-parsing is lossless.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TextIO
+
+import numpy as np
 
 from .dtmc import DtmcModel
 
@@ -20,22 +23,24 @@ def write_states(model: DtmcModel, path: str | Path) -> None:
             fh.write(f"{i}:({','.join(str(k) for k in sigma)})\n")
 
 
+def _write_entries(model: DtmcModel, fh: TextIO, values: np.ndarray) -> None:
+    """One ``<src> <dst> <value>`` line per transition, in CSR order."""
+    coo = model.transitions.tocoo()
+    for src, dst, v in zip(coo.row.tolist(), coo.col.tolist(), values.tolist()):
+        fh.write(f"{src} {dst} {v:.17g}\n")
+
+
 def write_transitions(model: DtmcModel, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{model.n_states} {model.n_transitions}\n")
-        for src, row in enumerate(model.transitions):
-            for tr in row:
-                fh.write(f"{src} {tr.target} {tr.probability:.17g}\n")
+        _write_entries(model, fh, model.transitions.data)
 
 
 def write_transition_rewards(model: DtmcModel, path: str | Path, reward_kind: str) -> None:
-    if reward_kind not in ("time", "power"):
+    if reward_kind not in model.rewards:
         raise ValueError(f"unknown reward kind {reward_kind!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for src, row in enumerate(model.transitions):
-            for tr in row:
-                r = tr.time_reward if reward_kind == "time" else tr.power_reward
-                fh.write(f"{src} {tr.target} {r:.17g}\n")
+        _write_entries(model, fh, model.rewards[reward_kind])
 
 
 def export_model(model: DtmcModel, prefix: str | Path) -> dict[str, Path]:

@@ -11,7 +11,7 @@ import itertools
 from collections import Counter
 
 from pcosync.core import ModelParams, State, refractory
-from pcosync.dtmc import HardwareProfile, state_power
+from pcosync.dtmc import DtmcModel, HardwareProfile, state_power
 
 
 def expand(sigma: State) -> list[int]:
@@ -107,3 +107,15 @@ def materialized_skip_power(
         total += state_power(tuple(current), p, profile)
         current = [0] + current[:-1]  # advance every oscillator one phase
     return total
+
+
+def csr_rows(model: DtmcModel) -> list[list[tuple[int, float, float, float]]]:
+    """Per source state, the (target, probability, time reward, power reward)
+    of each outgoing transition, read from the model's CSR chain in stored
+    order."""
+    p = model.transitions
+    entries = list(zip(
+        p.indices.tolist(), p.data.tolist(),
+        model.rewards["time"].tolist(), model.rewards["power"].tolist(),
+    ))
+    return [entries[a:b] for a, b in zip(p.indptr[:-1].tolist(), p.indptr[1:].tolist())]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from oracles import csr_rows
 from pcosync.analysis import (
     INFINITY_REACH_TOL,
     AnalysisQuery,
@@ -143,13 +144,14 @@ class TestAggregate:
 
 def loop_reference(model, targets, reward_kind):
     """Per-state reachability and expected reward straight from the
-    transition tuples: a backward search over predecessor lists, then one
+    transition rows: a backward search over predecessor lists, then one
     dense solve per system."""
     n = model.n_states
+    rows = csr_rows(model)
     predecessors = [[] for _ in range(n)]
-    for src, row in enumerate(model.transitions):
-        for tr in row:
-            predecessors[tr.target].append(src)
+    for src, row in enumerate(rows):
+        for target, *_ in row:
+            predecessors[target].append(src)
     reaching, queue = set(targets), list(targets)
     while queue:
         for src in predecessors[queue.pop()]:
@@ -162,21 +164,21 @@ def loop_reference(model, targets, reward_kind):
         pos = {s: i for i, s in enumerate(idx)}
         system, b = np.eye(len(idx)), np.zeros(len(idx))
         for s in idx:
-            for tr in model.transitions[s]:
-                b[pos[s]] += one_step(tr)
-                if tr.target in pos:
-                    system[pos[s], pos[tr.target]] -= tr.probability
+            for target, prob, *rewards in rows[s]:
+                b[pos[s]] += one_step(target, prob, rewards)
+                if target in pos:
+                    system[pos[s], pos[target]] -= prob
         return idx, np.linalg.solve(system, b) if idx else np.zeros(0)
 
     reach = np.zeros(n)
     reach[list(targets)] = 1.0
-    idx, sol = solve(reaching - targets, lambda tr: tr.probability * (tr.target in targets))
+    idx, sol = solve(reaching - targets, lambda target, prob, _: prob * (target in targets))
     reach[idx] = sol
     certain = {s for s in range(n) if reach[s] >= 1.0 - INFINITY_REACH_TOL}
     values = np.full(n, np.inf)
     values[list(certain)] = 0.0
-    attr = "time_reward" if reward_kind == "time" else "power_reward"
-    idx, sol = solve(certain - targets, lambda tr: tr.probability * getattr(tr, attr))
+    col = 0 if reward_kind == "time" else 1
+    idx, sol = solve(certain - targets, lambda _, prob, rewards: prob * rewards[col])
     values[idx] = sol
     return reach, values
 

@@ -4,7 +4,7 @@ from collections import deque
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import materialized_skip_power
+from oracles import csr_rows, materialized_skip_power
 from pcosync.core import ModelParams, is_firing
 from pcosync.dtmc import (
     MICAZ,
@@ -140,19 +140,20 @@ class TestPowerRewards:
 class TestBuildDtmc:
     def test_row_stochastic(self):
         model = build_dtmc(params(n=4, t=5, r=1))
-        for row in model.transitions:
-            assert sum(tr.probability for tr in row) == pytest.approx(1.0, abs=1e-12)
+        for row in csr_rows(model):
+            assert sum(prob for _, prob, _, _ in row) == pytest.approx(1.0, abs=1e-12)
 
     def test_all_states_reachable_from_initial_support(self):
         model = build_dtmc(params(n=3, t=4, r=1))
+        rows = csr_rows(model)
         seen = set(model.initial)
         queue = deque(seen)
         while queue:
             i = queue.popleft()
-            for tr in model.transitions[i]:
-                if tr.target not in seen:
-                    seen.add(tr.target)
-                    queue.append(tr.target)
+            for target, *_ in rows[i]:
+                if target not in seen:
+                    seen.add(target)
+                    queue.append(target)
         assert seen == set(range(model.n_states))
 
     def test_full_mode_covers_all_states(self):
@@ -163,39 +164,61 @@ class TestBuildDtmc:
     def test_time_rewards(self):
         p = params(n=2, t=4, r=1)
         model = build_dtmc(p)
-        for i, sigma in enumerate(model.states):
-            for tr in model.transitions[i]:
+        for sigma, row in zip(model.states, csr_rows(model)):
+            for _, _, time_reward, _ in row:
                 if is_firing(sigma):
-                    assert tr.time_reward == pytest.approx(1.0 / p.t)
+                    assert time_reward == pytest.approx(1.0 / p.t)
                 else:
                     delta = max(phi for phi in range(1, 5) if sigma[phi - 1] > 0)
-                    assert tr.time_reward == pytest.approx((p.t - delta) / p.t)
+                    assert time_reward == pytest.approx((p.t - delta) / p.t)
 
     def test_firing_power_includes_transmissions(self):
         # 2 oscillators, 2 phases, no failures: (0,2) resets to (2,0)
         p = params(n=2, t=2, r=1, mu=0.0)
         model = build_dtmc(p)
         i = model.index[(0, 2)]
-        (tr,) = model.transitions[i]
-        assert model.states[tr.target] == (2, 0)
+        ((target, _, _, power_reward),) = csr_rows(model)[i]
+        assert model.states[target] == (2, 0)
         expected = 2 * MICAZ.w_receive(2) + 2 * MICAZ.w_transmit()
-        assert tr.power_reward == pytest.approx(expected)
+        assert power_reward == pytest.approx(expected)
 
     def test_skip_transition_power(self):
         p = params(n=2, t=2, r=1, mu=0.0)
         model = build_dtmc(p)
         i = model.index[(2, 0)]
-        (tr,) = model.transitions[i]
+        ((_, _, _, power_reward),) = csr_rows(model)[i]
         # both nodes idle through the single refractory step
-        assert tr.power_reward == pytest.approx(2 * MICAZ.w_idle(2))
+        assert power_reward == pytest.approx(2 * MICAZ.w_idle(2))
 
     def test_restabilisation_mode_is_smaller_and_closed(self):
         p = params(n=10, t=10, r=4)
         model = build_dtmc(p, MICAZ, RestabilisationSpec(1))
         assert model.n_states < state_count(p)
-        for row in model.transitions:
-            for tr in row:
-                assert 0 <= tr.target < model.n_states
+        for row in csr_rows(model):
+            for target, *_ in row:
+                assert 0 <= target < model.n_states
+
+    @pytest.mark.parametrize(
+        "p, mode",
+        [
+            (params(n=4, t=5, r=1), "full"),
+            (params(n=2, t=2, r=1, mu=0.0), "full"),
+            (params(n=6, t=8, r=2, mu=0.99), "full"),
+            (params(n=35, t=10, r=4), RestabilisationSpec(3)),
+        ],
+        ids=["n4t5", "n2t2mu0", "n6t8mu99", "restab35"],
+    )
+    def test_chain_is_canonical_csr_with_aligned_rewards(self, p, mode):
+        model = build_dtmc(p, MICAZ, mode)
+        assert model.transitions.has_canonical_format
+        assert model.transitions.shape == (model.n_states, model.n_states)
+        assert set(model.rewards) == {"time", "power"}
+        for rewards in model.rewards.values():
+            assert len(rewards) == model.transitions.nnz == model.n_transitions
+
+    def test_models_compare_by_value(self):
+        assert build_dtmc(params()) == build_dtmc(params())
+        assert build_dtmc(params()) != build_dtmc(params(mu=0.3))
 
     def test_state_space_cap(self):
         with pytest.raises(StateSpaceLimitExceeded):
@@ -215,8 +238,8 @@ class TestBuildDtmc:
     def test_stochasticity_property(self, n, t, mu):
         p = ModelParams(n=n, t=t, r=min(1, t - 1), epsilon=0.1, mu=mu)
         model = build_dtmc(p)
-        for row in model.transitions:
-            assert sum(tr.probability for tr in row) == pytest.approx(1.0, abs=1e-12)
+        for row in csr_rows(model):
+            assert sum(prob for _, prob, _, _ in row) == pytest.approx(1.0, abs=1e-12)
 
 
 @st.composite
@@ -235,11 +258,11 @@ def assert_firing_rows_match_oracle(model):
     """Every firing row equals successor_distribution exactly: same targets
     in the same order, bit-identical probabilities."""
     p = model.params
-    for i, sigma in enumerate(model.states):
+    for sigma, row in zip(model.states, csr_rows(model)):
         if not is_firing(sigma):
             continue
         want = [(b.target, b.probability) for b in successor_distribution(sigma, p).branches]
-        got = [(model.states[tr.target], tr.probability) for tr in model.transitions[i]]
+        got = [(model.states[target], prob) for target, prob, _, _ in row]
         assert got == want, (sigma, p)
 
 

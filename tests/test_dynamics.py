@@ -134,7 +134,12 @@ class TestResolveChain:
         sigma, p = sp
         if not is_firing(sigma):
             return
-        for fv in enumerate_failure_vectors(sigma, p):
+        # the fired flags depend only on f_T: one consistent vector per f_T,
+        # with no failures in the absorbed groups
+        k_t = sigma[p.t - 1]
+        for f_t in range(k_t + 1):
+            fired, _ = chain_updates(k_t - f_t, p)
+            fv = tuple(0 if f else None for f in fired[:-1]) + (f_t,)
             out = resolve_chain(sigma, fv, p)
             flags = [
                 out.fired[phi - 1]

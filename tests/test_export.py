@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import csr_rows
 from pcosync.core import ModelParams
 from pcosync.dtmc import build_dtmc
 from pcosync.export import (
@@ -47,9 +48,9 @@ class TestRoundTrip:
         paths = export_model(medium_model, tmp_path / "m")
         _, triples = read_transitions(paths["transitions"])
         expected = {
-            (src, tr.target): tr.probability
-            for src, row in enumerate(medium_model.transitions)
-            for tr in row
+            (src, target): prob
+            for src, row in enumerate(csr_rows(medium_model))
+            for target, prob, _, _ in row
         }
         for src, dst, prob in triples:
             assert prob == expected[(src, dst)]  # 17 digits survive re-parsing
