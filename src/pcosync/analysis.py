@@ -306,6 +306,76 @@ class MonteCarloResult:
     seed: int
 
 
+class _SampledChain:
+    """The states the runs have reached, numbered in order of first visit,
+    with flat tables of successor ids and one-step rewards.
+
+    State i owns the k_T + 1 slots from ``offset[i]``: slot ``offset[i] + f``
+    holds the transition taken when f broadcasts of the firing group fail.
+    A non-firing state has k_T = 0 and keeps its skip transition in its one
+    slot.  A slot is filled the first time a run takes it; until then its
+    successor id is -1.  Each distinct (state, failure count) pair is worked
+    out in Python once, and the tables grow by doubling.
+    """
+
+    def __init__(
+        self, p: ModelParams, profile: HardwareProfile, lam: float, reward_kind: str
+    ) -> None:
+        self.p, self.profile, self.lam = p, profile, lam
+        self.power = reward_kind == "power"
+        self.table = FiringTable(p)
+        self.w_t = profile.w_transmit()
+        self.states: list[State] = []
+        self.ids: dict[State, int] = {}
+        self.k_t = np.zeros(64, dtype=np.int64)
+        self.offset = np.zeros(64, dtype=np.int64)
+        self.target = np.zeros(64, dtype=bool)
+        self.succ = np.full(64, -1, dtype=np.int64)
+        self.reward = np.zeros(64)
+        self.n_slots = 0
+
+    def intern(self, sigma: State) -> int:
+        """Id of sigma, numbering it if no run has reached it before."""
+        i = self.ids.get(sigma)
+        if i is not None:
+            return i
+        i = len(self.states)
+        if i == len(self.k_t):
+            self.k_t, self.offset, self.target = (
+                np.concatenate([a, np.zeros_like(a)]) for a in (self.k_t, self.offset, self.target)
+            )
+        k_t = sigma[-1]
+        while self.n_slots + k_t + 1 > len(self.succ):
+            self.succ = np.concatenate([self.succ, np.full(len(self.succ), -1, dtype=np.int64)])
+            self.reward = np.concatenate([self.reward, np.zeros(len(self.reward))])
+        self.k_t[i] = k_t
+        self.offset[i] = self.n_slots
+        self.target[i] = phase_coherence(sigma, self.p.t) >= self.lam
+        self.n_slots += k_t + 1
+        self.states.append(sigma)
+        self.ids[sigma] = i
+        return i
+
+    def fill(self, slots: np.ndarray, ids: np.ndarray) -> None:
+        """Fill the given empty slots; ``ids[j]`` owns ``slots[j]``."""
+        p = self.p
+        for slot, i in zip(slots.tolist(), ids.tolist()):
+            sigma = self.states[i]
+            if is_firing(sigma):
+                failures = slot - int(self.offset[i])
+                nxt = self.table.successor(sigma, sigma[-1] - failures)
+                if self.power:
+                    reward = state_power(sigma, p, self.profile) + nxt[0] * self.w_t
+                else:
+                    reward = 1.0 / p.t
+            else:
+                nxt, skipped = skip_successor(sigma)
+                reward = skip_power(sigma, p, self.profile) if self.power else skipped / p.t
+            j = self.intern(nxt)  # may grow the tables
+            self.succ[slot] = j
+            self.reward[slot] = reward
+
+
 def monte_carlo(
     p: ModelParams,
     profile: HardwareProfile = MICAZ,
@@ -318,61 +388,43 @@ def monte_carlo(
 ) -> MonteCarloResult:
     """Estimate the average accumulated reward by simulating runs.
 
-    In a firing state the failure count of the firing group is drawn from
-    the binomial distribution and the successor is read from the model's
-    ``FiringTable``; the failures of absorbed groups change neither the
-    successor nor the rewards.  Runs exceeding step_cap are censored at the
-    accumulated value and counted.
+    All live runs take each step together.  In a firing state the failure
+    count of the firing group is drawn from the binomial distribution and
+    the successor is read from the model's ``FiringTable``; the failures of
+    absorbed groups change neither the successor nor the rewards.  Runs
+    still short of the target after step_cap steps are censored at the
+    accumulated value and counted.  One seed always gives the same result;
+    the draws are taken in step order across the runs.
     """
     validate_params(p)
+    if reward_kind not in ("time", "power"):
+        raise ValueError(f"unknown reward kind {reward_kind!r}")
     rng = np.random.default_rng(seed)
     init = initial_distribution(p, mode)
     init_states = list(init)
-    init_weights = np.array([init[s] for s in init_states])
-    t, mu = p.t, p.mu
-    table = FiringTable(p)
-    w_t = profile.w_transmit()
-
-    in_target: dict[State, bool] = {}
-    skip_cache: dict[State, tuple[State, float, float]] = {}
-
-    def target(sigma: State) -> bool:
-        hit = in_target.get(sigma)
-        if hit is None:
-            hit = phase_coherence(sigma, t) >= lam
-            in_target[sigma] = hit
-        return hit
+    start_indices = rng.choice(len(init_states), size=samples, p=np.fromiter(init.values(), float))
+    drawn, start_of_run = np.unique(start_indices, return_inverse=True)
+    chain = _SampledChain(p, profile, lam, reward_kind)
+    start_ids = np.array([chain.intern(init_states[i]) for i in drawn.tolist()], dtype=np.int64)
+    del init, init_states  # the chain keeps the drawn start states
 
     totals = np.zeros(samples)
-    censored = 0
-    start_indices = rng.choice(len(init_states), size=samples, p=init_weights)
-    for run in range(samples):
-        sigma = init_states[int(start_indices[run])]
-        acc = 0.0
-        steps = 0
-        while not target(sigma):
-            if steps >= step_cap:
-                censored += 1
-                break
-            if is_firing(sigma):
-                k_t = sigma[t - 1]
-                failures = int(rng.binomial(k_t, mu)) if 0.0 < mu < 1.0 else (k_t if mu >= 1.0 else 0)
-                succ = table.successor(sigma, k_t - failures)
-                if reward_kind == "time":
-                    acc += 1.0 / t
-                else:
-                    acc += state_power(sigma, p, profile) + succ[0] * w_t
-            else:
-                cached = skip_cache.get(sigma)
-                if cached is None:
-                    succ, skipped = skip_successor(sigma)
-                    cached = (succ, skipped / t, skip_power(sigma, p, profile))
-                    skip_cache[sigma] = cached
-                succ, time_r, power_r = cached
-                acc += time_r if reward_kind == "time" else power_r
-            sigma = succ
-            steps += 1
-        totals[run] = acc
+    cur = start_ids[start_of_run]
+    runs = np.flatnonzero(~chain.target[cur])
+    cur = cur[runs]
+    for _ in range(step_cap):
+        if not runs.size:
+            break
+        slots = chain.offset[cur] + rng.binomial(chain.k_t[cur], p.mu)
+        nxt = chain.succ[slots]
+        empty = nxt < 0
+        if empty.any():
+            missing, first = np.unique(slots[empty], return_index=True)
+            chain.fill(missing, cur[empty][first])
+            nxt = chain.succ[slots]
+        totals[runs] += chain.reward[slots]
+        live = ~chain.target[nxt]
+        runs, cur = runs[live], nxt[live]
 
     mean = float(np.mean(totals))
     stderr = float(np.std(totals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
@@ -381,6 +433,6 @@ def monte_carlo(
         std_error=stderr,
         max_observed=float(np.max(totals)),
         samples=samples,
-        censored=censored,
+        censored=int(runs.size),
         seed=seed,
     )

@@ -11,6 +11,7 @@ of every synchronisation message sent by a firing group.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Union
@@ -123,27 +124,28 @@ def state_count(p: ModelParams) -> int:
 
 
 def enumerate_states(p: ModelParams) -> Iterator[State]:
-    """All global states in lexicographic order of the counts tuple."""
-    n, t = p.n, p.t
+    """All global states in lexicographic order of the counts tuple.
 
-    def rec(prefix: list[int], remaining: int, slots: int) -> Iterator[State]:
-        if slots == 1:
-            yield tuple(prefix + [remaining])
-            return
-        for k in range(remaining + 1):
-            yield from rec(prefix + [k], remaining - k, slots - 1)
-
-    yield from rec([], n, t)
+    Stars and bars: the T - 1 bars take positions among N + T - 1 slots and
+    the counts are the gaps between them.  Combinations come in
+    lexicographic order, and so do their gap tuples.
+    """
+    end = p.n + p.t - 1
+    for bars in itertools.combinations(range(end), p.t - 1):
+        prev = -1
+        counts = []
+        for bar in bars:
+            counts.append(bar - prev - 1)
+            prev = bar
+        counts.append(end - prev - 1)
+        yield tuple(counts)
 
 
 def multinomial(counts: State) -> int:
     """Number of assignments of distinct oscillators realizing the counts."""
-    total = sum(counts)
-    coeff = 1
-    for k in counts:
-        coeff *= math.comb(total, k)
-        total -= k
-    return coeff
+    # prod_i C(k_1 + ... + k_i, k_i), every step in C; unlike N! / prod k!,
+    # no factorial of N is formed when one group holds most oscillators
+    return math.prod(map(math.comb, itertools.accumulate(counts), counts))
 
 
 def restabilisation_support(p: ModelParams, u: int) -> list[State]:

@@ -338,3 +338,35 @@ class TestMonteCarlo:
         p = params(n=2, t=2, r=1, mu=0.2)
         result = monte_carlo(p, samples=200, seed=5, step_cap=50)
         assert result.censored > 0
+
+    @pytest.mark.parametrize("kind", ["time", "power"])
+    def test_deterministic_firing_repeats_an_exact_start_value(self, kind):
+        # with mu = 0 every run from one start takes the same path, so the
+        # costliest run costs exactly the expected reward of its start state
+        p = params(n=4, t=3, r=1, epsilon=0.5, mu=0.0)
+        model = build_dtmc(p)
+        values, _ = expected_reward(model, target_set(model, 1.0), kind)
+        per_start = values[sorted(model.initial)]
+        mc = monte_carlo(p, lam=1.0, reward_kind=kind, samples=2000, seed=0)
+        assert mc.censored == 0
+        assert mc.max_observed <= per_start.max()
+        assert any(math.isclose(mc.max_observed, v, rel_tol=1e-12) for v in per_start)
+
+    def test_certain_failure_never_synchronises(self):
+        # with mu = 1 no pulse arrives, the phase pattern only rotates, and
+        # just the runs that start synchronised (weight 4/64) reach the target
+        p = params(n=3, t=4, r=1, epsilon=0.5, mu=1.0)
+        samples = 2000
+        mc = monte_carlo(p, samples=samples, seed=0, step_cap=50)
+        weight = 4 / 64
+        sigma = math.sqrt(weight * (1.0 - weight) / samples)
+        assert abs(1.0 - mc.censored / samples - weight) <= 5.0 * sigma
+
+    def test_zero_step_cap_accumulates_nothing(self):
+        p = params(n=3, t=4, r=1, epsilon=0.1, mu=0.2)
+        mc = monte_carlo(p, samples=200, seed=0, step_cap=0)
+        assert mc.mean == mc.max_observed == 0.0
+
+    def test_rejects_unknown_reward_kind(self):
+        with pytest.raises(ValueError):
+            monte_carlo(params(), reward_kind="energy", samples=10)
