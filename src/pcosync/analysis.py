@@ -27,6 +27,9 @@ from .metrics import phase_coherence
 #: probability drops below 1 minus this threshold.
 INFINITY_REACH_TOL = 1e-6
 
+#: Value iteration gives up after this many sweeps.
+MAX_ITERATIONS = 1_000_000
+
 
 class SolverError(RuntimeError):
     pass
@@ -36,7 +39,6 @@ class SolverError(RuntimeError):
 class SolverConfig:
     kind: str = "exact"  # "exact" | "iterative"
     tolerance: float = 1e-9
-    max_iterations: int = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ def _value_iteration(
     a: sp.csr_matrix, b: np.ndarray, solver: SolverConfig
 ) -> tuple[np.ndarray, int]:
     x = np.zeros(len(b))
-    for it in range(1, solver.max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         x_new = a @ x + b
         diff = np.max(np.abs(x_new - x))
         x = x_new
@@ -106,7 +108,7 @@ def _value_iteration(
             return x, it
     residual = np.max(np.abs(a @ x + b - x))
     raise SolverError(
-        f"value iteration did not converge in {solver.max_iterations} iterations"
+        f"value iteration did not converge in {MAX_ITERATIONS} iterations"
         f" (residual {residual:.3e})"
     )
 

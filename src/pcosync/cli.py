@@ -4,20 +4,22 @@ export, restabilisation runs and Monte Carlo simulation.
 Every numeric parameter flag accepts a single value, a comma-separated list,
 or an inclusive ``start:step:stop`` range; the sweep runs the cartesian
 product in deterministic order.  A flat ``key = value`` config file can seed
-any flag (repeated keys accumulate); explicit command-line flags override
-config values.
+any flag of the subcommand, converted as on the command line (repeated keys
+accumulate); a key that names no flag is an error, and explicit command-line
+flags override config values.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .analysis import (
     AnalysisQuery,
@@ -31,6 +33,7 @@ from .dtmc import (
     MICAZ,
     PROFILES,
     HardwareProfile,
+    InitialMode,
     RestabilisationSpec,
     StateSpaceLimitExceeded,
     build_dtmc,
@@ -109,7 +112,16 @@ def load_profile(name: str) -> HardwareProfile:
     raise ValueError(f"unknown hardware profile {name!r}")
 
 
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+#: The swept flags, in the nesting order of the sweep, and their types.
+GRID_FLAGS = (("n", int), ("t", int), ("r", int), ("eps", float), ("mu", float), ("u", int))
+MODEL_FLAGS = ("n", "t", "r", "eps", "mu")
+
+
+def _subcommand(sub, name: str, summary: str, run, required=MODEL_FLAGS) -> argparse.ArgumentParser:
+    """A subcommand with the model flags, carried out by ``run``; the flags
+    named in ``required`` must be set on the command line or in the config."""
+    parser = sub.add_parser(name, help=summary)
+    parser.set_defaults(run=run, parser=parser, required=required)
     parser.add_argument("--n", help="oscillator count (value, list or range)")
     parser.add_argument("--t", help="phase granularity")
     parser.add_argument("--r", help="refractory period length")
@@ -119,17 +131,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cycle", type=float, help="oscillation cycle length in seconds")
     parser.add_argument("--msg-time", type=float, help="message transmission time in seconds")
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--max-states", type=int, help="abort if more states are reached")
-
-
-def _add_query_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lambda", dest="lam", help="target phase coherence (value, list or range)")
-    parser.add_argument("--query", action="append", help="metric:aggregate, repeatable")
-    parser.add_argument(
-        "--solver", choices=["exact", "iterative"], help="linear solver (default exact)"
-    )
-    parser.add_argument("--tolerance", type=float, help="iterative solver tolerance")
-    parser.add_argument("--output", help="CSV output path (default stdout)")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,42 +140,54 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact time/energy analysis of pulse-coupled oscillator populations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_an = sub.add_parser("analyze", help="full-network synchronisation sweep")
-    _add_model_flags(p_an)
-    _add_query_flags(p_an)
-
-    p_re = sub.add_parser("restab", help="restabilisation sweep")
-    _add_model_flags(p_re)
-    _add_query_flags(p_re)
-    p_re.add_argument("--u", help="number of desynchronised oscillators")
-
-    p_ex = sub.add_parser("export", help="write explicit-state model files")
-    _add_model_flags(p_ex)
-    p_ex.add_argument("--u", help="restabilisation mode with this many desynchronised oscillators")
+    p_an = _subcommand(sub, "analyze", "full-network synchronisation sweep", cmd_solve)
+    p_re = _subcommand(
+        sub, "restab", "restabilisation sweep", cmd_solve, required=(*MODEL_FLAGS, "u")
+    )
+    p_ex = _subcommand(sub, "export", "write explicit-state model files", cmd_export)
+    p_si = _subcommand(sub, "simulate", "Monte Carlo estimation", cmd_simulate)
+    for p in (p_re, p_ex, p_si):
+        p.add_argument("--u", help="number of desynchronised oscillators (restabilisation mode)")
+    for p in (p_an, p_re, p_ex):
+        p.add_argument("--max-states", type=int, help="abort if more states are reached")
+    for p in (p_an, p_re, p_si):
+        p.add_argument("--lambda", dest="lam", help="target phase coherence (value, list or range)")
+        p.add_argument("--query", action="append", help="metric:aggregate, repeatable")
+        p.add_argument("--output", help="CSV output path (default stdout)")
+    for p in (p_an, p_re):
+        p.add_argument(
+            "--solver", choices=["exact", "iterative"], help="linear solver (default exact)"
+        )
+        p.add_argument("--tolerance", type=float, help="iterative solver tolerance")
     p_ex.add_argument("--out", required=True, help="output path prefix")
-
-    p_si = sub.add_parser("simulate", help="Monte Carlo estimation")
-    _add_model_flags(p_si)
-    _add_query_flags(p_si)
-    p_si.add_argument("--u", help="restabilisation mode")
     p_si.add_argument("--samples", help="number of simulated runs")
     p_si.add_argument("--seed", help="RNG seed (required for reproducibility)")
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from the config file, if any."""
-    if not getattr(args, "config", None):
+    """Fill unset flags from the config file, if any.
+
+    Each key names a flag of the subcommand, and its values (joined by
+    commas) are converted as that flag converts its argument.  Repeated
+    ``query`` keys give one query each.
+    """
+    if args.config is None:
         return
-    config = load_config(args.config)
-    for key, values in config.items():
-        attr = {"lambda": "lam", "msg-time": "msg_time"}.get(key, key.replace("-", "_"))
-        if getattr(args, attr, None) is None:
-            if attr == "query":
-                setattr(args, attr, values)
-            else:
-                setattr(args, attr, ",".join(values))
+    flags = args.parser._option_string_actions  # argparse's option-string table
+    for key, values in load_config(args.config).items():
+        action = flags.get(f"--{key}")
+        if action is None:
+            raise ValueError(f"config key {key!r} is not a flag of {args.command}")
+        if getattr(args, action.dest, None) is not None:
+            continue
+        if action.dest == "query":
+            args.query = values
+            continue
+        try:
+            setattr(args, action.dest, (action.type or str)(",".join(values)))
+        except ValueError:
+            raise ValueError(f"bad config value {key} = {','.join(values)}") from None
 
 
 def _resolve_profile(args: argparse.Namespace) -> HardwareProfile:
@@ -181,33 +195,23 @@ def _resolve_profile(args: argparse.Namespace) -> HardwareProfile:
     overrides = {}
     if args.cycle is not None:
         overrides["cycle_s"] = args.cycle
-    if getattr(args, "msg_time", None) is not None:
+    if args.msg_time is not None:
         overrides["message_s"] = args.msg_time
     return replace(profile, **overrides)
 
 
-def _param_grid(args: argparse.Namespace, with_u: bool) -> list[tuple]:
-    def req(flag: str, cast):
-        raw = getattr(args, flag)
-        if raw is None:
+def _grid(args: argparse.Namespace) -> Iterator[tuple[ModelParams, InitialMode, int | None]]:
+    """Every combination of the grid flags, in ``GRID_FLAGS`` order, as
+    validated parameters, the initial mode and U (None in full mode)."""
+    axes = []
+    for flag, cast in GRID_FLAGS:
+        raw = getattr(args, flag, None)
+        if raw is None and flag in args.required:
             raise ValueError(f"missing required parameter --{flag}")
-        return parse_range(str(raw), cast)
-
-    ns = req("n", int)
-    ts = req("t", int)
-    rs = req("r", int)
-    epss = req("eps", float)
-    mus = req("mu", float)
-    us = req("u", int) if with_u else [None]
-    grid = []
-    for n in ns:
-        for t in ts:
-            for r in rs:
-                for eps in epss:
-                    for mu in mus:
-                        for u in us:
-                            grid.append((n, t, r, eps, mu, u))
-    return grid
+        axes.append([None] if raw is None else parse_range(str(raw), cast))
+    for n, t, r, eps, mu, u in itertools.product(*axes):
+        params = validate_params(ModelParams(n=n, t=t, r=r, epsilon=eps, mu=mu))
+        yield params, RestabilisationSpec(u) if u is not None else "full", u
 
 
 class CsvSink:
@@ -238,136 +242,104 @@ def _fmt(x: float | None) -> str:
     return f"{x:.10g}"
 
 
-def _run_sweep(args: argparse.Namespace, with_u: bool) -> int:
+def _sweep(args: argparse.Namespace, answer) -> int:
+    """Write one CSV row per grid point, lambda and query, in that nesting.
+
+    ``answer(params, profile, mode, points)`` yields, for each (lambda,
+    metric, aggregate) point in turn, the value, the per-node mWh, the reach
+    probability, the state and transition counts and the wall time in ms.
+    """
     profile = _resolve_profile(args)
     queries = parse_queries(args.query or ["time:avg"])
     lams = parse_range(str(args.lam), float) if args.lam is not None else [1.0]
+    points = [(lam, metric, agg) for lam in lams for metric, agg in queries]
+    sink = CsvSink(args.output)
+    try:
+        for params, mode, u in _grid(args):
+            for cells, (lam, metric, agg) in zip(answer(params, profile, mode, points), points):
+                value, per_node, reach, states, transitions, wall_ms = cells
+                sink.row([
+                    params.n, params.t, params.r, _fmt(params.epsilon), _fmt(params.mu),
+                    _fmt(lam), "" if u is None else u, profile.name, metric, agg,
+                    _fmt(value), _fmt(per_node), _fmt(reach), states, transitions,
+                    _fmt(wall_ms),
+                ])
+        sink.status("ok")
+        return 0
+    except (ValueError, StateSpaceLimitExceeded, SolverError) as exc:
+        solver_failed = isinstance(exc, SolverError)
+        message = f"{'solver failure' if solver_failed else 'error'}: {exc}"
+        sink.status(message)
+        print(message, file=sys.stderr)
+        return 2 if solver_failed else 1
+    finally:
+        sink.close()
+
+
+def cmd_solve(args: argparse.Namespace) -> int:
+    """analyze and restab: build each grid point once and solve every query on it."""
     solver = SolverConfig(
         kind=args.solver or "exact",
         tolerance=args.tolerance if args.tolerance is not None else 1e-9,
     )
-    sink = CsvSink(args.output)
-    try:
-        for n, t, r, eps, mu, u in _param_grid(args, with_u):
-            params = validate_params(ModelParams(n=n, t=t, r=r, epsilon=eps, mu=mu))
-            mode = RestabilisationSpec(u) if u is not None else "full"
-            start = time.perf_counter()
-            model = build_dtmc(params, profile, mode, max_states=args.max_states)
-            build_ms = (time.perf_counter() - start) * 1000.0
-            for lam in lams:
-                for metric, agg in queries:
-                    query = AnalysisQuery(lam=lam, reward_kind=metric, aggregate=agg, solver=solver)
-                    result = solve_query(model, query)
-                    sink.row([
-                        n, t, r, _fmt(eps), _fmt(mu), _fmt(lam),
-                        "" if u is None else u, profile.name, metric, agg,
-                        _fmt(result.value), _fmt(result.per_node_mWh),
-                        _fmt(result.reach_probability),
-                        model.n_states, model.n_transitions,
-                        _fmt(build_ms + result.wall_time * 1000.0),
-                    ])
-        sink.status("ok")
-        return 0
-    except (ValueError, StateSpaceLimitExceeded) as exc:
-        sink.status(f"error: {exc}")
-        print(f"error: {exc}", file=sys.stderr)
+
+    def answer(params, profile, mode, points):
+        start = time.perf_counter()
+        model = build_dtmc(params, profile, mode, max_states=args.max_states)
+        build_ms = (time.perf_counter() - start) * 1000.0
+        for lam, metric, agg in points:
+            query = AnalysisQuery(lam=lam, reward_kind=metric, aggregate=agg, solver=solver)
+            result = solve_query(model, query)
+            yield (
+                result.value, result.per_node_mWh, result.reach_probability,
+                model.n_states, model.n_transitions, build_ms + result.wall_time * 1000.0,
+            )
+
+    return _sweep(args, answer)
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    """Monte Carlo estimates of every query; no model is built."""
+    if args.seed is None:
+        print("error: --seed is required for reproducible simulation", file=sys.stderr)
         return 1
-    except SolverError as exc:
-        sink.status(f"solver failure: {exc}")
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        sink.close()
+    samples = int(args.samples) if args.samples is not None else 10_000
+    seed = int(args.seed)
 
+    def answer(params, profile, mode, points):
+        for lam, metric, agg in points:
+            if agg == "min":
+                raise ValueError("simulate supports avg and max aggregates only")
+            start = time.perf_counter()
+            result = monte_carlo(
+                params, profile, mode, lam=lam, reward_kind=metric, samples=samples, seed=seed,
+            )
+            wall_ms = (time.perf_counter() - start) * 1000.0
+            value = result.mean if agg == "avg" else result.max_observed
+            per_node = value / params.n * 1000.0 if metric == "power" else None
+            yield value, per_node, 1.0 - result.censored / result.samples, "", "", wall_ms
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    return _run_sweep(args, with_u=False)
-
-
-def cmd_restab(args: argparse.Namespace) -> int:
-    return _run_sweep(args, with_u=True)
+    return _sweep(args, answer)
 
 
 def cmd_export(args: argparse.Namespace) -> int:
     profile = _resolve_profile(args)
-    try:
-        grid = _param_grid(args, with_u=args.u is not None)
-        if len(grid) != 1:
-            raise ValueError("export expects exactly one parameter tuple")
-        n, t, r, eps, mu, u = grid[0]
-        params = validate_params(ModelParams(n=n, t=t, r=r, epsilon=eps, mu=mu))
-        mode = RestabilisationSpec(u) if u is not None else "full"
-        model = build_dtmc(params, profile, mode, max_states=args.max_states)
-        paths = export_model(model, args.out)
-    except (ValueError, StateSpaceLimitExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    for kind, path in paths.items():
+    grid = list(_grid(args))
+    if len(grid) != 1:
+        raise ValueError("export expects exactly one parameter tuple")
+    ((params, mode, _),) = grid
+    model = build_dtmc(params, profile, mode, max_states=args.max_states)
+    for kind, path in export_model(model, args.out).items():
         print(f"{kind}: {path}")
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    profile = _resolve_profile(args)
-    if args.seed is None:
-        print("error: --seed is required for reproducible simulation", file=sys.stderr)
-        return 1
-    queries = parse_queries(args.query or ["time:avg"])
-    lams = parse_range(str(args.lam), float) if args.lam is not None else [1.0]
-    samples = int(args.samples) if args.samples is not None else 10_000
-    seed = int(args.seed)
-    sink = CsvSink(args.output)
-    try:
-        for n, t, r, eps, mu, u in _param_grid(args, with_u=args.u is not None):
-            params = validate_params(ModelParams(n=n, t=t, r=r, epsilon=eps, mu=mu))
-            mode = RestabilisationSpec(u) if u is not None else "full"
-            for lam in lams:
-                for metric, agg in queries:
-                    if agg == "min":
-                        raise ValueError("simulate supports avg and max aggregates only")
-                    start = time.perf_counter()
-                    result = monte_carlo(
-                        params, profile, mode, lam=lam, reward_kind=metric,
-                        samples=samples, seed=seed,
-                    )
-                    wall_ms = (time.perf_counter() - start) * 1000.0
-                    value = result.mean if agg == "avg" else result.max_observed
-                    per_node = value / n * 1000.0 if metric == "power" else None
-                    sink.row([
-                        n, t, r, _fmt(eps), _fmt(mu), _fmt(lam),
-                        "" if u is None else u, profile.name, metric, agg,
-                        _fmt(value), _fmt(per_node),
-                        _fmt(1.0 - result.censored / result.samples),
-                        "", "", _fmt(wall_ms),
-                    ])
-        sink.status("ok")
-        return 0
-    except ValueError as exc:
-        sink.status(f"error: {exc}")
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        sink.close()
-
-
-COMMANDS = {
-    "analyze": cmd_analyze,
-    "restab": cmd_restab,
-    "export": cmd_export,
-    "simulate": cmd_simulate,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _merge_config(args)
+    args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
-    except ValueError as exc:
+        _merge_config(args)
+        return args.run(args)
+    except (ValueError, StateSpaceLimitExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,8 +9,7 @@ that fired) or ``None`` for groups that did not fire.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 State = tuple[int, ...]
 FailureVector = tuple[int | None, ...]
@@ -34,13 +33,6 @@ def perturbation(phi: int, alpha: int, epsilon: float) -> int:
     return round_half_up(phi * alpha * epsilon)
 
 
-ResponseFn = Callable[[int, int, float], int]
-
-RESPONSE_FUNCTIONS: dict[str, ResponseFn] = {
-    "linear-ms": perturbation,
-}
-
-
 def refractory(phi: int, delta: int, r: int) -> int:
     """Suppress a perturbation inside the refractory interval [1, r].
 
@@ -51,18 +43,13 @@ def refractory(phi: int, delta: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """One population model: (N, T, R, epsilon, mu) plus the response family."""
+    """One population model: (N, T, R, epsilon, mu)."""
 
     n: int
     t: int
     r: int
     epsilon: float
     mu: float
-    response: str = "linear-ms"
-
-    @property
-    def response_fn(self) -> ResponseFn:
-        return RESPONSE_FUNCTIONS[self.response]
 
 
 def validate_params(p: ModelParams) -> ModelParams:
@@ -77,8 +64,6 @@ def validate_params(p: ModelParams) -> ModelParams:
         raise ValueError(f"epsilon must be > 0, got {p.epsilon}")
     if not 0 <= p.mu <= 1:
         raise ValueError(f"mu must be in [0, 1], got {p.mu}")
-    if p.response not in RESPONSE_FUNCTIONS:
-        raise ValueError(f"unknown phase response function {p.response!r}")
     return p
 
 

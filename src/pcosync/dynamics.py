@@ -23,6 +23,7 @@ from .core import (
     State,
     format_failure_vector,
     is_firing,
+    perturbation,
     refractory,
 )
 
@@ -74,7 +75,7 @@ def chain_updates(successes: int, p: ModelParams) -> tuple[list[bool], list[int]
     """Fire flags and updated phases for all phase groups, given the number
     of successful broadcasts from the firing group at phase T."""
     updated = [
-        phi + 1 + refractory(phi, p.response_fn(phi, successes, p.epsilon), p.r)
+        phi + 1 + refractory(phi, perturbation(phi, successes, p.epsilon), p.r)
         for phi in range(1, p.t)
     ]
     updated.append(p.t + 1)  # the firing group itself

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from pcosync.core import ModelParams, State, refractory
+from pcosync.core import ModelParams, State, perturbation, refractory
 from pcosync.dtmc import DtmcModel, HardwareProfile, state_power
 
 
@@ -28,13 +28,12 @@ def per_oscillator_step(
     """Advance every oscillator one step given the number of pulses that got
     through from the group at the last phase."""
     t = p.t
-    response = p.response_fn
     out = []
     for phi in phases:
         if phi == t:
             out.append(1)
             continue
-        delta = refractory(phi, response(phi, successes, p.epsilon), p.r)
+        delta = refractory(phi, perturbation(phi, successes, p.epsilon), p.r)
         upd = phi + 1 + delta
         out.append(1 if upd > t else upd)
     return out

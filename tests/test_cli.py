@@ -3,6 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from pcosync.analysis import AnalysisQuery, monte_carlo, solve_query
+from pcosync.core import ModelParams
+from pcosync.dtmc import MICAZ, RestabilisationSpec, build_dtmc
 from pcosync.cli import (
     CSV_COLUMNS,
     load_config,
@@ -19,6 +22,13 @@ def read_csv(path: Path):
     assert rows[0] == CSV_COLUMNS
     assert rows[-1][0].startswith("# status:")
     return rows[1:-1], rows[-1][0]
+
+
+def fmt(x):
+    """A CSV cell as the CLI writes it: '' for None, 10 significant digits."""
+    if x is None:
+        return ""
+    return "inf" if x == float("inf") else f"{x:.10g}"
 
 
 class TestParseRange:
@@ -159,6 +169,82 @@ class TestAnalyze:
         # wall_ms differs between runs; everything else must not
         assert [r[:-1] for r in rows_a] == [r[:-1] for r in rows_b]
 
+    def test_sweep_rows_equal_solve_query(self, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main([
+            "analyze", "--n", "3", "--t", "5", "--r", "1,2", "--eps", "0.5",
+            "--mu", "0.2", "--lambda", "0.5,1.0",
+            "--query", "time:avg", "--query", "power:max", "--output", str(out),
+        ]) == 0
+        rows, status = read_csv(out)
+        assert status == "# status: ok"
+        expected = []
+        for r in (1, 2):
+            model = build_dtmc(ModelParams(n=3, t=5, r=r, epsilon=0.5, mu=0.2), MICAZ)
+            for lam in (0.5, 1.0):
+                for metric, agg in (("time", "avg"), ("power", "max")):
+                    res = solve_query(
+                        model, AnalysisQuery(lam=lam, reward_kind=metric, aggregate=agg)
+                    )
+                    expected.append([
+                        "3", "5", str(r), "0.5", "0.2", fmt(lam), "", "micaz",
+                        metric, agg, fmt(res.value), fmt(res.per_node_mWh),
+                        fmt(res.reach_probability),
+                        str(model.n_states), str(model.n_transitions),
+                    ])
+        assert [row[:-1] for row in rows] == expected
+        assert "inf" not in {row[10] for row in expected}
+
+    def test_typed_config_values_equal_flags(self, tmp_path):
+        base = ["--n", "2", "--t", "3", "--r", "1", "--eps", "0.5", "--mu", "0",
+                "--query", "power:avg"]
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("cycle = 10\nmsg-time = 0.002\n")
+        out_a = tmp_path / "a.csv"
+        out_b = tmp_path / "b.csv"
+        assert main(["analyze", *base, "--cycle", "10", "--msg-time", "0.002",
+                     "--output", str(out_a)]) == 0
+        assert main(["analyze", *base, "--config", str(cfg), "--output", str(out_b)]) == 0
+        rows_a, _ = read_csv(out_a)
+        rows_b, _ = read_csv(out_b)
+        assert [r[:-1] for r in rows_a] == [r[:-1] for r in rows_b]
+
+    def test_config_state_cap(self, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("max-states = 5\n")
+        out = tmp_path / "out.csv"
+        code = main([
+            "analyze", "--n", "3", "--t", "4", "--r", "1", "--eps", "0.1",
+            "--mu", "0.2", "--config", str(cfg), "--output", str(out),
+        ])
+        assert code == 1
+        rows, status = read_csv(out)
+        assert rows == [] and status.startswith("# status: error")
+
+    def test_config_queries_accumulate_and_flags_win(self, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(
+            "n = 2\nt = 3\nr = 1\neps = 0.5\nmu = 0.2\n"
+            "query = time:avg\nquery = power:max\n"
+        )
+        out_a = tmp_path / "a.csv"
+        out_b = tmp_path / "b.csv"
+        assert main(["analyze", "--config", str(cfg), "--output", str(out_a)]) == 0
+        assert main(["analyze", "--config", str(cfg), "--query", "time:max",
+                     "--output", str(out_b)]) == 0
+        rows_a, _ = read_csv(out_a)
+        rows_b, _ = read_csv(out_b)
+        assert [(r[8], r[9]) for r in rows_a] == [("time", "avg"), ("power", "max")]
+        assert [(r[8], r[9]) for r in rows_b] == [("time", "max")]
+
+    def test_config_unknown_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("n = 3\nt = 4\nr = 1\neps = 0.1\nmu = 0.2\nlamda = 0.5\n")
+        out = tmp_path / "out.csv"
+        assert main(["analyze", "--config", str(cfg), "--output", str(out)]) == 1
+        assert "lamda" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRestab:
     def test_u_column_and_state_reduction(self, tmp_path):
@@ -202,6 +288,21 @@ class TestExport:
         ])
         assert code == 1
 
+    def test_restab_model_states(self, tmp_path):
+        assert main([
+            "export", "--n", "4", "--t", "5", "--r", "1", "--eps", "0.1",
+            "--mu", "0.2", "--u", "1", "--out", str(tmp_path / "model"),
+        ]) == 0
+        model = build_dtmc(
+            ModelParams(n=4, t=5, r=1, epsilon=0.1, mu=0.2), MICAZ, RestabilisationSpec(1)
+        )
+        full = build_dtmc(ModelParams(n=4, t=5, r=1, epsilon=0.1, mu=0.2), MICAZ)
+        assert model.n_states < full.n_states
+        lines = (tmp_path / "model.sta").read_text().splitlines()
+        assert lines == [
+            f"{i}:({','.join(map(str, sigma))})" for i, sigma in enumerate(model.states)
+        ]
+
 
 class TestSimulate:
     def test_seed_required(self, tmp_path):
@@ -244,6 +345,48 @@ class TestSimulate:
             "--output", str(tmp_path / "o.csv"),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("flag", [["--solver", "exact"], ["--tolerance", "1e-6"],
+                                      ["--max-states", "10"]])
+    def test_solver_flags_not_taken(self, tmp_path, flag):
+        with pytest.raises(SystemExit):
+            main([
+                "simulate", "--n", "2", "--t", "3", "--r", "1", "--eps", "0.5",
+                "--mu", "0.2", "--seed", "1", *flag, "--output", str(tmp_path / "o.csv"),
+            ])
+
+    def test_min_aggregate_leaves_error_status(self, tmp_path):
+        out = tmp_path / "o.csv"
+        assert main([
+            "simulate", "--n", "2", "--t", "3", "--r", "1", "--eps", "0.5",
+            "--mu", "0.2", "--seed", "1", "--query", "time:min", "--output", str(out),
+        ]) == 1
+        rows, status = read_csv(out)
+        assert rows == [] and status.startswith("# status: error")
+
+    def test_restab_rows_equal_monte_carlo(self, tmp_path):
+        out = tmp_path / "o.csv"
+        assert main([
+            "simulate", "--n", "4", "--t", "6", "--r", "1", "--eps", "0.1",
+            "--mu", "0.2", "--u", "1", "--samples", "300", "--seed", "5",
+            "--query", "time:avg", "--query", "power:max", "--output", str(out),
+        ]) == 0
+        rows, status = read_csv(out)
+        assert status == "# status: ok"
+        params = ModelParams(n=4, t=6, r=1, epsilon=0.1, mu=0.2)
+        expected = []
+        for metric, agg in (("time", "avg"), ("power", "max")):
+            res = monte_carlo(
+                params, MICAZ, RestabilisationSpec(1), lam=1.0, reward_kind=metric,
+                samples=300, seed=5,
+            )
+            value = res.mean if agg == "avg" else res.max_observed
+            expected.append([
+                "4", "6", "1", "0.1", "0.2", "1", "1", "micaz", metric, agg, fmt(value),
+                fmt(value / 4 * 1000.0 if metric == "power" else None),
+                fmt(1.0 - res.censored / res.samples), "", "",
+            ])
+        assert [row[:-1] for row in rows] == expected
 
 
 class TestProfiles:

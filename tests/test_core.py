@@ -102,7 +102,6 @@ class TestValidation:
             dict(epsilon=-0.1),
             dict(mu=-0.01),
             dict(mu=1.01),
-            dict(response="no-such-response"),
         ],
     )
     def test_bad_params_rejected(self, kw):
