@@ -18,10 +18,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core import ModelParams, State, is_firing, validate_params
-from .dtmc import DtmcModel, HardwareProfile, InitialMode, initial_distribution, MICAZ, skip_power, state_power
-from .dynamics import FiringTable, skip_successor
-from .metrics import phase_coherence
+from .core import ModelParams, State, validate_params
+from .dtmc import DtmcModel, HardwareProfile, InitialMode, MICAZ, initial_weights, step
+from .dynamics import FiringTable
+from .metrics import phase_coherences
 
 #: A state counts as failing to reach the target when its reachability
 #: probability drops below 1 minus this threshold.
@@ -135,7 +135,7 @@ class _ModelCache:
             @ np.ones(p.shape[1])
             for kind, r in model.rewards.items()
         }
-        self.coherence = np.array([phase_coherence(s, model.params.t) for s in model.states])
+        self.coherence = phase_coherences(model.states.array, model.params.t)
         self.targets: frozenset[int] | None = None
         self.systems: dict[bytes, _System] = {}
 
@@ -316,8 +316,8 @@ class _SampledChain:
     holds the transition taken when f broadcasts of the firing group fail.
     A non-firing state has k_T = 0 and keeps its skip transition in its one
     slot.  A slot is filled the first time a run takes it; until then its
-    successor id is -1.  Each distinct (state, failure count) pair is worked
-    out in Python once, and the tables grow by doubling.
+    successor id is -1.  The slots first taken in one step are worked out
+    together, and the states they reach are numbered together.
     """
 
     def __init__(
@@ -326,56 +326,37 @@ class _SampledChain:
         self.p, self.profile, self.lam = p, profile, lam
         self.power = reward_kind == "power"
         self.table = FiringTable(p)
-        self.w_t = profile.w_transmit()
-        self.states: list[State] = []
         self.ids: dict[State, int] = {}
-        self.k_t = np.zeros(64, dtype=np.int64)
-        self.offset = np.zeros(64, dtype=np.int64)
-        self.target = np.zeros(64, dtype=bool)
-        self.succ = np.full(64, -1, dtype=np.int64)
-        self.reward = np.zeros(64)
-        self.n_slots = 0
+        self.states = np.zeros((0, p.t), dtype=np.min_scalar_type(p.n))
+        self.k_t = self.offset = self.succ = np.zeros(0, dtype=np.int64)
+        self.target = np.zeros(0, dtype=bool)
+        self.reward = np.zeros(0)
 
-    def intern(self, sigma: State) -> int:
-        """Id of sigma, numbering it if no run has reached it before."""
-        i = self.ids.get(sigma)
-        if i is not None:
-            return i
-        i = len(self.states)
-        if i == len(self.k_t):
-            self.k_t, self.offset, self.target = (
-                np.concatenate([a, np.zeros_like(a)]) for a in (self.k_t, self.offset, self.target)
-            )
-        k_t = sigma[-1]
-        while self.n_slots + k_t + 1 > len(self.succ):
-            self.succ = np.concatenate([self.succ, np.full(len(self.succ), -1, dtype=np.int64)])
-            self.reward = np.concatenate([self.reward, np.zeros(len(self.reward))])
-        self.k_t[i] = k_t
-        self.offset[i] = self.n_slots
-        self.target[i] = phase_coherence(sigma, self.p.t) >= self.lam
-        self.n_slots += k_t + 1
-        self.states.append(sigma)
-        self.ids[sigma] = i
-        return i
+    def number(self, states: np.ndarray) -> np.ndarray:
+        """Ids of the rows of a count array.  States no run has reached
+        before get the next ids, their slots and their target flags."""
+        known = len(self.ids)
+        ids = np.array([self.ids.setdefault(s, len(self.ids)) for s in map(tuple, states.tolist())],
+                       dtype=np.int64)
+        fresh = ids >= known
+        new = states[fresh][np.unique(ids[fresh], return_index=True)[1]]
+        slots = new[:, -1].astype(np.int64) + 1
+        self.states = np.concatenate([self.states, new])
+        self.k_t = np.concatenate([self.k_t, slots - 1])
+        self.offset = np.concatenate([self.offset, len(self.succ) + np.cumsum(slots) - slots])
+        self.target = np.concatenate([self.target, phase_coherences(new, self.p.t) >= self.lam])
+        self.succ = np.concatenate([self.succ, np.full(slots.sum(), -1)])
+        self.reward = np.concatenate([self.reward, np.zeros(slots.sum())])
+        return ids
 
     def fill(self, slots: np.ndarray, ids: np.ndarray) -> None:
         """Fill the given empty slots; ``ids[j]`` owns ``slots[j]``."""
-        p = self.p
-        for slot, i in zip(slots.tolist(), ids.tolist()):
-            sigma = self.states[i]
-            if is_firing(sigma):
-                failures = slot - int(self.offset[i])
-                nxt = self.table.successor(sigma, sigma[-1] - failures)
-                if self.power:
-                    reward = state_power(sigma, p, self.profile) + nxt[0] * self.w_t
-                else:
-                    reward = 1.0 / p.t
-            else:
-                nxt, skipped = skip_successor(sigma)
-                reward = skip_power(sigma, p, self.profile) if self.power else skipped / p.t
-            j = self.intern(nxt)  # may grow the tables
-            self.succ[slot] = j
-            self.reward[slot] = reward
+        sigma = self.states[ids]
+        successes = sigma[:, -1] - (slots - self.offset[ids])
+        targets, time_r, power_r = step(sigma, successes, self.table, self.p, self.profile)
+        nxt = self.number(targets)  # grows the tables
+        self.succ[slots] = nxt
+        self.reward[slots] = power_r if self.power else time_r
 
 
 def monte_carlo(
@@ -402,13 +383,12 @@ def monte_carlo(
     if reward_kind not in ("time", "power"):
         raise ValueError(f"unknown reward kind {reward_kind!r}")
     rng = np.random.default_rng(seed)
-    init = initial_distribution(p, mode)
-    init_states = list(init)
-    start_indices = rng.choice(len(init_states), size=samples, p=np.fromiter(init.values(), float))
+    support, weights = initial_weights(p, mode)
+    start_indices = rng.choice(len(support), size=samples, p=weights)
     drawn, start_of_run = np.unique(start_indices, return_inverse=True)
     chain = _SampledChain(p, profile, lam, reward_kind)
-    start_ids = np.array([chain.intern(init_states[i]) for i in drawn.tolist()], dtype=np.int64)
-    del init, init_states  # the chain keeps the drawn start states
+    start_ids = chain.number(support[drawn])
+    del support, weights  # the chain keeps the drawn start states
 
     totals = np.zeros(samples)
     cur = start_ids[start_of_run]

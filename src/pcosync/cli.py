@@ -17,7 +17,7 @@ import itertools
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -99,16 +99,12 @@ def load_profile(name: str) -> HardwareProfile:
     if profile_dir:
         path = Path(profile_dir) / f"{name}.profile"
         if path.exists():
-            fields = {k: v[-1] for k, v in load_config(str(path)).items()}
-            return HardwareProfile(
-                name=name,
-                idle_a=float(fields["idle_a"]),
-                receive_a=float(fields["receive_a"]),
-                transmit_a=float(fields["transmit_a"]),
-                voltage=float(fields["voltage"]),
-                cycle_s=float(fields["cycle_s"]),
-                message_s=float(fields["message_s"]),
-            )
+            values = {k: v[-1] for k, v in load_config(str(path)).items()}
+            needed = [f.name for f in fields(HardwareProfile) if f.name != "name"]
+            missing = [key for key in needed if key not in values]
+            if missing:
+                raise ValueError(f"profile {path} lacks {', '.join(missing)}")
+            return HardwareProfile(name=name, **{key: float(values[key]) for key in needed})
     raise ValueError(f"unknown hardware profile {name!r}")
 
 

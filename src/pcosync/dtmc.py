@@ -1,7 +1,8 @@
 """Construction of the reachable Markov chain with time and power rewards.
 
-States are the population count tuples; the distinguished unconfigured
-initial state is kept implicit and represented by the initial distribution.
+States are the population count tuples, held as the rows of one count
+array; the distinguished unconfigured initial state is kept implicit and
+represented by the initial distribution.
 Time rewards are measured in oscillation cycles (1/T per firing step,
 (T - delta)/T for a skip over T - delta silent steps).  Power rewards are in
 Watt-hours and follow the hardware profile: idling current inside the
@@ -13,23 +14,21 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from .core import ModelParams, State, is_firing, validate_params
-from .dynamics import FiringTable, skip_successor
+from .core import ModelParams, State, validate_params
+from .dynamics import FiringTable
 
 
 class StateSpaceLimitExceeded(RuntimeError):
-    def __init__(self, n_states: int, n_transitions: int, cap: int):
-        super().__init__(
-            f"state-space cap {cap} exceeded: {n_states} states, {n_transitions} transitions so far"
-        )
+    def __init__(self, n_states: int, cap: int):
+        super().__init__(f"state-space cap {cap} exceeded: the model has {n_states} states")
         self.n_states = n_states
-        self.n_transitions = n_transitions
 
 
 @dataclass(frozen=True)
@@ -89,17 +88,82 @@ class RestabilisationSpec:
 InitialMode = Union[str, RestabilisationSpec]  # "full" or a restabilisation spec
 
 
+class StateSpace(Sequence):
+    """The states of one model as the rows of an (S, T) count array, in
+    lexicographic order, read as count tuples.
+
+    A state's rank is its position in all of Gamma, from the combinatorial
+    number system (Knuth, TAOCP 4A, 7.2.1.3): with m oscillators left for
+    column i and r = T - 1 - i columns after it, C(m + r, r) -
+    C(m - k_i + r, r) states agree with sigma before column i and hold
+    fewer than k_i there.  ``ranks`` holds the ranks of the rows, ascending.
+    """
+
+    def __init__(self, p: ModelParams, array: np.ndarray):
+        self.p, self.array = p, array
+        # C(a, b) for b < T and a - b <= N, all at most |Gamma|: Python ints
+        # once that leaves int64
+        self._binom = np.array(
+            [[math.comb(a, b) if a - b <= p.n else 0 for b in range(p.t)] for a in range(p.n + p.t)],
+            dtype=np.int64 if state_count(p) < 2**63 else object,
+        )
+        self.ranks = self.rank(array)
+
+    def rank(self, states: np.ndarray) -> np.ndarray:
+        """Ranks of the rows of a count array (of a single state: a scalar)."""
+        rank, m = 0, np.full(states.shape[:-1], self.p.n, np.int64)
+        for i in range(self.p.t - 1):
+            r, k = self.p.t - 1 - i, states[..., i]
+            rank = rank + (self._binom[m + r, r] - self._binom[m - k + r, r])  # stays below |Gamma|
+            m = m - k
+        return rank
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __getitem__(self, i: int) -> State:
+        return tuple(self.array[i].tolist())
+
+    def __iter__(self) -> Iterator[State]:
+        return map(tuple, self.array.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
+class _StateIndex(Mapping):
+    """``DtmcModel.index``: the row of a state tuple, found by its rank."""
+
+    def __init__(self, states: StateSpace) -> None:
+        self.states = states
+
+    def __getitem__(self, sigma: State) -> int:
+        a, p = np.asarray(sigma), self.states.p
+        if a.shape == (p.t,) and a.min() >= 0 and a.sum() == p.n:
+            r = self.states.rank(a)
+            i = int(np.searchsorted(self.states.ranks, r))
+            if i < len(self.states) and self.states.ranks[i] == r:
+                return i
+        raise KeyError(sigma)
+
+    def __iter__(self) -> Iterator[State]:
+        return iter(self.states)
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+
 @dataclass(frozen=True)
 class DtmcModel:
     params: ModelParams
     profile: HardwareProfile
     mode: InitialMode
-    states: tuple[State, ...]
-    index: dict[State, int] = field(repr=False)
+    #: The chain follows from params, profile and mode, so equality does
+    #: not compare arrays.
+    states: StateSpace = field(repr=False, compare=False)
     #: Transition probabilities, row = source state, column = target state.
     #: Each row's targets are unique and sorted by index, so the matrix is in
-    #: canonical form and no SciPy call reorders ``data``.  The chain follows
-    #: from params, profile and mode, so equality does not compare arrays.
+    #: canonical form and no SciPy call reorders ``data``.
     transitions: sp.csr_matrix = field(repr=False, compare=False)
     #: One-step reward per transition, keyed "time" and "power"; entry k
     #: belongs to the transition stored at ``transitions.data[k]``.
@@ -108,6 +172,10 @@ class DtmcModel:
     #: Derived data of the analysis layer (predecessors, LU factors),
     #: created on first use; it lives and dies with the model.
     _analysis: object = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def index(self) -> Mapping[State, int]:
+        return _StateIndex(self.states)
 
     @property
     def n_states(self) -> int:
@@ -123,22 +191,30 @@ def state_count(p: ModelParams) -> int:
     return math.comb(p.n + p.t - 1, p.t - 1)
 
 
-def enumerate_states(p: ModelParams) -> Iterator[State]:
-    """All global states in lexicographic order of the counts tuple.
+def state_array(p: ModelParams) -> np.ndarray:
+    """All global states as the rows of an (S, T) array, in lexicographic
+    order of the counts.
 
-    Stars and bars: the T - 1 bars take positions among N + T - 1 slots and
-    the counts are the gaps between them.  Combinations come in
-    lexicographic order, and so do their gap tuples.
+    Built column by column from the right: the states of m oscillators in
+    the last L columns are, for k = 0..m in turn, k in front of those of
+    m - k oscillators in the last L - 1 columns.
     """
-    end = p.n + p.t - 1
-    for bars in itertools.combinations(range(end), p.t - 1):
-        prev = -1
-        counts = []
-        for bar in bars:
-            counts.append(bar - prev - 1)
-            prev = bar
-        counts.append(end - prev - 1)
-        yield tuple(counts)
+    dtype = np.min_scalar_type(p.n)
+    tails = [np.full((1, 1), m, dtype) for m in range(p.n + 1)]
+    for _ in range(p.t - 1):
+        tails = [
+            np.concatenate([
+                np.column_stack([np.full(len(tails[m - k]), k, dtype), tails[m - k]])
+                for k in range(m + 1)
+            ])
+            for m in range(p.n + 1)
+        ]
+    return tails[p.n]
+
+
+def enumerate_states(p: ModelParams) -> Iterator[State]:
+    """All global states in lexicographic order of the counts tuple."""
+    return map(tuple, state_array(p).tolist())
 
 
 def multinomial(counts: State) -> int:
@@ -152,57 +228,81 @@ def restabilisation_support(p: ModelParams, u: int) -> list[State]:
     """Gamma_U: states where some phase holds at least n - u oscillators."""
     if not 1 <= u < p.n:
         raise ValueError(f"U must satisfy 1 <= U < N, got U={u} with N={p.n}")
-    base_params = ModelParams(n=u, t=p.t, r=p.r, epsilon=p.epsilon, mu=p.mu)
-    support: set[State] = set()
-    for loose in enumerate_states(base_params):
-        for i in range(p.t):
-            counts = list(loose)
-            counts[i] += p.n - u
-            support.add(tuple(counts))
-    return sorted(support)
+    loose = state_array(ModelParams(n=u, t=p.t, r=p.r, epsilon=p.epsilon, mu=p.mu))
+    lifted = (loose + (p.n - u) * (np.arange(p.t) == i) for i in range(p.t))
+    return sorted({sigma for states in lifted for sigma in map(tuple, states.tolist())})
+
+
+def initial_weights(p: ModelParams, mode: InitialMode = "full") -> tuple[np.ndarray, np.ndarray]:
+    """The initial support as a lexicographic count array, and the
+    multinomial weight of each state normalised to one.
+
+    Each weight is multinomial / total, correctly rounded.  Below 2**53 both
+    are exact in float64, where one division rounds correctly; above, the
+    division runs on Python ints.
+    """
+    validate_params(p)
+    if mode == "full":
+        support, total = state_array(p), p.t**p.n  # the sum of all multinomials
+    elif isinstance(mode, RestabilisationSpec):
+        support, total = np.array(restabilisation_support(p, mode.u), np.min_scalar_type(p.n)), None
+    else:
+        raise ValueError(f"unknown initial mode {mode!r}")
+    if p.t**p.n < 2**53:  # bounds every multinomial and their sum
+        binom = np.array([[math.comb(a, b) for b in range(p.n + 1)] for a in range(p.n + 1)])
+        counts = np.prod(binom[np.cumsum(support, axis=1), support], axis=1)
+        return support, counts / (counts.sum() if total is None else total)
+    counts = [multinomial(sigma) for sigma in support.tolist()]
+    total = sum(counts) if total is None else total
+    return support, np.array([c / total for c in counts])
 
 
 def initial_distribution(p: ModelParams, mode: InitialMode = "full") -> dict[State, float]:
     """Multinomial weights over the initial support, normalised to one."""
-    validate_params(p)
-    if mode == "full":
-        denom = p.t**p.n  # equals the sum of all multinomial coefficients
-        return {sigma: multinomial(sigma) / denom for sigma in enumerate_states(p)}
-    if isinstance(mode, RestabilisationSpec):
-        support = restabilisation_support(p, mode.u)
-        weights = {sigma: multinomial(sigma) for sigma in support}
-        denom = sum(weights.values())
-        return {sigma: w / denom for sigma, w in weights.items()}
-    raise ValueError(f"unknown initial mode {mode!r}")
+    support, weights = initial_weights(p, mode)
+    return dict(zip(map(tuple, support.tolist()), weights.tolist()))
 
 
-def state_power(sigma: State, p: ModelParams, profile: HardwareProfile) -> float:
-    """Network power consumption in one discrete step: refractory groups
-    idle, all other groups listen."""
-    w_i = profile.w_idle(p.t)
-    w_r = profile.w_receive(p.t)
-    idle = sum(sigma[: p.r])
-    return idle * w_i + (p.n - idle) * w_r
+def state_power(sigma: np.ndarray | State, p: ModelParams, profile: HardwareProfile):
+    """Network power consumption in one discrete step, per row of a count
+    array: refractory groups idle, all other groups listen."""
+    idle = np.asarray(sigma)[..., : p.r].sum(axis=-1)
+    return idle * profile.w_idle(p.t) + (p.n - idle) * profile.w_receive(p.t)
 
 
-def skip_power(sigma: State, p: ModelParams, profile: HardwareProfile) -> float:
+def skip_power(sigma: np.ndarray | State, p: ModelParams, profile: HardwareProfile):
     """Power consumed from a non-firing state until the next firing state,
-    accumulated over the omitted intermediate steps.
+    accumulated over the omitted intermediate steps, per row of a count
+    array.
 
     In step j the refractory interval has effectively shrunk by j for the
     advancing oscillators; index ranges clamp to empty once j >= R.
     """
-    w_i = profile.w_idle(p.t)
-    w_r = profile.w_receive(p.t)
-    t, r = p.t, p.r
-    delta = max(phi for phi in range(1, t + 1) if sigma[phi - 1] > 0)
-    n = sum(sigma)
-    total = 0.0
-    for j in range(t - delta):
-        idle = sum(sigma[: max(r - j, 0)])
-        recv = n - idle
-        total += idle * w_i + recv * w_r
-    return total
+    sigma = np.asarray(sigma)
+    w_i, w_r = profile.w_idle(p.t), profile.w_receive(p.t)
+    idle = np.cumsum(sigma[..., : p.r], axis=-1)  # idle[..., m - 1]: the first m groups
+    steps = np.argmax(sigma[..., ::-1] > 0, axis=-1)  # T - delta
+    total = np.zeros(sigma.shape[:-1])
+    for j in range(p.t - 1):
+        busy = idle[..., p.r - j - 1] if j < p.r else 0
+        total = np.where(j < steps, total + (busy * w_i + (p.n - busy) * w_r), total)
+    return total[()]
+
+
+def step(
+    states: np.ndarray, successes: np.ndarray, table: FiringTable, p: ModelParams,
+    profile: HardwareProfile,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Successor, time reward and power reward of each row of ``states``: a
+    firing row steps with ``successes`` successful broadcasts of its firing
+    group, any other row skips to the next firing state."""
+    fire = states[:, -1] > 0
+    shift = np.argmax(states[:, ::-1] > 0, axis=1)  # T - delta, 0 in a firing row
+    skipped = np.take_along_axis(states, (np.arange(p.t) - shift[:, None]) % p.t, 1)
+    targets = np.where(fire[:, None], table.successors(states, successes), skipped)
+    fire_power = state_power(states, p, profile) + targets[:, 0] * profile.w_transmit()
+    power = np.where(fire, fire_power, skip_power(states, p, profile))
+    return targets, np.where(fire, 1.0 / p.t, shift / p.t), power
 
 
 def build_dtmc(
@@ -211,60 +311,33 @@ def build_dtmc(
     mode: InitialMode = "full",
     max_states: int | None = None,
 ) -> DtmcModel:
-    """Breadth-first closure of the initial support under the successor
-    dynamics, annotated with transition probabilities and rewards.
+    """The chain over the initial support, with transition probabilities
+    and rewards, built as arrays.
 
-    States are re-indexed lexicographically after exploration so the result
-    is independent of traversal order.
+    No state outside the support is ever reached: oscillators that share a
+    phase move together, so the largest group never shrinks and both Gamma
+    and a restabilisation support are closed under the dynamics.  States
+    are numbered in lexicographic order, which is rank order, and each
+    target's row is found by its rank.
     """
     validate_params(p)
-    init = initial_distribution(p, mode)
+    if max_states is not None and mode == "full" and state_count(p) > max_states:
+        raise StateSpaceLimitExceeded(state_count(p), max_states)  # before building Gamma
+    support, weights = initial_weights(p, mode)
+    if max_states is not None and len(support) > max_states:
+        raise StateSpaceLimitExceeded(len(support), max_states)
+    space = StateSpace(p, support)
     table = FiringTable(p)
-    time_fire = 1.0 / p.t
-    w_t = profile.w_transmit()
-    frontier = list(init)
-    seen: set[State] = set(frontier)
-    # per state: (target state, probability, time reward, power reward)
-    succ: dict[State, list[tuple[State, float, float, float]]] = {}
-    n_transitions = 0
-    while frontier:
-        sigma = frontier.pop()
-        if is_firing(sigma):
-            base_power = state_power(sigma, p, profile)
-            out = [
-                (tgt, prob, time_fire, base_power + tgt[0] * w_t)
-                for tgt, prob in table.firing_row(sigma)
-            ]
-        else:
-            tgt, skipped = skip_successor(sigma)
-            out = [(tgt, 1.0, skipped / p.t, skip_power(sigma, p, profile))]
-        succ[sigma] = out
-        n_transitions += len(out)
-        for tgt, *_ in out:
-            if tgt not in seen:
-                seen.add(tgt)
-                frontier.append(tgt)
-        if max_states is not None and len(seen) > max_states:
-            raise StateSpaceLimitExceeded(len(seen), n_transitions, max_states)
-
-    states = tuple(sorted(seen))
-    index = {sigma: i for i, sigma in enumerate(states)}
-    # firing rows come sorted by target tuple, which is sorted by index
-    rows = [succ[sigma] for sigma in states]
-    cols, prob, time_r, power_r = (
-        np.array(column)
-        for column in zip(*((index[tgt], *rest) for row in rows for tgt, *rest in row))
-    )
-    indptr = np.cumsum([0, *map(len, rows)])
-    transitions = sp.csr_matrix((prob, cols, indptr), shape=(len(states), len(states)))
-    initial = {index[sigma]: weight for sigma, weight in init.items()}
+    rows, successes, probs = table.branches(support, space.rank)
+    targets, time_r, power_r = step(support[rows], successes, table, p, profile)
+    cols = np.searchsorted(space.ranks, space.rank(targets))
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=len(support)))]
     return DtmcModel(
         params=p,
         profile=profile,
         mode=mode,
-        states=states,
-        index=index,
-        transitions=transitions,
+        states=space,
+        transitions=sp.csr_matrix((probs, cols, indptr), shape=(len(support), len(support))),
         rewards={"time": time_r, "power": power_r},
-        initial=initial,
+        initial=dict(enumerate(weights.tolist())),
     )

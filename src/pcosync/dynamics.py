@@ -16,6 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
+from typing import Callable
+
+import numpy as np
 
 from .core import (
     FailureVector,
@@ -216,17 +221,20 @@ class FiringTable:
     """
 
     def __init__(self, p: ModelParams):
-        self.t, self.mu = p.t, p.mu
+        self.mu = p.mu
         self.chain = [chain_updates(s, p) for s in range(p.n + 1)]
+        self.fired = np.array([fired for fired, _ in self.chain])
         # per success count, the phase each group lands on
-        self.dest = [[1 if f else u for f, u in zip(*entry)] for entry in self.chain]
+        self.dest = np.where(self.fired, 1, np.array([updated for _, updated in self.chain]))
         self._masses: dict[int, list[float]] = {}
 
-    def successor(self, sigma: State, successes: int) -> State:
-        new = [0] * self.t
-        for k, d in zip(sigma, self.dest[successes]):
-            new[d - 1] += k
-        return tuple(new)
+    def successors(self, states: np.ndarray, successes: np.ndarray) -> np.ndarray:
+        """Row j of states stepped with ``successes[j]`` successful broadcasts."""
+        targets = np.zeros(states.shape, states.dtype)
+        cells = np.arange(len(states)) * states.shape[1] - 1
+        for i in range(states.shape[1]):
+            np.add.at(targets.reshape(-1), cells + self.dest[successes, i], states[:, i])
+        return targets
 
     def masses(self, k: int) -> list[float]:
         """Failure-count masses of a group of k, formed as in ``failure_probability``."""
@@ -235,27 +243,59 @@ class FiringTable:
             self._masses[k] = [math.comb(k, f) * mu**f * (1.0 - mu) ** (k - f) for f in range(k + 1)]
         return self._masses[k]
 
-    def firing_row(self, sigma: State) -> list[tuple[State, float]]:
-        """The (target, probability) branches of ``successor_distribution``,
-        bit for bit: each failure pattern's product runs over the phases in
-        ascending order with the firing group last, and products that are
-        not exactly 0.0 are summed per target in enumeration order (f_T
-        outermost, then the highest absorbed phase)."""
-        k_t = sigma[-1]
-        merged: dict[State, float] = {}
-        for f_t, m_t in enumerate(self.masses(k_t)):
-            if not m_t:  # every product of this f_T is 0.0
-                continue
-            fired = self.chain[k_t - f_t][0]
-            products = [1.0]
-            for i in range(self.t - 1):
-                if fired[i] and sigma[i]:
-                    products = [q * m for m in self.masses(sigma[i]) for q in products]
-            target = self.successor(sigma, k_t - f_t)
-            acc = merged.get(target, 0.0)
-            for q in products:
-                if prob := q * m_t:
-                    acc += prob
-            if acc:
-                merged[target] = acc
-        return sorted(merged.items())
+    def terms(self, sizes: list[int], k_t: int, f_t: int) -> list[float]:
+        """The failure-pattern products of a (state, f_T) pair that are not
+        exactly 0.0, in enumeration order (the highest absorbed phase
+        outermost): each runs over the absorbed group sizes in phase order,
+        zeros skipped, with the firing group's mass last."""
+        m_t = self.masses(k_t)[f_t]
+        products = [1.0]
+        for k in filter(None, sizes):
+            products = [q * m for m in self.masses(k) for q in products]
+        return [prob for q in products if (prob := q * m_t)]
+
+    def branches(
+        self, states: np.ndarray, rank: Callable[[np.ndarray], np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The branches of every row of ``states``, bit for bit as
+        ``successor_distribution`` gives them: per branch its row, the
+        success count that reaches its target and its probability, with
+        rows in order and each row's targets by ascending ``rank``.  A
+        non-firing row (k_T = 0) gets its one branch, of probability 1.0.
+
+        A row's probability for a target sums the ``terms`` of its (row,
+        f_T) pairs in f_T order, starting at 0.0; a target that no term
+        reaches is left out.  The sum over a target's lowest f_T depends
+        only on the pair's key (the absorbed group sizes in phase order,
+        k_T and f_T), so it is taken once per key; only pairs that continue
+        a lower f_T's running sum are added up one by one.
+        """
+        base = len(self.chain)
+        k_t = states[:, -1].astype(np.int64)
+        row = np.repeat(np.arange(len(states)), k_t + 1)
+        f_t = np.arange(len(row)) - np.repeat(np.cumsum(k_t + 1) - k_t - 1, k_t + 1)
+        successes = k_t[row] - f_t
+        # the key as base N + 1 digits: the nonzero absorbed sizes, k_T, f_T
+        digits = int(np.count_nonzero(states[:, :-1], axis=1).max(initial=0)) + 2
+        key = np.zeros(len(row), np.int64 if base**digits < 2**63 else object)
+        for i in range(states.shape[1] - 1):
+            size = np.where(self.fired[successes, i], states[row, i], 0)
+            key = np.where(size > 0, key * base + size, key)
+        _, pair, key_of = np.unique(
+            (key * base + k_t[row]) * base + f_t, return_index=True, return_inverse=True
+        )
+        # per key, from one of its pairs; Python ints, as the reference uses
+        absorbed = states[row[pair], :-1] * self.fired[successes[pair], :-1]
+        terms = list(map(self.terms, absorbed.tolist(), k_t[row[pair]].tolist(), f_t[pair].tolist()))
+        sums = np.array([reduce(add, x, 0.0) for x in terms])[key_of]
+        keep = np.flatnonzero(sums)
+        row, successes, key_of, sums = row[keep], successes[keep], key_of[keep], sums[keep]
+        ranks = rank(self.successors(states[row], successes))
+        order = np.lexsort((ranks, row))  # stable: f_T ascends within a target
+        row, successes, key_of, ranks = row[order], successes[order], key_of[order], ranks[order]
+        probs = sums[order].tolist()
+        new = np.r_[True, (row[1:] != row[:-1]) | (ranks[1:] != ranks[:-1])]
+        for j in np.flatnonzero(~new).tolist():
+            probs[j] = reduce(add, terms[key_of[j]], probs[j - 1])
+        last = np.r_[new[1:], True]
+        return row[last], successes[last], np.array(probs)[last]

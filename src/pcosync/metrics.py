@@ -49,6 +49,19 @@ def phase_coherence(sigma: State, t: int) -> float:
     return min(abs(total) / n, 1.0)
 
 
+def phase_coherences(states: np.ndarray, t: int) -> np.ndarray:
+    """``phase_coherence`` of every row of an (S, T) count array, bit for
+    bit: the positions are added in phase order, and the magnitude is taken
+    with ``hypot``, as ``abs`` of a complex number is (``np.abs`` differs
+    in the last bits)."""
+    re = im = 0.0
+    for phi in range(1, t + 1):
+        z = phase_position(phi, t)
+        re, im = re + states[:, phi - 1] * z.real, im + states[:, phi - 1] * z.imag
+    n = states.sum(axis=1)
+    return np.where((states == n[:, None]).any(axis=1), 1.0, np.minimum(np.hypot(re, im) / n, 1.0))
+
+
 def order_parameter(c: ContinuousConfig) -> float:
     """Kuramoto order parameter of a continuous configuration."""
     n = len(c.thetas)

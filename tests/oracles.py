@@ -1,17 +1,31 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here works at the level of individual oscillators and explicit
+The oscillator-level oracles work on individual oscillators and explicit
 intermediate states, deliberately avoiding the counting shortcuts used by
-the package under test.
+the package under test.  ``reference_build`` is different: it is the
+one-state-at-a-time build that the array build replaced, with its float
+order, kept so that the array build can be compared with it bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from typing import Iterator
 
-from pcosync.core import ModelParams, State, perturbation, refractory
-from pcosync.dtmc import DtmcModel, HardwareProfile, state_power
+import numpy as np
+import scipy.sparse as sp
+
+from pcosync.core import ModelParams, State, is_firing, perturbation, refractory
+from pcosync.dtmc import (
+    MICAZ,
+    DtmcModel,
+    HardwareProfile,
+    InitialMode,
+    multinomial,
+    restabilisation_support,
+)
+from pcosync.dynamics import FiringTable, skip_successor
 
 
 def expand(sigma: State) -> list[int]:
@@ -103,7 +117,7 @@ def materialized_skip_power(
     total = 0.0
     current = list(sigma)
     for _ in range(t - delta):
-        total += state_power(tuple(current), p, profile)
+        total += scalar_state_power(tuple(current), p, profile)
         current = [0] + current[:-1]  # advance every oscillator one phase
     return total
 
@@ -118,3 +132,98 @@ def csr_rows(model: DtmcModel) -> list[list[tuple[int, float, float, float]]]:
         model.rewards["time"].tolist(), model.rewards["power"].tolist(),
     ))
     return [entries[a:b] for a, b in zip(p.indptr[:-1].tolist(), p.indptr[1:].tolist())]
+
+
+def compositions(n: int, t: int) -> Iterator[State]:
+    """Every way to put n oscillators into t phases, in lexicographic order."""
+    if t == 1:
+        yield (n,)
+        return
+    for k in range(n + 1):
+        for rest in compositions(n - k, t - 1):
+            yield (k, *rest)
+
+
+def firing_row(table: FiringTable, sigma: State) -> list[tuple[State, float]]:
+    """The (target, probability) branches of a firing state, summed one
+    failure pattern at a time in enumeration order (f_T outermost, then the
+    highest absorbed phase), skipping products that are exactly 0.0."""
+    t, k_t = len(sigma), sigma[-1]
+    merged: dict[State, float] = {}
+    for f_t, m_t in enumerate(table.masses(k_t)):
+        if not m_t:
+            continue
+        fired, updated = table.chain[k_t - f_t]
+        products = [1.0]
+        for i in range(t - 1):
+            if fired[i] and sigma[i]:
+                products = [q * m for m in table.masses(sigma[i]) for q in products]
+        target = [0] * t
+        for k, f, u in zip(sigma, fired, updated):
+            target[(1 if f else u) - 1] += k
+        target = tuple(target)
+        acc = merged.get(target, 0.0)
+        for q in products:
+            if prob := q * m_t:
+                acc += prob
+        if acc:
+            merged[target] = acc
+    return sorted(merged.items())
+
+
+def scalar_state_power(sigma: State, p: ModelParams, profile: HardwareProfile) -> float:
+    idle = sum(sigma[: p.r])
+    return idle * profile.w_idle(p.t) + (p.n - idle) * profile.w_receive(p.t)
+
+
+def scalar_skip_power(sigma: State, p: ModelParams, profile: HardwareProfile) -> float:
+    delta = max(phi for phi in range(1, p.t + 1) if sigma[phi - 1] > 0)
+    total = 0.0
+    for j in range(p.t - delta):
+        idle = sum(sigma[: max(p.r - j, 0)])
+        total += idle * profile.w_idle(p.t) + (p.n - idle) * profile.w_receive(p.t)
+    return total
+
+
+def reference_build(p: ModelParams, profile: HardwareProfile = MICAZ, mode: InitialMode = "full"):
+    """The chain built one state at a time: breadth-first closure of the
+    initial support with a seen set and a successor dict, states sorted and
+    indexed through a dict, rows from ``firing_row``.  Returns the states,
+    the CSR transitions, the reward arrays and the initial weights."""
+    if mode == "full":
+        support, total = list(compositions(p.n, p.t)), p.t**p.n
+    else:
+        support = restabilisation_support(p, mode.u)
+        total = sum(multinomial(sigma) for sigma in support)
+    init = {sigma: multinomial(sigma) / total for sigma in support}
+    table = FiringTable(p)
+    frontier = list(init)
+    seen = set(frontier)
+    succ = {}
+    while frontier:
+        sigma = frontier.pop()
+        if is_firing(sigma):
+            base_power = scalar_state_power(sigma, p, profile)
+            out = [
+                (tgt, prob, 1.0 / p.t, base_power + tgt[0] * profile.w_transmit())
+                for tgt, prob in firing_row(table, sigma)
+            ]
+        else:
+            tgt, skipped = skip_successor(sigma)
+            out = [(tgt, 1.0, skipped / p.t, scalar_skip_power(sigma, p, profile))]
+        succ[sigma] = out
+        for tgt, *_ in out:
+            if tgt not in seen:
+                seen.add(tgt)
+                frontier.append(tgt)
+    states = tuple(sorted(seen))
+    index = {sigma: i for i, sigma in enumerate(states)}
+    rows = [succ[sigma] for sigma in states]
+    cols, prob, time_r, power_r = (
+        np.array(column)
+        for column in zip(*((index[tgt], *rest) for row in rows for tgt, *rest in row))
+    )
+    indptr = np.cumsum([0, *map(len, rows)])
+    transitions = sp.csr_matrix((prob, cols, indptr), shape=(len(states), len(states)))
+    initial = {index[sigma]: weight for sigma, weight in init.items()}
+    return states, transitions, {"time": time_r, "power": power_r}, initial

@@ -406,6 +406,19 @@ class TestProfiles:
         profile = load_profile("slowmote")
         assert profile.cycle_s == 10.0
 
+    def test_profile_missing_fields_is_an_error(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "half.profile").write_text("idle_a = 20e-6\nreceive_a = 19.7e-3\n")
+        monkeypatch.setenv("PCOSYNC_PROFILE_DIR", str(tmp_path))
+        code = main([
+            "analyze", "--n", "2", "--t", "3", "--r", "1", "--eps", "0.5", "--mu", "0.2",
+            "--profile", "half", "--output", str(tmp_path / "o.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        for field in ("transmit_a", "voltage", "cycle_s", "message_s"):
+            assert field in err
+
     def test_cycle_override_scales_energy(self, tmp_path):
         base = [
             "analyze", "--n", "2", "--t", "3", "--r", "1", "--eps", "0.5",

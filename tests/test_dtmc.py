@@ -1,15 +1,18 @@
 import math
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import csr_rows, materialized_skip_power
+from oracles import compositions, csr_rows, materialized_skip_power, reference_build
+from pcosync import dtmc
 from pcosync.core import ModelParams, is_firing
 from pcosync.dtmc import (
     MICAZ,
     HardwareProfile,
     RestabilisationSpec,
+    StateSpace,
     StateSpaceLimitExceeded,
     build_dtmc,
     enumerate_states,
@@ -17,6 +20,7 @@ from pcosync.dtmc import (
     multinomial,
     restabilisation_support,
     skip_power,
+    state_array,
     state_count,
     state_power,
 )
@@ -224,6 +228,11 @@ class TestBuildDtmc:
         with pytest.raises(StateSpaceLimitExceeded):
             build_dtmc(params(n=6, t=6, r=1), max_states=10)
 
+    def test_full_cap_is_checked_before_the_states_are_built(self, monkeypatch):
+        monkeypatch.setattr(dtmc, "state_array", lambda p: pytest.fail("built the states"))
+        with pytest.raises(StateSpaceLimitExceeded):
+            build_dtmc(params(n=30, t=10, r=1), max_states=10)  # 211,915,132 states
+
     def test_indexing_is_lexicographic(self):
         model = build_dtmc(params(n=3, t=3, r=1))
         assert list(model.states) == sorted(model.states)
@@ -286,3 +295,66 @@ class TestFiringTable:
     def test_restabilisation_rows_equal_oracle(self):
         p = params(n=35, t=10, r=4)
         assert_firing_rows_match_oracle(build_dtmc(p, MICAZ, RestabilisationSpec(3)))
+
+
+def assert_same_as_reference_build(p, mode="full"):
+    """States, CSR arrays, rewards and initial weights equal the
+    breadth-first reference build, compared by repr."""
+    model = build_dtmc(p, MICAZ, mode)
+    states, transitions, rewards, initial = reference_build(p, MICAZ, mode)
+    assert list(model.states) == list(states)
+    for attr in ("data", "indices", "indptr"):
+        got, want = getattr(model.transitions, attr), getattr(transitions, attr)
+        assert got.dtype == want.dtype and repr(got.tolist()) == repr(want.tolist()), attr
+    for kind in ("time", "power"):
+        assert repr(model.rewards[kind].tolist()) == repr(rewards[kind].tolist()), kind
+    assert repr(model.initial) == repr(initial)
+
+
+class TestArrayBuild:
+    @given(small_models(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_build(self, p, data):
+        assert_same_as_reference_build(p)
+        if p.n > 1:
+            u = data.draw(st.integers(min_value=1, max_value=p.n - 1), label="u")
+            assert_same_as_reference_build(p, RestabilisationSpec(u))
+
+    @pytest.mark.parametrize(
+        "p, mode",
+        [
+            (params(n=8, t=10, r=2), "full"),
+            # masses of 8 or more oscillators: (1 - mu)**8 differs in the
+            # last bit when the exponent is a NumPy integer
+            (params(n=10, t=4, r=1), "full"),
+            (params(n=35, t=10, r=4), RestabilisationSpec(3)),
+            # |Gamma| >= 2**63: ranks are Python ints
+            (params(n=30, t=40, r=1), RestabilisationSpec(1)),
+            # |Gamma| < 2**63, but C(N + T - 1, b) is not for some b < T
+            (params(n=25, t=45, r=2, epsilon=0.2), RestabilisationSpec(1)),
+            # five absorbed groups, (N + 1)**7 >= 2**63: pair keys are Python ints
+            (params(n=1000, t=6, r=1), RestabilisationSpec(5)),
+        ],
+        ids=["n8t10", "n10t4", "restab35", "huge-gamma", "wide-binomials", "huge-keys"],
+    )
+    def test_matches_reference_build_explicit(self, p, mode):
+        assert_same_as_reference_build(p, mode)
+
+    def test_rank_is_enumeration_position(self):
+        for n in range(1, 10):
+            for t in range(2, 11):
+                p = params(n=n, t=t, r=0)
+                want = np.array(list(compositions(n, t)))
+                space = StateSpace(p, state_array(p))
+                assert np.array_equal(space.array, want), (n, t)
+                assert space.rank(want).tolist() == list(range(len(want))), (n, t)
+
+    def test_index_finds_only_model_states(self):
+        p = params(n=10, t=10, r=4)
+        model = build_dtmc(p, MICAZ, RestabilisationSpec(1))
+        assert all(model.index[sigma] == i for i, sigma in enumerate(model.states))
+        outside = min(set(enumerate_states(p)) - set(model.states))
+        for sigma in (outside, (10,) * 10, (5, 5), (-1, 11, 0, 0, 0, 0, 0, 0, 0, 0)):
+            assert sigma not in model.index
+            with pytest.raises(KeyError):
+                model.index[sigma]

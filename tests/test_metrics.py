@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcosync.core import is_synchronised
-from pcosync.dtmc import enumerate_states
+from pcosync.dtmc import enumerate_states, state_array
 from pcosync.core import ModelParams
 from pcosync.metrics import (
     ContinuousConfig,
@@ -14,6 +14,7 @@ from pcosync.metrics import (
     order_parameter_gradient,
     order_parameter_sqrt_form,
     phase_coherence,
+    phase_coherences,
     phase_position,
     r_min,
 )
@@ -68,6 +69,14 @@ class TestPhaseCoherence:
         for shift in range(1, t):
             rotated = tuple(sigma[(i - shift) % t] for i in range(t))
             assert phase_coherence(rotated, t) == pytest.approx(base, abs=1e-12)
+
+    def test_array_form_is_bit_identical(self):
+        for n in range(1, 9):
+            for t in range(2, 11):
+                states = state_array(ModelParams(n=n, t=t, r=0, epsilon=0.1, mu=0.0))
+                got = [repr(c) for c in phase_coherences(states, t).tolist()]
+                want = [repr(phase_coherence(s, t)) for s in map(tuple, states.tolist())]
+                assert got == want, (n, t)
 
     def test_matches_continuous_placement(self):
         sigma = (2, 0, 3, 0, 1, 0, 0, 2)
