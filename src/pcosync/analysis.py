@@ -18,8 +18,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core import ModelParams, State, validate_params
-from .dtmc import DtmcModel, HardwareProfile, InitialMode, MICAZ, initial_weights, step
+from .core import ModelParams, validate_params
+from .dtmc import DtmcModel, HardwareProfile, InitialMode, MICAZ, StateSpace, initial_weights, step
 from .dynamics import FiringTable
 from .metrics import phase_coherences
 
@@ -252,22 +252,18 @@ def aggregate(
     residual: float = 0.0,
 ) -> AnalysisResult:
     """Aggregate per-state expected values over the initial distribution."""
-    support = sorted(model.initial)
-    weights = np.array([model.initial[i] for i in support])
-    vals = values[support]
-    reaches = reach[support]
+    # the initial support is every state, keyed 0..S-1 in order
+    weights = np.fromiter(model.initial.values(), float, len(model.initial))
+    reach_p = float(np.min(reach))
     if agg == "avg":
-        value = float(np.dot(weights, np.where(np.isinf(vals), np.inf, vals)))
-        if np.any(np.isinf(vals) & (weights > 0)):
+        value = float(np.dot(weights, values))
+        if np.any(np.isinf(values) & (weights > 0)):
             value = np.inf
-        reach_p = float(np.min(reaches))
     elif agg == "max":
-        value = float(np.max(vals))
-        reach_p = float(np.min(reaches))
+        value = float(np.max(values))
     elif agg == "min":
-        arg = int(np.argmin(vals))
-        value = float(vals[arg])
-        reach_p = float(reaches[arg])
+        arg = int(np.argmin(values))
+        value, reach_p = float(values[arg]), float(reach[arg])
     else:
         raise ValueError(f"unknown aggregate {agg!r}")
     per_node = None
@@ -308,57 +304,6 @@ class MonteCarloResult:
     seed: int
 
 
-class _SampledChain:
-    """The states the runs have reached, numbered in order of first visit,
-    with flat tables of successor ids and one-step rewards.
-
-    State i owns the k_T + 1 slots from ``offset[i]``: slot ``offset[i] + f``
-    holds the transition taken when f broadcasts of the firing group fail.
-    A non-firing state has k_T = 0 and keeps its skip transition in its one
-    slot.  A slot is filled the first time a run takes it; until then its
-    successor id is -1.  The slots first taken in one step are worked out
-    together, and the states they reach are numbered together.
-    """
-
-    def __init__(
-        self, p: ModelParams, profile: HardwareProfile, lam: float, reward_kind: str
-    ) -> None:
-        self.p, self.profile, self.lam = p, profile, lam
-        self.power = reward_kind == "power"
-        self.table = FiringTable(p)
-        self.ids: dict[State, int] = {}
-        self.states = np.zeros((0, p.t), dtype=np.min_scalar_type(p.n))
-        self.k_t = self.offset = self.succ = np.zeros(0, dtype=np.int64)
-        self.target = np.zeros(0, dtype=bool)
-        self.reward = np.zeros(0)
-
-    def number(self, states: np.ndarray) -> np.ndarray:
-        """Ids of the rows of a count array.  States no run has reached
-        before get the next ids, their slots and their target flags."""
-        known = len(self.ids)
-        ids = np.array([self.ids.setdefault(s, len(self.ids)) for s in map(tuple, states.tolist())],
-                       dtype=np.int64)
-        fresh = ids >= known
-        new = states[fresh][np.unique(ids[fresh], return_index=True)[1]]
-        slots = new[:, -1].astype(np.int64) + 1
-        self.states = np.concatenate([self.states, new])
-        self.k_t = np.concatenate([self.k_t, slots - 1])
-        self.offset = np.concatenate([self.offset, len(self.succ) + np.cumsum(slots) - slots])
-        self.target = np.concatenate([self.target, phase_coherences(new, self.p.t) >= self.lam])
-        self.succ = np.concatenate([self.succ, np.full(slots.sum(), -1)])
-        self.reward = np.concatenate([self.reward, np.zeros(slots.sum())])
-        return ids
-
-    def fill(self, slots: np.ndarray, ids: np.ndarray) -> None:
-        """Fill the given empty slots; ``ids[j]`` owns ``slots[j]``."""
-        sigma = self.states[ids]
-        successes = sigma[:, -1] - (slots - self.offset[ids])
-        targets, time_r, power_r = step(sigma, successes, self.table, self.p, self.profile)
-        nxt = self.number(targets)  # grows the tables
-        self.succ[slots] = nxt
-        self.reward[slots] = power_r if self.power else time_r
-
-
 def monte_carlo(
     p: ModelParams,
     profile: HardwareProfile = MICAZ,
@@ -377,41 +322,48 @@ def monte_carlo(
     absorbed groups change neither the successor nor the rewards.  Runs
     still short of the target after step_cap steps are censored at the
     accumulated value and counted.  One seed always gives the same result;
-    the draws are taken in step order across the runs.
+    the draws are taken in step order across the runs.  A state's id is its
+    row in the rank-ordered initial support, as in ``build_dtmc``, and the
+    tables are sized by that support.
     """
     validate_params(p)
     if reward_kind not in ("time", "power"):
         raise ValueError(f"unknown reward kind {reward_kind!r}")
     rng = np.random.default_rng(seed)
     support, weights = initial_weights(p, mode)
-    start_indices = rng.choice(len(support), size=samples, p=weights)
-    drawn, start_of_run = np.unique(start_indices, return_inverse=True)
-    chain = _SampledChain(p, profile, lam, reward_kind)
-    start_ids = chain.number(support[drawn])
-    del support, weights  # the chain keeps the drawn start states
+    space, table = StateSpace(p, support), FiringTable(p)
+    k_t = support[:, -1].astype(np.int64)
+    # slot offset[i] + f: successor id (-1 until taken) and reward of state i
+    # when f broadcasts of its firing group fail; a non-firing state skips
+    offset = np.cumsum(k_t + 1) - k_t - 1
+    succ = np.full(len(support) + k_t.sum(), -1)
+    reward = np.zeros(len(succ))
+    target = phase_coherences(support, p.t) >= lam
 
     totals = np.zeros(samples)
-    cur = start_ids[start_of_run]
-    runs = np.flatnonzero(~chain.target[cur])
+    cur = rng.choice(len(support), size=samples, p=weights)
+    runs = np.flatnonzero(~target[cur])
     cur = cur[runs]
     for _ in range(step_cap):
         if not runs.size:
             break
-        slots = chain.offset[cur] + rng.binomial(chain.k_t[cur], p.mu)
-        nxt = chain.succ[slots]
-        empty = nxt < 0
-        if empty.any():
-            missing, first = np.unique(slots[empty], return_index=True)
-            chain.fill(missing, cur[empty][first])
-            nxt = chain.succ[slots]
-        totals[runs] += chain.reward[slots]
-        live = ~chain.target[nxt]
+        slots = offset[cur] + rng.binomial(k_t[cur], p.mu)
+        nxt = succ[slots]
+        if nxt.min() < 0:  # one reduction: few steps take a new slot
+            missing = np.unique(slots[nxt < 0])
+            ids = np.searchsorted(offset, missing, side="right") - 1  # the slots' states
+            successes = k_t[ids] - (missing - offset[ids])
+            targets, time_r, power_r = step(support[ids], successes, table, p, profile)
+            succ[missing] = space.rows(targets)
+            reward[missing] = power_r if reward_kind == "power" else time_r
+            nxt = succ[slots]
+        totals[runs] += reward[slots]
+        live = ~target[nxt]
         runs, cur = runs[live], nxt[live]
 
-    mean = float(np.mean(totals))
     stderr = float(np.std(totals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return MonteCarloResult(
-        mean=mean,
+        mean=float(np.mean(totals)),
         std_error=stderr,
         max_observed=float(np.max(totals)),
         samples=samples,

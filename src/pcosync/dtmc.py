@@ -118,6 +118,10 @@ class StateSpace(Sequence):
             m = m - k
         return rank
 
+    def rows(self, states: np.ndarray) -> np.ndarray:
+        """Rows of the given states, found by rank; each must be in the space."""
+        return np.searchsorted(self.ranks, self.rank(states))
+
     def __len__(self) -> int:
         return len(self.array)
 
@@ -140,9 +144,8 @@ class _StateIndex(Mapping):
     def __getitem__(self, sigma: State) -> int:
         a, p = np.asarray(sigma), self.states.p
         if a.shape == (p.t,) and a.min() >= 0 and a.sum() == p.n:
-            r = self.states.rank(a)
-            i = int(np.searchsorted(self.states.ranks, r))
-            if i < len(self.states) and self.states.ranks[i] == r:
+            i = int(self.states.rows(a))
+            if i < len(self.states) and np.array_equal(self.states.array[i], a):
                 return i
         raise KeyError(sigma)
 
@@ -330,7 +333,7 @@ def build_dtmc(
     table = FiringTable(p)
     rows, successes, probs = table.branches(support, space.rank)
     targets, time_r, power_r = step(support[rows], successes, table, p, profile)
-    cols = np.searchsorted(space.ranks, space.rank(targets))
+    cols = space.rows(targets)
     indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=len(support)))]
     return DtmcModel(
         params=p,

@@ -220,6 +220,8 @@ class FiringTable:
     ``successor_distribution`` stays the reference it is tested against.
     """
 
+    MAX_GROUP = 1029  #: C(k, f) of a larger group leaves the float range
+
     def __init__(self, p: ModelParams):
         self.mu = p.mu
         self.chain = [chain_updates(s, p) for s in range(p.n + 1)]
@@ -238,7 +240,10 @@ class FiringTable:
 
     def masses(self, k: int) -> list[float]:
         """Failure-count masses of a group of k, formed as in ``failure_probability``."""
+        k = int(k)  # a NumPy k would take the powers in NumPy, off in the last bit
         if k not in self._masses:
+            if k > self.MAX_GROUP:
+                raise ValueError(f"a group of {k} oscillators exceeds the limit of {self.MAX_GROUP}")
             mu = self.mu
             self._masses[k] = [math.comb(k, f) * mu**f * (1.0 - mu) ** (k - f) for f in range(k + 1)]
         return self._masses[k]

@@ -327,8 +327,16 @@ class TestMonteCarlo:
         mc = monte_carlo(p, lam=1.0, reward_kind="power", samples=100_000, seed=11)
         assert abs(mc.mean - exact.value) <= 3.0 * mc.std_error
 
-    def test_restabilisation_mode(self):
-        p = params(n=5, t=3, r=1, epsilon=0.5, mu=0.2)
+    @pytest.mark.parametrize(
+        "p",
+        [
+            params(n=5, t=3, r=1, epsilon=0.5, mu=0.2),
+            # |Gamma| >= 2**63: the sampler finds rows by Python-int ranks
+            params(n=30, t=40, r=1, epsilon=0.1, mu=0.2),
+        ],
+        ids=["n5t3", "huge-gamma"],
+    )
+    def test_restabilisation_mode(self, p):
         model = build_dtmc(p, MICAZ, RestabilisationSpec(1))
         exact = solve_query(model, AnalysisQuery(lam=1.0, reward_kind="time", aggregate="avg"))
         mc = monte_carlo(p, mode=RestabilisationSpec(1), samples=50_000, seed=3)

@@ -268,6 +268,17 @@ class TestRestab:
         ])
         assert code == 1
 
+    def test_group_too_large_for_float_masses(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        code = main([
+            "restab", "--n", "1100", "--t", "10", "--r", "4", "--eps", "0.1",
+            "--mu", "0.2", "--u", "1", "--output", str(out),
+        ])
+        assert code == 1
+        rows, status = read_csv(out)
+        assert rows == [] and status.startswith("# status: error: a group of 1099")
+        assert "error: a group of 1099 oscillators exceeds the limit of 1029" in capsys.readouterr().err
+
 
 class TestExport:
     def test_golden_files(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from oracles import (
 from pcosync.core import ModelParams, is_firing, is_synchronised
 from pcosync.dtmc import enumerate_states
 from pcosync.dynamics import (
+    FiringTable,
     InconsistentFailureVector,
     chain_updates,
     enumerate_failure_vectors,
@@ -215,6 +217,23 @@ class TestFailureProbability:
         assert failure_probability(sigma, (None, None, 1), 0.2) == pytest.approx(
             3 * 0.2 * 0.8**2
         )
+
+
+class TestFiringTableMasses:
+    def test_numpy_group_size_leaves_python_masses(self):
+        # a NumPy k would form the powers in NumPy, differing in the last
+        # bit, and cache them under a key equal to the Python int
+        table = FiringTable(ModelParams(n=9, t=4, r=1, epsilon=0.1, mu=0.2))
+        table.masses(np.int64(9))
+        want = [failure_probability((9,), (f,), 0.2) for f in range(10)]
+        assert repr(table.masses(9)) == repr(want)
+
+    def test_group_size_limit(self):
+        table = FiringTable(ModelParams(n=2, t=3, r=1, epsilon=0.1, mu=0.2))
+        limit = FiringTable.MAX_GROUP
+        assert len(table.masses(limit)) == limit + 1
+        with pytest.raises(ValueError, match=f"{limit + 1} oscillators"):
+            table.masses(limit + 1)
 
 
 class TestSuccessorDistribution:
