@@ -5,8 +5,8 @@ Expected accumulated rewards (time in cycles, energy in Watt-hours) are
 solved from the linear fixed-point equations, either by direct elimination
 or by value iteration; states that fail to reach the target with
 probability one get an infinite expected reward.  Direct elimination
-factors each restricted system once per model and target set and reuses
-the factor for the reachability and every reward right-hand side.
+factors each restricted system once per model and target set, one level of
+its SCC condensation at a time, and solves each right-hand side once.
 """
 
 from __future__ import annotations
@@ -70,30 +70,61 @@ class AnalysisResult:
 
 
 class _System:
-    """The fixed-point system x = a x + b over one set of unknown states,
-    with the LU factor of I - a once an exact solve has asked for it."""
+    """The fixed-point system x = a x + b over one set of unknown states.
+    Exact solves back-substitute through the level blocks of ``_factor``;
+    each solution is kept under its right-hand side's name and solver."""
 
     def __init__(self, idx: np.ndarray, a: sp.csr_matrix) -> None:
-        self.idx = idx
-        self.a = a
-        self.lu: spla.SuperLU | None = None
+        self.idx, self.a = idx, a
+        self.levels: list[tuple[np.ndarray, sp.csr_matrix, spla.SuperLU]] | None = None
+        self.solutions: dict[tuple[str, SolverConfig], tuple[np.ndarray, int, float]] = {}
 
-    def solve(self, b: np.ndarray, solver: SolverConfig) -> tuple[np.ndarray, int, float]:
-        """Solution, iteration count and residual ||(I - a) x - b||_inf."""
-        n = len(self.idx)
-        if n == 0:
+    def solve(self, name: str, b: np.ndarray, solver: SolverConfig) -> tuple[np.ndarray, int, float]:
+        """Solution, iterations and residual ||(I - a) x - b||_inf of the right-hand side ``name``."""
+        if (name, solver) not in self.solutions:
+            self.solutions[name, solver] = self._solve(b, solver)
+        return self.solutions[name, solver]
+
+    def _solve(self, b: np.ndarray, solver: SolverConfig) -> tuple[np.ndarray, int, float]:
+        if len(self.idx) == 0:
             return np.zeros(0), 0, 0.0
         if solver.kind == "exact":
-            if self.lu is None:
-                # the lexicographic state order fills in less than COLAMD
-                system = (sp.identity(n, format="csr") - self.a).tocsc()
-                self.lu = spla.splu(system, permc_spec="NATURAL")
-            x, iterations = self.lu.solve(b), 0
+            if self.levels is None:
+                self.levels = _factor(self.a)
+            x, iterations = np.zeros(len(self.idx)), 0
+            for idx, rows, lu in self.levels:  # unsolved entries of x are still 0
+                x[idx] = lu.solve(b[idx] + rows @ x)
         elif solver.kind == "iterative":
             x, iterations = _value_iteration(self.a, b, solver)
         else:
             raise ValueError(f"unknown solver kind {solver.kind!r}")
         return x, iterations, float(np.max(np.abs(x - self.a @ x - b)))
+
+
+def _factor(a: sp.csr_matrix) -> list[tuple[np.ndarray, sp.csr_matrix, spla.SuperLU]]:
+    """I - a in block-triangular form (Duff and Reid, ACM TOMS 4, 1978): per
+    level of the SCC condensation, bottom first, its unknowns in lexicographic
+    order, their rows of a and the natural-order LU factor of its diagonal
+    block.  A level is an SCC's longest path to a bottom SCC, so edges between
+    SCCs lead down and a diagonal block has no fill between its SCCs."""
+    from scipy.sparse.csgraph import connected_components
+
+    n_scc, label = connected_components(a, directed=True, connection="strong")
+    src, dst = np.repeat(label, np.diff(a.indptr)), label[a.indices]
+    into = sp.csc_matrix((src != dst, (src, dst)), shape=(n_scc, n_scc))  # column j: SCCs into j
+    into.eliminate_zeros()
+    out = np.bincount(into.indices, minlength=n_scc)
+    level, frontier, depth = np.full(n_scc, -1), np.flatnonzero(out == 0), 0
+    while frontier.size:  # the SCCs whose edges all lead to lower levels
+        level[frontier], depth = depth, depth + 1
+        out -= np.bincount(into[:, frontier].indices, minlength=n_scc)
+        frontier = np.flatnonzero((out == 0) & (level < 0))
+    blocks = []
+    for idx in (np.flatnonzero(level[label] == l) for l in range(depth)):
+        rows = a[idx]
+        block = (sp.identity(len(idx), format="csr") - rows[:, idx]).tocsc()
+        blocks.append((idx, rows, spla.splu(block, permc_spec="NATURAL")))
+    return blocks
 
 
 def _value_iteration(
@@ -191,7 +222,7 @@ def _reach(
     cache = _cache_of(model)
     cache.use_targets(targets)
     system = cache.system(cache.reaching & ~cache.target_mask)
-    sol, iterations, residual = system.solve(cache.reach_b[system.idx], solver)
+    sol, iterations, residual = system.solve("reach", cache.reach_b[system.idx], solver)
     x = cache.target_mask.astype(float)
     x[system.idx] = np.clip(sol, 0.0, 1.0)
     return x, iterations, residual
@@ -213,7 +244,7 @@ def _reward(
     certain = reach >= 1.0 - INFINITY_REACH_TOL
     values = np.where(certain, 0.0, np.inf)
     system = cache.system(certain & ~cache.target_mask)
-    sol, iterations, residual = system.solve(cache.reward_b[reward_kind][system.idx], solver)
+    sol, iterations, residual = system.solve(reward_kind, cache.reward_b[reward_kind][system.idx], solver)
     values[system.idx] = np.maximum(sol, 0.0)
     return values, iterations, residual
 

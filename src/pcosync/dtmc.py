@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import ModelParams, State, validate_params
-from .dynamics import FiringTable
+from .dynamics import FiringTable, skip_targets
 
 
 class StateSpaceLimitExceeded(RuntimeError):
@@ -300,8 +300,7 @@ def step(
     firing row steps with ``successes`` successful broadcasts of its firing
     group, any other row skips to the next firing state."""
     fire = states[:, -1] > 0
-    shift = np.argmax(states[:, ::-1] > 0, axis=1)  # T - delta, 0 in a firing row
-    skipped = np.take_along_axis(states, (np.arange(p.t) - shift[:, None]) % p.t, 1)
+    skipped, shift = skip_targets(states)
     targets = np.where(fire[:, None], table.successors(states, successes), skipped)
     fire_power = state_power(states, p, profile) + targets[:, 0] * profile.w_transmit()
     power = np.where(fire, fire_power, skip_power(states, p, profile))
@@ -331,9 +330,9 @@ def build_dtmc(
         raise StateSpaceLimitExceeded(len(support), max_states)
     space = StateSpace(p, support)
     table = FiringTable(p)
-    rows, successes, probs = table.branches(support, space.rank)
-    targets, time_r, power_r = step(support[rows], successes, table, p, profile)
-    cols = space.rows(targets)
+    rows, successes, probs, ranks = table.branches(support, space.rank)
+    _, time_r, power_r = step(support[rows], successes, table, p, profile)
+    cols = np.searchsorted(space.ranks, ranks)
     indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=len(support)))]
     return DtmcModel(
         params=p,

@@ -76,6 +76,13 @@ def skip_successor(sigma: State) -> tuple[State, int]:
     return tuple(new), shift
 
 
+def skip_targets(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``skip_successor`` of each row of a count array; T - delta is 0 in a firing row."""
+    t = states.shape[1]
+    shift = np.argmax(states[:, ::-1] > 0, axis=1)
+    return np.take_along_axis(states, (np.arange(t) - shift[:, None]) % t, 1), shift
+
+
 def chain_updates(successes: int, p: ModelParams) -> tuple[list[bool], list[int]]:
     """Fire flags and updated phases for all phase groups, given the number
     of successful broadcasts from the firing group at phase T."""
@@ -261,12 +268,13 @@ class FiringTable:
 
     def branches(
         self, states: np.ndarray, rank: Callable[[np.ndarray], np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The branches of every row of ``states``, bit for bit as
         ``successor_distribution`` gives them: per branch its row, the
-        success count that reaches its target and its probability, with
-        rows in order and each row's targets by ascending ``rank``.  A
-        non-firing row (k_T = 0) gets its one branch, of probability 1.0.
+        success count that reaches its target, its probability and the
+        target's rank, with rows in order and each row's targets by
+        ascending rank.  A non-firing row (k_T = 0) gets its one branch, the
+        skip, of probability 1.0.
 
         A row's probability for a target sums the ``terms`` of its (row,
         f_T) pairs in f_T order, starting at 0.0; a target that no term
@@ -295,7 +303,9 @@ class FiringTable:
         sums = np.array([reduce(add, x, 0.0) for x in terms])[key_of]
         keep = np.flatnonzero(sums)
         row, successes, key_of, sums = row[keep], successes[keep], key_of[keep], sums[keep]
-        ranks = rank(self.successors(states[row], successes))
+        targets, idle = self.successors(states[row], successes), k_t[row] == 0
+        targets[idle] = skip_targets(states[row[idle]])[0]  # the skip of a non-firing row
+        ranks = rank(targets)
         order = np.lexsort((ranks, row))  # stable: f_T ascends within a target
         row, successes, key_of, ranks = row[order], successes[order], key_of[order], ranks[order]
         probs = sums[order].tolist()
@@ -303,4 +313,4 @@ class FiringTable:
         for j in np.flatnonzero(~new).tolist():
             probs[j] = reduce(add, terms[key_of[j]], probs[j - 1])
         last = np.r_[new[1:], True]
-        return row[last], successes[last], np.array(probs)[last]
+        return row[last], successes[last], np.array(probs)[last], ranks[last]

@@ -5,6 +5,8 @@ intermediate states, deliberately avoiding the counting shortcuts used by
 the package under test.  ``reference_build`` is different: it is the
 one-state-at-a-time build that the array build replaced, with its float
 order, kept so that the array build can be compared with it bit for bit.
+``natural_factor`` is likewise the single natural-order LU factor of a
+whole system that the level-by-level block factor replaced.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from pcosync.core import ModelParams, State, is_firing, perturbation, refractory
 from pcosync.dtmc import (
@@ -227,3 +230,10 @@ def reference_build(p: ModelParams, profile: HardwareProfile = MICAZ, mode: Init
     transitions = sp.csr_matrix((prob, cols, indptr), shape=(len(states), len(states)))
     initial = {index[sigma]: weight for sigma, weight in init.items()}
     return states, transitions, {"time": time_r, "power": power_r}, initial
+
+
+def natural_factor(a: sp.csr_matrix) -> list[tuple[np.ndarray, sp.csr_matrix, spla.SuperLU]]:
+    """The factor the level blocks replaced, in their layout: one block
+    holding every unknown, I - a factored whole in natural order."""
+    system = (sp.identity(a.shape[0], format="csr") - a).tocsc()
+    return [(np.arange(a.shape[0]), a, spla.splu(system, permc_spec="NATURAL"))]

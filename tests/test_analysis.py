@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
-from oracles import csr_rows
+from oracles import csr_rows, natural_factor
+from pcosync import analysis
 from pcosync.analysis import (
     INFINITY_REACH_TOL,
     AnalysisQuery,
@@ -196,15 +197,16 @@ FACTOR_MODELS = {
 
 @pytest.fixture
 def splu_calls(monkeypatch):
-    """Sizes of the systems handed to splu while the test runs."""
+    """Sizes of the systems factored while the test runs, one entry per
+    system however many level blocks its factor has."""
     calls = []
-    real = spla.splu
+    real = analysis._factor
 
     def counting(a, *args, **kwargs):
         calls.append(a.shape[0])
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(spla, "splu", counting)
+    monkeypatch.setattr(analysis, "_factor", counting)
     return calls
 
 
@@ -277,6 +279,86 @@ class TestFactorReuse:
         assert splu_calls == []
         assert iterative.value == pytest.approx(exact.value, rel=1e-9)
         assert exact.residual < iterative.residual < 1e-11
+
+    def test_four_queries_solve_each_right_hand_side_once(self, monkeypatch):
+        sweeps = []
+        real = analysis._System._solve
+
+        def counting(system, b, solver):
+            sweeps.append(len(system.idx))
+            return real(system, b, solver)
+
+        monkeypatch.setattr(analysis._System, "_solve", counting)
+        for name, want in (("full", [784] * 3), ("partial", [12, 8, 8])):
+            p, mode = FACTOR_MODELS[name]
+            model = build_dtmc(p, MICAZ, mode)
+            sweeps.clear()
+            for kind in ("time", "power"):
+                for agg in ("avg", "max"):
+                    solve_query(model, AnalysisQuery(lam=1.0, reward_kind=kind, aggregate=agg))
+            assert sweeps == want, name
+
+
+# FACTOR_MODELS, the edge values of mu, and a model where some states never
+# reach the target
+SOLVE_MODELS = {
+    **FACTOR_MODELS,
+    "mu0": (ModelParams(n=6, t=8, r=2, epsilon=0.1, mu=0.0), "full"),
+    "mu99": (ModelParams(n=6, t=8, r=2, epsilon=0.1, mu=0.99), "full"),
+    "trapped3": (ModelParams(n=3, t=4, r=1, epsilon=0.1, mu=0.2), "full"),
+}
+
+LEVEL_MODELS = {**FACTOR_MODELS, "n8r2": (ModelParams(n=8, t=10, r=2, epsilon=0.1, mu=0.2), "full")}
+
+
+def factored_systems(p, mode):
+    """The non-empty systems of the model's reach and reward solves at
+    lambda = 1, after one query of each reward kind."""
+    model = build_dtmc(p, MICAZ, mode)
+    for kind in ("time", "power"):
+        solve_query(model, AnalysisQuery(lam=1.0, reward_kind=kind))
+    return [s for s in model._analysis.systems.values() if len(s.idx)]
+
+
+class TestBlockSolve:
+    @pytest.mark.parametrize("name", sorted(LEVEL_MODELS))
+    def test_levels_order_the_condensation(self, name):
+        p, mode = LEVEL_MODELS[name]
+        for system in factored_systems(p, mode):
+            a = system.a
+            level = np.full(a.shape[0], -1)
+            for depth, (idx, rows, _) in enumerate(analysis._factor(a)):
+                assert np.all(np.diff(idx) > 0)
+                assert np.all(level[idx] == -1)  # no unknown in two blocks
+                level[idx] = depth
+                assert (rows != a[idx]).nnz == 0
+            assert np.all(level >= 0)
+            _, scc = connected_components(a, directed=True, connection="strong")
+            i, j = a.nonzero()
+            cross = scc[i] != scc[j]
+            # an unknown's block comes after those of the other SCCs it
+            # depends on, and the members of one SCC share a block
+            assert np.all(level[i[cross]] > level[j[cross]])
+            assert np.all(level[i[~cross]] == level[j[~cross]])
+
+    @pytest.mark.parametrize("name", sorted(SOLVE_MODELS))
+    @pytest.mark.parametrize("lam", [1.0, 0.6])
+    def test_matches_natural_order_factor(self, name, lam, monkeypatch):
+        p, mode = SOLVE_MODELS[name]
+
+        def solve(model):
+            targets = target_set(model, lam)
+            reach, _ = reach_probability(model, targets)
+            return [reach] + [
+                expected_reward(model, targets, kind, reach=reach)[0] for kind in ("time", "power")
+            ]
+
+        got = solve(build_dtmc(p, MICAZ, mode))
+        monkeypatch.setattr(analysis, "_factor", natural_factor)
+        want = solve(build_dtmc(p, MICAZ, mode))
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(np.isinf(g), np.isinf(w))
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
 
 
 class TestQueryValidation:
