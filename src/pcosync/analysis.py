@@ -4,9 +4,10 @@ Queries target the set of states whose phase coherence meets a threshold.
 Expected accumulated rewards (time in cycles, energy in Watt-hours) are
 solved from the linear fixed-point equations, either by direct elimination
 or by value iteration; states that fail to reach the target with
-probability one get an infinite expected reward.  Direct elimination
-factors each restricted system once per model and target set, one level of
-its SCC condensation at a time, and solves each right-hand side once.
+probability one, as decided on the graph, get an infinite expected reward.
+The reachability and the rewards of one target set share one system.
+Direct elimination factors it once, one level of its SCC condensation at a
+time, and solves each right-hand side once.
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ from .core import ModelParams, validate_params
 from .dtmc import DtmcModel, HardwareProfile, InitialMode, MICAZ, StateSpace, initial_weights, step
 from .dynamics import FiringTable
 from .metrics import phase_coherences
-
-#: A state counts as failing to reach the target when its reachability
-#: probability drops below 1 minus this threshold.
-INFINITY_REACH_TOL = 1e-6
 
 #: Value iteration gives up after this many sweeps.
 MAX_ITERATIONS = 1_000_000
@@ -70,19 +67,29 @@ class AnalysisResult:
 
 
 class _System:
-    """The fixed-point system x = a x + b over one set of unknown states.
-    Exact solves back-substitute through the level blocks of ``_factor``;
-    each solution is kept under its right-hand side's name and solver."""
+    """The fixed-point system x = a x + b of one target set, on which the
+    reachability and every reward solve.  Its unknowns ``idx`` are the
+    states that reach the target but are not in it; ``certain`` marks the
+    states that reach it with probability one (Prob1), decided on the graph.
+    A non-target Prob1 state only steps into Prob1 or the target, so its
+    rows reference no unknown outside Prob1, and a reward is the solution
+    on ``idx`` within Prob1.  Exact solves back-substitute through the
+    level blocks of ``_factor``; each solution is kept under its right-hand
+    side's name and solver."""
 
-    def __init__(self, idx: np.ndarray, a: sp.csr_matrix) -> None:
-        self.idx, self.a = idx, a
+    def __init__(self, p: sp.csr_matrix, pred: sp.csc_matrix, mask: np.ndarray) -> None:
+        reaching = _backward(pred, mask, np.ones_like(mask))
+        self.mask, self.certain = mask, ~_backward(pred, ~reaching, ~mask)
+        self.idx = idx = np.flatnonzero(reaching & ~mask)
+        self.a = p[idx][:, idx]
         self.levels: list[tuple[np.ndarray, sp.csr_matrix, spla.SuperLU]] | None = None
         self.solutions: dict[tuple[str, SolverConfig], tuple[np.ndarray, int, float]] = {}
 
     def solve(self, name: str, b: np.ndarray, solver: SolverConfig) -> tuple[np.ndarray, int, float]:
-        """Solution, iterations and residual ||(I - a) x - b||_inf of the right-hand side ``name``."""
+        """Solution, iterations and residual ||(I - a) x - b[idx]||_inf of
+        the right-hand side ``name``, given with one entry per state."""
         if (name, solver) not in self.solutions:
-            self.solutions[name, solver] = self._solve(b, solver)
+            self.solutions[name, solver] = self._solve(b[self.idx], solver)
         return self.solutions[name, solver]
 
     def _solve(self, b: np.ndarray, solver: SolverConfig) -> tuple[np.ndarray, int, float]:
@@ -120,10 +127,14 @@ def _factor(a: sp.csr_matrix) -> list[tuple[np.ndarray, sp.csr_matrix, spla.Supe
         out -= np.bincount(into[:, frontier].indices, minlength=n_scc)
         frontier = np.flatnonzero((out == 0) & (level < 0))
     blocks = []
-    for idx in (np.flatnonzero(level[label] == l) for l in range(depth)):
+    for l in range(depth):
+        idx = np.flatnonzero(level[label] == l)
         rows = a[idx]
         block = (sp.identity(len(idx), format="csr") - rows[:, idx]).tocsc()
-        blocks.append((idx, rows, spla.splu(block, permc_spec="NATURAL")))
+        try:
+            blocks.append((idx, rows, spla.splu(block, permc_spec="NATURAL")))
+        except RuntimeError as exc:  # a float cycle of probability one
+            raise SolverError(f"level {l} of the block factor ({len(idx)} unknowns): {exc}") from None
     return blocks
 
 
@@ -145,15 +156,12 @@ def _value_iteration(
 
 
 class _ModelCache:
-    """Arrays derived once from a model, and the systems of its current
+    """Arrays derived once from a model, and the system of its current
     target set.
 
     ``p`` is the model's own transition matrix, ``pred`` its CSC copy, whose
-    column j lists the predecessors of state j.  Systems are keyed by their
-    unknown mask, because the reachability unknowns (reaching - targets) and
-    the reward unknowns (certain - targets) differ when some states are
-    trapped.  Moving to another target set drops the systems of the
-    previous one.
+    column j lists the predecessors of state j.  Moving to another target
+    set drops the system of the previous one.
     """
 
     def __init__(self, model: DtmcModel) -> None:
@@ -167,28 +175,15 @@ class _ModelCache:
             for kind, r in model.rewards.items()
         }
         self.coherence = phase_coherences(model.states.array, model.params.t)
-        self.targets: frozenset[int] | None = None
-        self.systems: dict[bytes, _System] = {}
+        self.system: _System | None = None
 
-    def use_targets(self, targets: frozenset[int]) -> None:
-        if targets == self.targets:
-            return
-        self.targets = targets
-        self.target_mask = np.zeros(len(self.coherence), dtype=bool)
-        self.target_mask[np.fromiter(targets, dtype=np.int64, count=len(targets))] = True
-        self.reaching = _reaching_states(self)
-        # one-step probability of entering the target set
-        self.reach_b = self.p @ self.target_mask
-        self.systems = {}
-
-    def system(self, unknown: np.ndarray) -> _System:
-        """Transition sub-matrix over the unknown states."""
-        key = unknown.tobytes()
-        found = self.systems.get(key)
-        if found is None:
-            idx = np.flatnonzero(unknown)
-            found = self.systems[key] = _System(idx, self.p[idx][:, idx])
-        return found
+    def system_of(self, targets: frozenset[int]) -> _System:
+        """The system of ``targets``, built anew unless it is the current one."""
+        mask = np.zeros(len(self.coherence), dtype=bool)
+        mask[np.fromiter(targets, dtype=np.int64, count=len(targets))] = True
+        if self.system is None or not np.array_equal(mask, self.system.mask):
+            self.system = _System(self.p, self.pred, mask)
+        return self.system
 
 
 def _cache_of(model: DtmcModel) -> _ModelCache:
@@ -204,13 +199,14 @@ def target_set(model: DtmcModel, lam: float) -> frozenset[int]:
     return frozenset(np.flatnonzero(_cache_of(model).coherence >= lam).tolist())
 
 
-def _reaching_states(cache: _ModelCache) -> np.ndarray:
-    """Boolean mask of states from which the target set is reachable."""
-    mask = cache.target_mask.copy()
+def _backward(pred: sp.csc_matrix, seed: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Boolean mask of the seed states and of the states with a path into
+    the seed through ``allowed`` states only."""
+    mask = seed.copy()
     frontier = np.flatnonzero(mask)
     while frontier.size:
-        found = cache.pred[:, frontier].indices
-        found = found[~mask[found]]
+        found = pred[:, frontier].indices
+        found = found[allowed[found] & ~mask[found]]
         mask[found] = True
         frontier = np.unique(found)
     return mask
@@ -220,32 +216,25 @@ def _reach(
     model: DtmcModel, targets: frozenset[int], solver: SolverConfig
 ) -> tuple[np.ndarray, int, float]:
     cache = _cache_of(model)
-    cache.use_targets(targets)
-    system = cache.system(cache.reaching & ~cache.target_mask)
-    sol, iterations, residual = system.solve("reach", cache.reach_b[system.idx], solver)
-    x = cache.target_mask.astype(float)
+    system = cache.system_of(targets)
+    # b: the one-step probability of entering the target set
+    sol, iterations, residual = system.solve("reach", cache.p @ system.mask, solver)
+    x = system.mask.astype(float)
     x[system.idx] = np.clip(sol, 0.0, 1.0)
     return x, iterations, residual
 
 
 def _reward(
-    model: DtmcModel,
-    targets: frozenset[int],
-    reward_kind: str,
-    solver: SolverConfig,
-    reach: np.ndarray | None,
+    model: DtmcModel, targets: frozenset[int], reward_kind: str, solver: SolverConfig
 ) -> tuple[np.ndarray, int, float]:
     if reward_kind not in model.rewards:
         raise ValueError(f"unknown reward kind {reward_kind!r}")
-    if reach is None:
-        reach, _, _ = _reach(model, targets, solver)
     cache = _cache_of(model)
-    cache.use_targets(targets)
-    certain = reach >= 1.0 - INFINITY_REACH_TOL
-    values = np.where(certain, 0.0, np.inf)
-    system = cache.system(certain & ~cache.target_mask)
-    sol, iterations, residual = system.solve(reward_kind, cache.reward_b[reward_kind][system.idx], solver)
-    values[system.idx] = np.maximum(sol, 0.0)
+    system = cache.system_of(targets)
+    sol, iterations, residual = system.solve(reward_kind, cache.reward_b[reward_kind], solver)
+    values = np.where(system.certain, 0.0, np.inf)
+    certain = system.certain[system.idx]
+    values[system.idx[certain]] = np.maximum(sol[certain], 0.0)
     return values, iterations, residual
 
 
@@ -262,13 +251,13 @@ def expected_reward(
     targets: frozenset[int],
     reward_kind: str,
     solver: SolverConfig = SolverConfig(),
-    reach: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Per-state expected accumulated reward until the target set is entered.
 
-    Infinite wherever the target is not reached with probability one.
+    Infinite wherever the target is not reached with probability one, as
+    decided on the graph.
     """
-    values, iterations, _ = _reward(model, targets, reward_kind, solver, reach)
+    values, iterations, _ = _reward(model, targets, reward_kind, solver)
     return values, iterations
 
 
@@ -317,7 +306,7 @@ def solve_query(model: DtmcModel, query: AnalysisQuery) -> AnalysisResult:
     start = time.perf_counter()
     targets = target_set(model, query.lam)
     reach, it1, res1 = _reach(model, targets, query.solver)
-    values, it2, res2 = _reward(model, targets, query.reward_kind, query.solver, reach)
+    values, it2, res2 = _reward(model, targets, query.reward_kind, query.solver)
     wall = time.perf_counter() - start
     return aggregate(
         model, values, reach, query.aggregate, query.reward_kind,

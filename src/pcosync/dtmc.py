@@ -300,11 +300,19 @@ def step(
     firing row steps with ``successes`` successful broadcasts of its firing
     group, any other row skips to the next firing state."""
     fire = states[:, -1] > 0
-    skipped, shift = skip_targets(states)
-    targets = np.where(fire[:, None], table.successors(states, successes), skipped)
+    targets = np.where(fire[:, None], table.successors(states, successes), skip_targets(states)[0])
+    return (targets, *step_rewards(states, targets, p, profile))
+
+
+def step_rewards(
+    states: np.ndarray, targets: np.ndarray, p: ModelParams, profile: HardwareProfile
+) -> tuple[np.ndarray, np.ndarray]:
+    """Time and power reward of the step from each row of ``states`` to the
+    same row of ``targets``: one firing step, or the skip of a non-firing row."""
+    fire = states[:, -1] > 0
     fire_power = state_power(states, p, profile) + targets[:, 0] * profile.w_transmit()
     power = np.where(fire, fire_power, skip_power(states, p, profile))
-    return targets, np.where(fire, 1.0 / p.t, shift / p.t), power
+    return np.where(fire, 1.0 / p.t, skip_targets(states)[1] / p.t), power
 
 
 def build_dtmc(
@@ -330,8 +338,8 @@ def build_dtmc(
         raise StateSpaceLimitExceeded(len(support), max_states)
     space = StateSpace(p, support)
     table = FiringTable(p)
-    rows, successes, probs, ranks = table.branches(support, space.rank)
-    _, time_r, power_r = step(support[rows], successes, table, p, profile)
+    rows, probs, ranks, targets = table.branches(support, space.rank)
+    time_r, power_r = step_rewards(support[rows], targets, p, profile)
     cols = np.searchsorted(space.ranks, ranks)
     indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=len(support)))]
     return DtmcModel(

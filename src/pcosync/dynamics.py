@@ -270,11 +270,10 @@ class FiringTable:
         self, states: np.ndarray, rank: Callable[[np.ndarray], np.ndarray]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The branches of every row of ``states``, bit for bit as
-        ``successor_distribution`` gives them: per branch its row, the
-        success count that reaches its target, its probability and the
-        target's rank, with rows in order and each row's targets by
-        ascending rank.  A non-firing row (k_T = 0) gets its one branch, the
-        skip, of probability 1.0.
+        ``successor_distribution`` gives them: per branch its row, its
+        probability, the target's rank and the target itself, with rows in
+        order and each row's targets by ascending rank.  A non-firing row
+        (k_T = 0) gets its one branch, the skip, of probability 1.0.
 
         A row's probability for a target sums the ``terms`` of its (row,
         f_T) pairs in f_T order, starting at 0.0; a target that no term
@@ -307,10 +306,10 @@ class FiringTable:
         targets[idle] = skip_targets(states[row[idle]])[0]  # the skip of a non-firing row
         ranks = rank(targets)
         order = np.lexsort((ranks, row))  # stable: f_T ascends within a target
-        row, successes, key_of, ranks = row[order], successes[order], key_of[order], ranks[order]
+        row, key_of, ranks = row[order], key_of[order], ranks[order]
         probs = sums[order].tolist()
         new = np.r_[True, (row[1:] != row[:-1]) | (ranks[1:] != ranks[:-1])]
         for j in np.flatnonzero(~new).tolist():
             probs[j] = reduce(add, terms[key_of[j]], probs[j - 1])
         last = np.r_[new[1:], True]
-        return row[last], successes[last], np.array(probs)[last], ranks[last]
+        return row[last], np.array(probs)[last], ranks[last], targets[order[last]]

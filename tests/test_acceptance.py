@@ -177,7 +177,7 @@ def test_criterion_6_lambda_trends(headline_models):
             targets = target_set(model, lam)
             reach, _ = reach_probability(model, targets)
             for kind, acc in (("time", times), ("power", powers)):
-                values, _ = expected_reward(model, targets, kind, reach=reach)
+                values, _ = expected_reward(model, targets, kind)
                 result = aggregate(model, values, reach, "avg", kind)
                 acc.append(result.value if kind == "time" else result.per_node_mWh)
         mono_t = all(b >= a - 1e-12 for a, b in zip(times, times[1:]))

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from oracles import csr_rows, natural_factor
 from pcosync import analysis
 from pcosync.analysis import (
-    INFINITY_REACH_TOL,
     AnalysisQuery,
     SolverConfig,
     aggregate,
@@ -113,6 +113,50 @@ class TestExpectedReward:
             expected_reward(hand_model, frozenset(), "fuel")
 
 
+class TestGraphFiniteness:
+    """Whether a reward is finite follows the graph, not the reach value."""
+
+    def test_rare_step_into_a_trap_is_infinite(self):
+        # (1,0,1,1) enters (1,1,0,1) with probability 1e-12, and from there
+        # the trap (2,0,1,0) almost surely: its reach value is 1 - 1e-12
+        model = build_dtmc(ModelParams(n=3, t=4, r=2, epsilon=0.5, mu=1e-12))
+        targets = target_set(model, 1.0)
+        values, _ = expected_reward(model, targets, "time")
+        reach, _ = reach_probability(model, targets)
+        assert reach[model.index[(2, 0, 1, 0)]] == 0.0
+        assert reach[model.index[(1, 1, 0, 1)]] < 1e-11
+        assert reach[model.index[(1, 0, 1, 1)]] > 1.0 - 1e-11
+        assert math.isinf(values[model.index[(1, 0, 1, 1)]])
+
+    def test_certain_target_behind_rare_steps_is_finite(self):
+        # (1,0,1) stays put with probability 1 - 1e-12, so its float reach
+        # value comes out near 0.99987, yet it synchronises for certain
+        mu = 1e-12
+        model = build_dtmc(ModelParams(n=2, t=3, r=0, epsilon=0.5, mu=mu))
+        values, _ = expected_reward(model, target_set(model, 1.0), "time")
+        want = (1 + 2 * mu) / (3 * mu * (1 - mu))
+        assert values[model.index[(1, 0, 1)]] == pytest.approx(want, rel=1e-3)
+
+    def test_paths_through_the_target_do_not_count(self):
+        # 0 -> 1 -> 2, where 1 is the target and 2 a trap: 0 enters the
+        # target for certain, though a path from it ends in the trap
+        p = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]))
+        system = analysis._System(p, p.tocsc(), np.array([False, True, False]))
+        assert system.certain.tolist() == [True, True, False]
+        assert system.idx.tolist() == [0]
+
+    def test_iterative_agrees_with_exact_on_finiteness(self):
+        # value iteration to 1e-6 stops with reach values as low as 0.9933,
+        # though every state synchronises for certain
+        model = build_dtmc(ModelParams(n=6, t=8, r=2, epsilon=0.1, mu=0.99))
+        exact = solve_query(model, AnalysisQuery(lam=1.0))
+        iterative = solve_query(
+            model, AnalysisQuery(lam=1.0, solver=SolverConfig(kind="iterative", tolerance=1e-6))
+        )
+        assert exact.value == pytest.approx(395.4131583933702, rel=1e-12)
+        assert iterative.value == pytest.approx(exact.value, rel=1e-5)
+
+
 class TestAggregate:
     def test_hand_average(self, hand_model):
         # weights 2/9 for each mixed state, values 1, 2/3, 1/3
@@ -138,27 +182,37 @@ class TestAggregate:
     def test_per_node_conversion(self, hand_model):
         targets = target_set(hand_model, 1.0)
         reach, _ = reach_probability(hand_model, targets)
-        values, _ = expected_reward(hand_model, targets, "power", reach=reach)
+        values, _ = expected_reward(hand_model, targets, "power")
         result = aggregate(hand_model, values, reach, "avg", "power")
         assert result.per_node_mWh == pytest.approx(result.value / 2 * 1000.0)
 
 
 def loop_reference(model, targets, reward_kind):
     """Per-state reachability and expected reward straight from the
-    transition rows: a backward search over predecessor lists, then one
-    dense solve per system."""
+    transition rows: backward searches over predecessor lists for the
+    states that reach the target and those that reach it with probability
+    one, then one dense solve per system."""
     n = model.n_states
     rows = csr_rows(model)
     predecessors = [[] for _ in range(n)]
     for src, row in enumerate(rows):
         for target, *_ in row:
             predecessors[target].append(src)
-    reaching, queue = set(targets), list(targets)
-    while queue:
-        for src in predecessors[queue.pop()]:
-            if src not in reaching:
-                reaching.add(src)
-                queue.append(src)
+
+    def backward(seed, allowed):
+        found, queue = set(seed), list(seed)
+        while queue:
+            for src in predecessors[queue.pop()]:
+                if src not in found and src in allowed:
+                    found.add(src)
+                    queue.append(src)
+        return found
+
+    everything = set(range(n))
+    reaching = backward(targets, everything)
+    # short of one: the states that reach a state outside ``reaching``
+    # without passing through the target
+    certain = everything - backward(everything - reaching, everything - targets)
 
     def solve(unknown, one_step):
         idx = sorted(unknown)
@@ -175,7 +229,6 @@ def loop_reference(model, targets, reward_kind):
     reach[list(targets)] = 1.0
     idx, sol = solve(reaching - targets, lambda target, prob, _: prob * (target in targets))
     reach[idx] = sol
-    certain = {s for s in range(n) if reach[s] >= 1.0 - INFINITY_REACH_TOL}
     values = np.full(n, np.inf)
     values[list(certain)] = 0.0
     col = 0 if reward_kind == "time" else 1
@@ -185,8 +238,8 @@ def loop_reference(model, targets, reward_kind):
 
 
 # name -> (params, mode); in "restab" and "partial" some states reach the
-# target with probability strictly between 0 and 1, so the reachability and
-# the reward systems have different unknowns.  In "trapped" both are empty.
+# target with probability strictly between 0 and 1, so only part of the
+# shared system's unknowns get a finite reward.  In "trapped" it is empty.
 FACTOR_MODELS = {
     "full": (ModelParams(n=5, t=8, r=1, epsilon=0.1, mu=0.2), "full"),
     "restab": (ModelParams(n=12, t=6, r=2, epsilon=0.1, mu=0.2), RestabilisationSpec(2)),
@@ -236,7 +289,7 @@ class TestFactorReuse:
         for kind in ("time", "power"):
             want_reach, want_values = loop_reference(model, targets, kind)
             reach, _ = reach_probability(model, targets)
-            values, _ = expected_reward(model, targets, kind, reach=reach)
+            values, _ = expected_reward(model, targets, kind)
             np.testing.assert_allclose(reach, want_reach, rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(values, want_values, rtol=1e-10, atol=0.0)
 
@@ -247,12 +300,13 @@ class TestFactorReuse:
                 solve_query(model, AnalysisQuery(lam=1.0, reward_kind=kind, aggregate=agg))
         assert splu_calls == [784]
 
-    def test_differing_unknowns_get_their_own_factor(self, splu_calls):
+    def test_reach_and_rewards_share_one_factor(self, splu_calls):
+        # 4 of the 12 unknowns reach the target with probability below one
         p, mode = FACTOR_MODELS["partial"]
         model = build_dtmc(p, MICAZ, mode)
         for kind in ("time", "power"):
             solve_query(model, AnalysisQuery(lam=1.0, reward_kind=kind))
-        assert splu_calls == [12, 8]
+        assert splu_calls == [12]
 
     def test_new_target_set_refactors(self, splu_calls):
         p, _ = FACTOR_MODELS["full"]
@@ -289,7 +343,7 @@ class TestFactorReuse:
             return real(system, b, solver)
 
         monkeypatch.setattr(analysis._System, "_solve", counting)
-        for name, want in (("full", [784] * 3), ("partial", [12, 8, 8])):
+        for name, want in (("full", [784] * 3), ("partial", [12] * 3)):
             p, mode = FACTOR_MODELS[name]
             model = build_dtmc(p, MICAZ, mode)
             sweeps.clear()
@@ -312,12 +366,13 @@ LEVEL_MODELS = {**FACTOR_MODELS, "n8r2": (ModelParams(n=8, t=10, r=2, epsilon=0.
 
 
 def factored_systems(p, mode):
-    """The non-empty systems of the model's reach and reward solves at
-    lambda = 1, after one query of each reward kind."""
+    """The system of the model's reach and reward solves at lambda = 1,
+    after one query of each reward kind, if it is not empty."""
     model = build_dtmc(p, MICAZ, mode)
     for kind in ("time", "power"):
         solve_query(model, AnalysisQuery(lam=1.0, reward_kind=kind))
-    return [s for s in model._analysis.systems.values() if len(s.idx)]
+    system = model._analysis.system
+    return [system] if len(system.idx) else []
 
 
 class TestBlockSolve:
@@ -350,7 +405,7 @@ class TestBlockSolve:
             targets = target_set(model, lam)
             reach, _ = reach_probability(model, targets)
             return [reach] + [
-                expected_reward(model, targets, kind, reach=reach)[0] for kind in ("time", "power")
+                expected_reward(model, targets, kind)[0] for kind in ("time", "power")
             ]
 
         got = solve(build_dtmc(p, MICAZ, mode))

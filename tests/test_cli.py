@@ -131,6 +131,20 @@ class TestAnalyze:
         _, status = read_csv(out)
         assert status.startswith("# status: error")
 
+    def test_singular_factor_is_a_solver_failure(self, tmp_path, capsys):
+        # in float, state (0,0,1,2) steps to one state with probability 1.0
+        # and a 1e-18 branch on top, closing a cycle of probability one
+        out = tmp_path / "out.csv"
+        code = main([
+            "analyze", "--n", "3", "--t", "4", "--r", "1", "--eps", "0.1",
+            "--mu", "0.999999999", "--query", "time:avg", "--output", str(out),
+        ])
+        assert code == 2
+        rows, status = read_csv(out)
+        assert rows == []
+        assert status.startswith("# status: solver failure: level ")
+        assert "exactly singular" in status
+
     def test_state_cap_exit_code(self, tmp_path):
         code = main([
             "analyze", "--n", "6", "--t", "6", "--r", "1", "--eps", "0.1",
