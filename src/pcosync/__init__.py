@@ -35,7 +35,7 @@ from .dtmc import (
     RestabilisationSpec,
     build_dtmc,
     enumerate_states,
-    initial_distribution,
+    initial_weights,
     multinomial,
     state_count,
 )
@@ -73,7 +73,7 @@ __all__ = [
     "expected_reward",
     "export_model",
     "firing_successor",
-    "initial_distribution",
+    "initial_weights",
     "is_firing",
     "is_synchronised",
     "monte_carlo",

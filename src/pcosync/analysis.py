@@ -37,6 +37,10 @@ class SolverConfig:
     kind: str = "exact"  # "exact" | "iterative"
     tolerance: float = 1e-9
 
+    def __post_init__(self) -> None:
+        if not self.tolerance > 0:  # NaN too
+            raise ValueError(f"solver tolerance must be positive, got {self.tolerance}")
+
 
 @dataclass(frozen=True)
 class AnalysisQuery:
@@ -272,12 +276,10 @@ def aggregate(
     residual: float = 0.0,
 ) -> AnalysisResult:
     """Aggregate per-state expected values over the initial distribution."""
-    # the initial support is every state, keyed 0..S-1 in order
-    weights = np.fromiter(model.initial.values(), float, len(model.initial))
     reach_p = float(np.min(reach))
     if agg == "avg":
-        value = float(np.dot(weights, values))
-        if np.any(np.isinf(values) & (weights > 0)):
+        value = float(np.dot(model.initial, values))
+        if np.any(np.isinf(values) & (model.initial > 0)):
             value = np.inf
     elif agg == "max":
         value = float(np.max(values))
@@ -347,8 +349,9 @@ def monte_carlo(
     tables are sized by that support.
     """
     validate_params(p)
-    if reward_kind not in ("time", "power"):
-        raise ValueError(f"unknown reward kind {reward_kind!r}")
+    AnalysisQuery(lam, reward_kind)  # the same lambda and reward kind checks
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     support, weights = initial_weights(p, mode)
     space, table = StateSpace(p, support), FiringTable(p)

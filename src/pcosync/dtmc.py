@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
@@ -96,7 +96,8 @@ class StateSpace(Sequence):
     number system (Knuth, TAOCP 4A, 7.2.1.3): with m oscillators left for
     column i and r = T - 1 - i columns after it, C(m + r, r) -
     C(m - k_i + r, r) states agree with sigma before column i and hold
-    fewer than k_i there.  ``ranks`` holds the ranks of the rows, ascending.
+    fewer than k_i there.  ``ranks`` holds the ranks of the rows, ascending;
+    ``index`` and ``in`` find a state tuple by its rank.
     """
 
     def __init__(self, p: ModelParams, array: np.ndarray):
@@ -122,6 +123,23 @@ class StateSpace(Sequence):
         """Rows of the given states, found by rank; each must be in the space."""
         return np.searchsorted(self.ranks, self.rank(states))
 
+    def index(self, sigma: State) -> int:
+        """The row of a state tuple, found by its rank; ``ValueError`` if it
+        is not a state of the space."""
+        a, p = np.asarray(sigma), self.p
+        if a.shape == (p.t,) and a.min() >= 0 and a.sum() == p.n:
+            i = int(self.rows(a))
+            if i < len(self) and np.array_equal(self.array[i], a):
+                return i
+        raise ValueError(f"{sigma!r} is not a state of the space")
+
+    def __contains__(self, sigma: object) -> bool:
+        try:
+            self.index(sigma)
+        except ValueError:
+            return False
+        return True
+
     def __len__(self) -> int:
         return len(self.array)
 
@@ -133,27 +151,6 @@ class StateSpace(Sequence):
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Sequence) and list(self) == list(other)
-
-
-class _StateIndex(Mapping):
-    """``DtmcModel.index``: the row of a state tuple, found by its rank."""
-
-    def __init__(self, states: StateSpace) -> None:
-        self.states = states
-
-    def __getitem__(self, sigma: State) -> int:
-        a, p = np.asarray(sigma), self.states.p
-        if a.shape == (p.t,) and a.min() >= 0 and a.sum() == p.n:
-            i = int(self.states.rows(a))
-            if i < len(self.states) and np.array_equal(self.states.array[i], a):
-                return i
-        raise KeyError(sigma)
-
-    def __iter__(self) -> Iterator[State]:
-        return iter(self.states)
-
-    def __len__(self) -> int:
-        return len(self.states)
 
 
 @dataclass(frozen=True)
@@ -171,14 +168,11 @@ class DtmcModel:
     #: One-step reward per transition, keyed "time" and "power"; entry k
     #: belongs to the transition stored at ``transitions.data[k]``.
     rewards: dict[str, np.ndarray] = field(repr=False, compare=False)
-    initial: dict[int, float] = field(repr=False)
+    #: Initial weight of every state, by row.
+    initial: np.ndarray = field(repr=False, compare=False)
     #: Derived data of the analysis layer (predecessors, LU factors),
     #: created on first use; it lives and dies with the model.
     _analysis: object = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def index(self) -> Mapping[State, int]:
-        return _StateIndex(self.states)
 
     @property
     def n_states(self) -> int:
@@ -240,30 +234,26 @@ def initial_weights(p: ModelParams, mode: InitialMode = "full") -> tuple[np.ndar
     """The initial support as a lexicographic count array, and the
     multinomial weight of each state normalised to one.
 
-    Each weight is multinomial / total, correctly rounded.  Below 2**53 both
-    are exact in float64, where one division rounds correctly; above, the
-    division runs on Python ints.
+    A multinomial depends only on the sorted counts, so it is computed once
+    per key, the sorted counts read as base N + 1 digits.  The total is the
+    sum of each multinomial times the number of its states (T**N in full
+    mode), and each weight is multinomial / total divided in Python ints,
+    correctly rounded.
     """
     validate_params(p)
     if mode == "full":
-        support, total = state_array(p), p.t**p.n  # the sum of all multinomials
+        support = state_array(p)
     elif isinstance(mode, RestabilisationSpec):
-        support, total = np.array(restabilisation_support(p, mode.u), np.min_scalar_type(p.n)), None
+        support = np.array(restabilisation_support(p, mode.u), np.min_scalar_type(p.n))
     else:
         raise ValueError(f"unknown initial mode {mode!r}")
-    if p.t**p.n < 2**53:  # bounds every multinomial and their sum
-        binom = np.array([[math.comb(a, b) for b in range(p.n + 1)] for a in range(p.n + 1)])
-        counts = np.prod(binom[np.cumsum(support, axis=1), support], axis=1)
-        return support, counts / (counts.sum() if total is None else total)
-    counts = [multinomial(sigma) for sigma in support.tolist()]
-    total = sum(counts) if total is None else total
-    return support, np.array([c / total for c in counts])
-
-
-def initial_distribution(p: ModelParams, mode: InitialMode = "full") -> dict[State, float]:
-    """Multinomial weights over the initial support, normalised to one."""
-    support, weights = initial_weights(p, mode)
-    return dict(zip(map(tuple, support.tolist()), weights.tolist()))
+    key = np.zeros(len(support), np.int64 if (p.n + 1) ** p.t < 2**63 else object)
+    for column in np.sort(support, axis=1).T:
+        key = key * (p.n + 1) + column.astype(key.dtype)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    counts = [multinomial(sigma) for sigma in support[first].tolist()]
+    total = sum(c * m for c, m in zip(counts, np.bincount(inverse).tolist()))
+    return support, np.array([c / total for c in counts])[inverse]
 
 
 def state_power(sigma: np.ndarray | State, p: ModelParams, profile: HardwareProfile):
@@ -349,5 +339,5 @@ def build_dtmc(
         states=space,
         transitions=sp.csr_matrix((probs, cols, indptr), shape=(len(support), len(support))),
         rewards={"time": time_r, "power": power_r},
-        initial=dict(enumerate(weights.tolist())),
+        initial=weights,
     )

@@ -44,7 +44,7 @@ class TestTargetSet:
 
     def test_half_threshold_excludes_reference_state(self):
         model = build_dtmc(ModelParams(n=8, t=10, r=2, epsilon=0.1, mu=0.2))
-        i = model.index[(0, 0, 0, 0, 0, 2, 1, 0, 0, 5)]
+        i = model.states.index((0, 0, 0, 0, 0, 2, 1, 0, 0, 5))
         assert i not in target_set(model, 0.5)  # coherence 0.4671 falls short
 
 
@@ -63,7 +63,7 @@ class TestReachProbability:
         # with 2 phases and a refractory first phase, a split pair loops forever
         model = build_dtmc(params(n=2, t=2, r=1, mu=0.2))
         reach, _ = reach_probability(model, target_set(model, 1.0))
-        assert reach[model.index[(1, 1)]] == 0.0
+        assert reach[model.states.index((1, 1))] == 0.0
 
     def test_exact_and_iterative_agree(self, hand_model):
         targets = target_set(hand_model, 1.0)
@@ -86,27 +86,27 @@ class TestExpectedReward:
         # (1,1) with no refractory fires both oscillators in one step
         model = build_dtmc(params(n=2, t=2, r=0))
         values, _ = expected_reward(model, target_set(model, 1.0), "time")
-        assert values[model.index[(1, 1)]] == pytest.approx(0.5)
+        assert values[model.states.index((1, 1))] == pytest.approx(0.5)
 
     def test_hand_solved_chain(self, hand_model):
         # (1,0,1) -> (1,1,0) -> (0,1,1) -> synchronised, one third of a
         # cycle per step
         values, _ = expected_reward(hand_model, target_set(hand_model, 1.0), "time")
-        assert values[hand_model.index[(0, 1, 1)]] == pytest.approx(1 / 3)
-        assert values[hand_model.index[(1, 1, 0)]] == pytest.approx(2 / 3)
-        assert values[hand_model.index[(1, 0, 1)]] == pytest.approx(1.0)
+        assert values[hand_model.states.index((0, 1, 1))] == pytest.approx(1 / 3)
+        assert values[hand_model.states.index((1, 1, 0))] == pytest.approx(2 / 3)
+        assert values[hand_model.states.index((1, 0, 1))] == pytest.approx(1.0)
 
     def test_infinite_where_not_certain(self):
         model = build_dtmc(params(n=2, t=2, r=1, mu=0.2))
         values, _ = expected_reward(model, target_set(model, 1.0), "time")
-        assert math.isinf(values[model.index[(1, 1)]])
+        assert math.isinf(values[model.states.index((1, 1))])
 
     def test_power_reward_hand_value(self, hand_model):
         # (0,1,1): one firing step; the phase-2 node listens, the firing
         # node listens too, then both transmit after resetting
         values, _ = expected_reward(hand_model, target_set(hand_model, 1.0), "power")
         expected = 2 * MICAZ.w_receive(3) + 2 * MICAZ.w_transmit()
-        assert values[hand_model.index[(0, 1, 1)]] == pytest.approx(expected)
+        assert values[hand_model.states.index((0, 1, 1))] == pytest.approx(expected)
 
     def test_rejects_unknown_kind(self, hand_model):
         with pytest.raises(ValueError):
@@ -123,10 +123,10 @@ class TestGraphFiniteness:
         targets = target_set(model, 1.0)
         values, _ = expected_reward(model, targets, "time")
         reach, _ = reach_probability(model, targets)
-        assert reach[model.index[(2, 0, 1, 0)]] == 0.0
-        assert reach[model.index[(1, 1, 0, 1)]] < 1e-11
-        assert reach[model.index[(1, 0, 1, 1)]] > 1.0 - 1e-11
-        assert math.isinf(values[model.index[(1, 0, 1, 1)]])
+        assert reach[model.states.index((2, 0, 1, 0))] == 0.0
+        assert reach[model.states.index((1, 1, 0, 1))] < 1e-11
+        assert reach[model.states.index((1, 0, 1, 1))] > 1.0 - 1e-11
+        assert math.isinf(values[model.states.index((1, 0, 1, 1))])
 
     def test_certain_target_behind_rare_steps_is_finite(self):
         # (1,0,1) stays put with probability 1 - 1e-12, so its float reach
@@ -135,7 +135,7 @@ class TestGraphFiniteness:
         model = build_dtmc(ModelParams(n=2, t=3, r=0, epsilon=0.5, mu=mu))
         values, _ = expected_reward(model, target_set(model, 1.0), "time")
         want = (1 + 2 * mu) / (3 * mu * (1 - mu))
-        assert values[model.index[(1, 0, 1)]] == pytest.approx(want, rel=1e-3)
+        assert values[model.states.index((1, 0, 1))] == pytest.approx(want, rel=1e-3)
 
     def test_paths_through_the_target_do_not_count(self):
         # 0 -> 1 -> 2, where 1 is the target and 2 a trap: 0 enters the
@@ -431,6 +431,15 @@ class TestQueryValidation:
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("lam", [1.5, -0.1, float("nan")])
+    def test_rejects_lambda_a_query_rejects(self, lam):
+        p = params(n=3, t=4, r=1, epsilon=0.5, mu=0.2)
+        with pytest.raises(ValueError) as query_error:
+            AnalysisQuery(lam=lam)
+        with pytest.raises(ValueError) as mc_error:
+            monte_carlo(p, lam=lam, samples=200, seed=1)
+        assert str(mc_error.value) == str(query_error.value)
+
     def test_deterministic_for_fixed_seed(self):
         p = params(n=3, t=4, r=1, epsilon=0.1, mu=0.2)
         a = monte_carlo(p, samples=500, seed=42)
@@ -491,7 +500,7 @@ class TestMonteCarlo:
         p = params(n=4, t=3, r=1, epsilon=0.5, mu=0.0)
         model = build_dtmc(p)
         values, _ = expected_reward(model, target_set(model, 1.0), kind)
-        per_start = values[sorted(model.initial)]
+        per_start = values[model.initial > 0]
         mc = monte_carlo(p, lam=1.0, reward_kind=kind, samples=2000, seed=0)
         assert mc.censored == 0
         assert mc.max_observed <= per_start.max()

@@ -145,6 +145,15 @@ class TestAnalyze:
         assert status.startswith("# status: solver failure: level ")
         assert "exactly singular" in status
 
+    @pytest.mark.parametrize("tolerance", ["0", "-1", "nan"])
+    def test_non_positive_tolerance_fails_at_once(self, tmp_path, capsys, tolerance):
+        code = main([
+            "analyze", "--n", "3", "--t", "4", "--r", "1", "--eps", "0.5", "--mu", "0.2",
+            "--solver", "iterative", "--tolerance", tolerance, "--output", str(tmp_path / "o.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: solver tolerance must be positive")
+
     def test_state_cap_exit_code(self, tmp_path):
         code = main([
             "analyze", "--n", "6", "--t", "6", "--r", "1", "--eps", "0.1",
@@ -379,6 +388,16 @@ class TestSimulate:
                 "simulate", "--n", "2", "--t", "3", "--r", "1", "--eps", "0.5",
                 "--mu", "0.2", "--seed", "1", *flag, "--output", str(tmp_path / "o.csv"),
             ])
+
+    def test_zero_samples_is_a_clear_error(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main([
+            "simulate", "--n", "3", "--t", "4", "--r", "1", "--eps", "0.5",
+            "--mu", "0.2", "--seed", "1", "--samples", "0", "--output", str(out),
+        ]) == 1
+        rows, status = read_csv(out)
+        assert rows == [] and status == "# status: error: samples must be at least 1, got 0"
+        assert capsys.readouterr().err == "error: samples must be at least 1, got 0\n"
 
     def test_min_aggregate_leaves_error_status(self, tmp_path):
         out = tmp_path / "o.csv"

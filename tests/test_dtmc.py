@@ -16,7 +16,7 @@ from pcosync.dtmc import (
     StateSpaceLimitExceeded,
     build_dtmc,
     enumerate_states,
-    initial_distribution,
+    initial_weights,
     multinomial,
     restabilisation_support,
     skip_power,
@@ -100,20 +100,21 @@ class TestRestabilisationSupport:
 class TestInitialDistribution:
     def test_full_mode_weights(self):
         p = params(n=2, t=3)
-        dist = initial_distribution(p, "full")
+        support, weights = initial_weights(p, "full")
+        dist = dict(zip(map(tuple, support.tolist()), weights.tolist()))
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
         assert dist[(2, 0, 0)] == pytest.approx(1 / 9)
         assert dist[(1, 1, 0)] == pytest.approx(2 / 9)
 
     def test_restabilisation_mode_weights(self):
         p = params(n=5, t=3)
-        dist = initial_distribution(p, RestabilisationSpec(1))
-        assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
-        assert all(any(k >= 4 for k in s) for s in dist)
+        support, weights = initial_weights(p, RestabilisationSpec(1))
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert all(any(k >= 4 for k in s) for s in support.tolist())
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            initial_distribution(params(), "partial")
+            initial_weights(params(), "partial")
 
 
 class TestPowerRewards:
@@ -150,7 +151,7 @@ class TestBuildDtmc:
     def test_all_states_reachable_from_initial_support(self):
         model = build_dtmc(params(n=3, t=4, r=1))
         rows = csr_rows(model)
-        seen = set(model.initial)
+        seen = set(np.flatnonzero(model.initial).tolist())
         queue = deque(seen)
         while queue:
             i = queue.popleft()
@@ -180,7 +181,7 @@ class TestBuildDtmc:
         # 2 oscillators, 2 phases, no failures: (0,2) resets to (2,0)
         p = params(n=2, t=2, r=1, mu=0.0)
         model = build_dtmc(p)
-        i = model.index[(0, 2)]
+        i = model.states.index((0, 2))
         ((target, _, _, power_reward),) = csr_rows(model)[i]
         assert model.states[target] == (2, 0)
         expected = 2 * MICAZ.w_receive(2) + 2 * MICAZ.w_transmit()
@@ -189,7 +190,7 @@ class TestBuildDtmc:
     def test_skip_transition_power(self):
         p = params(n=2, t=2, r=1, mu=0.0)
         model = build_dtmc(p)
-        i = model.index[(2, 0)]
+        i = model.states.index((2, 0))
         ((_, _, _, power_reward),) = csr_rows(model)[i]
         # both nodes idle through the single refractory step
         assert power_reward == pytest.approx(2 * MICAZ.w_idle(2))
@@ -224,6 +225,12 @@ class TestBuildDtmc:
         assert build_dtmc(params()) == build_dtmc(params())
         assert build_dtmc(params()) != build_dtmc(params(mu=0.3))
 
+    def test_equal_builds_hash_alike(self):
+        mode = RestabilisationSpec(1)
+        a, b = build_dtmc(params(), MICAZ, mode), build_dtmc(params(), MICAZ, mode)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, build_dtmc(params())}) == 2
+
     def test_state_space_cap(self):
         with pytest.raises(StateSpaceLimitExceeded):
             build_dtmc(params(n=6, t=6, r=1), max_states=10)
@@ -236,7 +243,7 @@ class TestBuildDtmc:
     def test_indexing_is_lexicographic(self):
         model = build_dtmc(params(n=3, t=3, r=1))
         assert list(model.states) == sorted(model.states)
-        assert all(model.index[s] == i for i, s in enumerate(model.states))
+        assert all(model.states.index(s) == i for i, s in enumerate(model.states))
 
     @given(
         st.integers(min_value=1, max_value=4),
@@ -308,7 +315,7 @@ def assert_same_as_reference_build(p, mode="full"):
         assert got.dtype == want.dtype and repr(got.tolist()) == repr(want.tolist()), attr
     for kind in ("time", "power"):
         assert repr(model.rewards[kind].tolist()) == repr(rewards[kind].tolist()), kind
-    assert repr(model.initial) == repr(initial)
+    assert repr(model.initial.tolist()) == repr([initial[i] for i in range(len(states))])
 
 
 class TestArrayBuild:
@@ -334,8 +341,16 @@ class TestArrayBuild:
             (params(n=25, t=45, r=2, epsilon=0.2), RestabilisationSpec(1)),
             # five absorbed groups, (N + 1)**7 >= 2**63: pair keys are Python ints
             (params(n=1000, t=6, r=1), RestabilisationSpec(5)),
+            # T**N on both sides of 2**53
+            (params(n=52, t=2, r=0), "full"),
+            (params(n=53, t=2, r=0), "full"),
+            (params(n=33, t=3, r=0), "full"),
+            (params(n=34, t=3, r=0), "full"),
         ],
-        ids=["n8t10", "n10t4", "restab35", "huge-gamma", "wide-binomials", "huge-keys"],
+        ids=[
+            "n8t10", "n10t4", "restab35", "huge-gamma", "wide-binomials", "huge-keys",
+            "n52t2", "n53t2", "n33t3", "n34t3",
+        ],
     )
     def test_matches_reference_build_explicit(self, p, mode):
         assert_same_as_reference_build(p, mode)
@@ -352,9 +367,10 @@ class TestArrayBuild:
     def test_index_finds_only_model_states(self):
         p = params(n=10, t=10, r=4)
         model = build_dtmc(p, MICAZ, RestabilisationSpec(1))
-        assert all(model.index[sigma] == i for i, sigma in enumerate(model.states))
+        assert all(model.states.index(sigma) == i for i, sigma in enumerate(model.states))
+        assert all(sigma in model.states for sigma in model.states)
         outside = min(set(enumerate_states(p)) - set(model.states))
         for sigma in (outside, (10,) * 10, (5, 5), (-1, 11, 0, 0, 0, 0, 0, 0, 0, 0)):
-            assert sigma not in model.index
-            with pytest.raises(KeyError):
-                model.index[sigma]
+            assert sigma not in model.states
+            with pytest.raises(ValueError):
+                model.states.index(sigma)
