@@ -125,11 +125,20 @@ class StateSpace(Sequence):
 
     def index(self, sigma: State) -> int:
         """The row of a state tuple, found by its rank; ``ValueError`` if it
-        is not a state of the space."""
-        a, p = np.asarray(sigma), self.p
-        if a.shape == (p.t,) and a.min() >= 0 and a.sum() == p.n:
-            i = int(self.rows(a))
-            if i < len(self) and np.array_equal(self.array[i], a):
+        is not a state of the space.  As for any ``Sequence``, a tuple that
+        compares equal to a state, such as ``(1.0, 1.0)`` for ``(1, 1)``,
+        finds that state's row."""
+        p = self.p
+        try:
+            counts = tuple(int(k) for k in sigma)
+        except (TypeError, ValueError, OverflowError):  # not a tuple of numbers
+            counts = None
+        if (
+            counts is not None and counts == tuple(sigma)
+            and len(counts) == p.t and min(counts) >= 0 and sum(counts) == p.n
+        ):
+            i = int(self.rows(np.array(counts)))
+            if i < len(self) and self[i] == counts:
                 return i
         raise ValueError(f"{sigma!r} is not a state of the space")
 

@@ -5,10 +5,16 @@ tuples, a transitions file with a ``<numStates> <numTransitions>`` header and
 one ``<src> <dst> <prob>`` line per transition, and one transition-rewards
 file per reward kind with ``<src> <dst> <reward>`` lines.  Probabilities and
 rewards are printed with 17 significant digits so re-parsing is lossless.
+
+Lines are formatted ``CHUNK`` at a time, so temporaries stay bounded however
+large the model is.  A model has few distinct probabilities and rewards, so
+each distinct value is formatted once and its string reused for every entry
+that holds it.
 """
 
 from __future__ import annotations
 
+import operator
 from pathlib import Path
 from typing import TextIO
 
@@ -16,60 +22,93 @@ import numpy as np
 
 from .dtmc import DtmcModel
 
+#: States or entries formatted per write.
+CHUNK = 4096
+
+
+def _create(path: str | Path) -> TextIO:
+    return open(path, "w", encoding="utf-8", newline="\n")
+
 
 def write_states(model: DtmcModel, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, sigma in enumerate(model.states):
-            fh.write(f"{i}:({','.join(str(k) for k in sigma)})\n")
+    counts = model.states.array
+    line = "%d:(" + ",".join(["%d"] * counts.shape[1]) + ")\n"
+    with _create(path) as fh:
+        for start in range(0, len(counts), CHUNK):
+            block = counts[start:start + CHUNK]
+            rows = np.column_stack((np.arange(start, start + len(block)), block))
+            fh.write(line * len(block) % tuple(rows.ravel().tolist()))
 
 
-def _write_entries(model: DtmcModel, fh: TextIO, values: np.ndarray) -> None:
-    """One ``<src> <dst> <value>`` line per transition, in CSR order."""
-    coo = model.transitions.tocoo()
-    for src, dst, v in zip(coo.row.tolist(), coo.col.tolist(), values.tolist()):
-        fh.write(f"{src} {dst} {v:.17g}\n")
+def _formatted(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Each distinct value (by bit pattern) as a ``.17g`` line ending, and
+    the position of every entry's string in that list."""
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    return [f"{v:.17g}\n" for v in bits.view(np.float64).tolist()], inverse
 
 
-def write_transitions(model: DtmcModel, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{model.n_states} {model.n_transitions}\n")
-        _write_entries(model, fh, model.transitions.data)
+def _write_entries(model: DtmcModel, outputs: list[tuple[TextIO, np.ndarray]]) -> None:
+    """One ``<src> <dst> <value>`` line per transition, in CSR order, to each
+    file with its own values; every chunk's ``<src> <dst> `` prefixes are
+    formatted once for all files."""
+    m = model.transitions
+    src = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    formatted = [(fh, *_formatted(values)) for fh, values in outputs]
+    for start in range(0, m.nnz, CHUNK):
+        end = min(start + CHUNK, m.nnz)
+        pairs = np.column_stack((src[start:end], m.indices[start:end]))
+        prefixes = ("%d %d \n" * (end - start) % tuple(pairs.ravel().tolist())).splitlines()
+        for fh, strings, inverse in formatted:
+            values = map(strings.__getitem__, inverse[start:end].tolist())
+            fh.write("".join(map(operator.add, prefixes, values)))
 
 
 def write_transition_rewards(model: DtmcModel, path: str | Path, reward_kind: str) -> None:
     if reward_kind not in model.rewards:
         raise ValueError(f"unknown reward kind {reward_kind!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_entries(model, fh, model.rewards[reward_kind])
+    with _create(path) as fh:
+        _write_entries(model, [(fh, model.rewards[reward_kind])])
 
 
 def export_model(model: DtmcModel, prefix: str | Path) -> dict[str, Path]:
-    """Write all four files with a common path prefix; returns their paths."""
+    """Write all four files, named ``<prefix>.sta``, ``.tra``, ``.time.trew``
+    and ``.power.trew`` (dots in the prefix are kept); returns their paths."""
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     paths = {
-        "states": prefix.with_suffix(".sta"),
-        "transitions": prefix.with_suffix(".tra"),
-        "time_rewards": prefix.with_suffix(".time.trew"),
-        "power_rewards": prefix.with_suffix(".power.trew"),
+        kind: prefix.parent / (prefix.name + suffix)
+        for kind, suffix in (
+            ("states", ".sta"),
+            ("transitions", ".tra"),
+            ("time_rewards", ".time.trew"),
+            ("power_rewards", ".power.trew"),
+        )
     }
     write_states(model, paths["states"])
-    write_transitions(model, paths["transitions"])
-    write_transition_rewards(model, paths["time_rewards"], "time")
-    write_transition_rewards(model, paths["power_rewards"], "power")
+    with _create(paths["transitions"]) as tra, _create(paths["time_rewards"]) as time_fh, \
+            _create(paths["power_rewards"]) as power_fh:
+        tra.write(f"{model.n_states} {model.n_transitions}\n")
+        _write_entries(model, [
+            (tra, model.transitions.data),
+            (time_fh, model.rewards["time"]),
+            (power_fh, model.rewards["power"]),
+        ])
     return paths
 
 
 def read_states(path: str | Path) -> list[tuple[int, ...]]:
     states = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             idx, counts = line.split(":", 1)
+            if int(idx) != len(states):
+                raise ValueError(
+                    f"{path}, line {lineno}: state index {idx}, expected {len(states)}"
+                )
             states.append(tuple(int(x) for x in counts.strip("()").split(",")))
-            assert int(idx) == len(states) - 1
     return states
 
 

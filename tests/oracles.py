@@ -6,13 +6,16 @@ the package under test.  ``reference_build`` is different: it is the
 one-state-at-a-time build that the array build replaced, with its float
 order, kept so that the array build can be compared with it bit for bit.
 ``natural_factor`` is likewise the single natural-order LU factor of a
-whole system that the level-by-level block factor replaced.
+whole system that the level-by-level block factor replaced, and
+``reference_export`` the line-at-a-time writer that the chunked exporter
+replaced.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -237,3 +240,28 @@ def natural_factor(a: sp.csr_matrix) -> list[tuple[np.ndarray, sp.csr_matrix, sp
     holding every unknown, I - a factored whole in natural order."""
     system = (sp.identity(a.shape[0], format="csr") - a).tocsc()
     return [(np.arange(a.shape[0]), a, spla.splu(system, permc_spec="NATURAL"))]
+
+
+def reference_export(model: DtmcModel, prefix: Path) -> dict[str, Path]:
+    """The exporter the chunked one replaced: one f-string and one write
+    per line, into the files ``export_model`` names."""
+    paths = {
+        "states": Path(f"{prefix}.sta"),
+        "transitions": Path(f"{prefix}.tra"),
+        "time_rewards": Path(f"{prefix}.time.trew"),
+        "power_rewards": Path(f"{prefix}.power.trew"),
+    }
+    with open(paths["states"], "w", encoding="utf-8", newline="\n") as fh:
+        for i, sigma in enumerate(model.states):
+            fh.write(f"{i}:({','.join(str(k) for k in sigma)})\n")
+    coo = model.transitions.tocoo()
+    for kind, values, header in (
+        ("transitions", model.transitions.data, f"{model.n_states} {model.n_transitions}\n"),
+        ("time_rewards", model.rewards["time"], ""),
+        ("power_rewards", model.rewards["power"], ""),
+    ):
+        with open(paths[kind], "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(header)
+            for src, dst, v in zip(coo.row.tolist(), coo.col.tolist(), values.tolist()):
+                fh.write(f"{src} {dst} {v:.17g}\n")
+    return paths

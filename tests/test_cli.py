@@ -315,6 +315,16 @@ class TestExport:
             got = (tmp_path / "model").with_suffix(suffix)
             assert got.read_bytes() == (golden_dir / f"n2t2mu0{suffix}").read_bytes()
 
+    def test_dots_in_prefix_kept(self, tmp_path):
+        for version in ("v1", "v2"):
+            assert main([
+                "export", "--n", "2", "--t", "2", "--r", "1", "--eps", "0.1",
+                "--mu", "0", "--out", str(tmp_path / f"run.{version}"),
+            ]) == 0
+        names = {f"run.{v}{suffix}" for v in ("v1", "v2")
+                 for suffix in (".sta", ".tra", ".time.trew", ".power.trew")}
+        assert {path.name for path in tmp_path.iterdir()} == names
+
     def test_multiple_tuples_rejected(self, tmp_path):
         code = main([
             "export", "--n", "2,3", "--t", "2", "--r", "1", "--eps", "0.1",

@@ -374,3 +374,15 @@ class TestArrayBuild:
             assert sigma not in model.states
             with pytest.raises(ValueError):
                 model.states.index(sigma)
+        # Sequence semantics: whatever compares equal to a state finds its row
+        i = len(model.states) // 2
+        for sigma in (tuple(map(float, model.states[i])), np.array(model.states[i])):
+            assert sigma in model.states
+            assert model.states.index(sigma) == i
+        small = build_dtmc(params(n=2, t=2, r=1), MICAZ)
+        assert (1.0, 1.0) in small.states
+        assert small.states.index((1.0, 1.0)) == small.states.index((1, 1))
+        for sigma in ((1.5, 0.5), ("a", "b"), ("1", "1"), (None, 2), (math.nan, 2), (math.inf, 1), 2):
+            assert sigma not in small.states
+            with pytest.raises(ValueError):
+                small.states.index(sigma)
