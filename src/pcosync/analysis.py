@@ -12,6 +12,7 @@ time, and solves each right-hand side once.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -326,6 +327,56 @@ class MonteCarloResult:
     seed: int
 
 
+def _group_masses(table: FiringTable, k: int) -> list[float] | np.ndarray:
+    """Failure-count masses of a group of k: the build's own, or, for a group
+    too large for the build, the same terms formed in log space from the
+    exact C(k, f), which the rounding of the logs leaves within a few 1e-13
+    relative (2.6e-13 at k = 1,600, mu = 0.2)."""
+    if k <= FiringTable.MAX_GROUP:
+        return table.masses(k)
+    masses = np.zeros(k + 1)
+    mu = table.mu
+    if mu in (0.0, 1.0):  # every broadcast succeeds, or every one fails
+        masses[k if mu else 0] = 1.0
+        return masses
+    log_mu, log_nu, comb = math.log(mu), math.log1p(-mu), 1
+    for f in range(k + 1):
+        masses[f] = math.exp(math.log(comb) + f * log_mu + (k - f) * log_nu)
+        comb = comb * (k - f) // (f + 1)
+    return masses
+
+
+class FailureDraw:
+    """Inverse-CDF draws of firing-group failure counts from the build's masses.
+
+    Row i stands for a group of ``sizes[i]``.  The cumulative masses P(F <= f)
+    of each distinct size are the running float sums of ``FiringTable.masses``
+    (log-space terms above ``FiringTable.MAX_GROUP``), and a uniform u draws
+    the number of them at or below u.  All sizes share one sorted table: the
+    g-th size (from 0) keeps its sums below one as thresholds 2g + P(F <= f),
+    and a row's key is 2g + u.  Keys and thresholds stay below 2G for G
+    distinct sizes, so rounding them lets a key meet a threshold at most one
+    ulp of 2G (2G * 2**-52) before u does, never after; each count's
+    probability is therefore within 2G * 2**-52 of the difference of the two
+    running sums around it.  A single size (G = 1, key u) is exact up to the
+    2**-53 grid of u.
+    """
+
+    def __init__(self, table: FiringTable, sizes: np.ndarray) -> None:
+        groups, group = np.unique(sizes, return_inverse=True)
+        # P(F <= f) for f < k; a sum that reaches one is never passed by u < 1
+        cdfs = [np.cumsum(_group_masses(table, k))[:-1] for k in groups.tolist()]
+        cdfs = [cdf[cdf < 1.0] for cdf in cdfs]
+        self.thresholds = np.concatenate([2.0 * g + cdf for g, cdf in enumerate(cdfs)])
+        counts = np.array([len(cdf) for cdf in cdfs])
+        self.key, self.first = 2.0 * group, (np.cumsum(counts) - counts)[group]
+
+    def failures(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The failure count of each of ``rows`` drawn with uniforms ``u`` in [0, 1)."""
+        # the method skips the dispatch of np.searchsorted, most of a small call's cost
+        return self.thresholds.searchsorted(self.key[rows] + u, side="right") - self.first[rows]
+
+
 def monte_carlo(
     p: ModelParams,
     profile: HardwareProfile = MICAZ,
@@ -339,8 +390,9 @@ def monte_carlo(
     """Estimate the average accumulated reward by simulating runs.
 
     All live runs take each step together.  In a firing state the failure
-    count of the firing group is drawn from the binomial distribution and
-    the successor is read from the model's ``FiringTable``; the failures of
+    count of the firing group is drawn by ``FailureDraw`` from one uniform
+    per run, so the sampler draws from the masses the build uses, and the
+    successor is read from the model's ``FiringTable``; the failures of
     absorbed groups change neither the successor nor the rewards.  Runs
     still short of the target after step_cap steps are censored at the
     accumulated value and counted.  One seed always gives the same result;
@@ -352,37 +404,52 @@ def monte_carlo(
     AnalysisQuery(lam, reward_kind)  # the same lambda and reward kind checks
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if step_cap < 0:
+        raise ValueError(f"step_cap must be at least 0, got {step_cap}")
     rng = np.random.default_rng(seed)
     support, weights = initial_weights(p, mode)
     space, table = StateSpace(p, support), FiringTable(p)
     k_t = support[:, -1].astype(np.int64)
-    # slot offset[i] + f: successor id (-1 until taken) and reward of state i
-    # when f broadcasts of its firing group fail; a non-firing state skips
+    draw = FailureDraw(table, k_t)
+    # slot offset[i] + f: successor id and reward of state i when f
+    # broadcasts of its firing group fail; a non-firing state skips.  An
+    # untaken slot leads to the extra row `untaken`, flagged like a target,
+    # so one flag lookup per step finds both the runs that stop and the
+    # slots still to work out.
     offset = np.cumsum(k_t + 1) - k_t - 1
-    succ = np.full(len(support) + k_t.sum(), -1)
+    untaken = len(support)
+    succ = np.full(untaken + k_t.sum(), untaken)
     reward = np.zeros(len(succ))
-    target = phase_coherences(support, p.t) >= lam
+    flag = np.append(phase_coherences(support, p.t) >= lam, True)
 
     totals = np.zeros(samples)
     cur = rng.choice(len(support), size=samples, p=weights)
-    runs = np.flatnonzero(~target[cur])
-    cur = cur[runs]
+    runs = np.flatnonzero(~flag[cur])
+    cur, acc = cur[runs], np.zeros(len(runs))  # acc: the live runs' rewards so far
     for _ in range(step_cap):
         if not runs.size:
             break
-        slots = offset[cur] + rng.binomial(k_t[cur], p.mu)
+        slots = offset[cur] + draw.failures(cur, rng.random(len(cur)))
         nxt = succ[slots]
-        if nxt.min() < 0:  # one reduction: few steps take a new slot
-            missing = np.unique(slots[nxt < 0])
+        stop = flag[nxt]
+        if not stop.any():
+            acc += reward[slots]
+            cur = nxt
+            continue
+        missing = np.unique(slots[nxt == untaken])
+        if missing.size:
             ids = np.searchsorted(offset, missing, side="right") - 1  # the slots' states
             successes = k_t[ids] - (missing - offset[ids])
             targets, time_r, power_r = step(support[ids], successes, table, p, profile)
             succ[missing] = space.rows(targets)
             reward[missing] = power_r if reward_kind == "power" else time_r
             nxt = succ[slots]
-        totals[runs] += reward[slots]
-        live = ~target[nxt]
-        runs, cur = runs[live], nxt[live]
+            stop = flag[nxt]
+        acc += reward[slots]
+        totals[runs[stop]] = acc[stop]
+        live = ~stop
+        runs, cur, acc = runs[live], nxt[live], acc[live]
+    totals[runs] = acc
 
     stderr = float(np.std(totals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return MonteCarloResult(

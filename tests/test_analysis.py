@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from oracles import csr_rows, natural_factor
 from pcosync import analysis
 from pcosync.analysis import (
     AnalysisQuery,
+    FailureDraw,
     SolverConfig,
     aggregate,
     expected_reward,
@@ -19,6 +22,7 @@ from pcosync.analysis import (
 )
 from pcosync.core import ModelParams, is_synchronised
 from pcosync.dtmc import MICAZ, RestabilisationSpec, build_dtmc
+from pcosync.dynamics import FiringTable
 
 
 def params(**kw):
@@ -506,6 +510,28 @@ class TestMonteCarlo:
         assert mc.max_observed <= per_start.max()
         assert any(math.isclose(mc.max_observed, v, rel_tol=1e-12) for v in per_start)
 
+    @pytest.mark.parametrize("kind", ["time", "power"])
+    def test_certain_failure_repeats_a_capped_path_sum(self, kind):
+        # with mu = 1 every run from one start takes the same path, so each
+        # run costs exactly the path sum of its start state over at most
+        # step_cap steps of the built chain; 2000 draws take every start
+        p = params(n=3, t=4, r=1, epsilon=0.5, mu=1.0)
+        model = build_dtmc(p)
+        targets, a = target_set(model, 1.0), model.transitions
+        assert np.all(np.diff(a.indptr) == 1) and np.all(a.data == 1.0)
+        per_start = []
+        for s in np.flatnonzero(model.initial).tolist():
+            total = 0.0
+            for _ in range(50):
+                if s in targets:
+                    break
+                total += model.rewards[kind][a.indptr[s]]
+                s = a.indices[a.indptr[s]]
+            per_start.append(total)
+        mc = monte_carlo(p, lam=1.0, reward_kind=kind, samples=2000, seed=0, step_cap=50)
+        assert mc.censored > 0
+        assert math.isclose(mc.max_observed, max(per_start), rel_tol=1e-12)
+
     def test_certain_failure_never_synchronises(self):
         # with mu = 1 no pulse arrives, the phase pattern only rotates, and
         # just the runs that start synchronised (weight 4/64) reach the target
@@ -524,3 +550,71 @@ class TestMonteCarlo:
     def test_rejects_unknown_reward_kind(self):
         with pytest.raises(ValueError):
             monte_carlo(params(), reward_kind="energy", samples=10)
+
+    def test_rejects_negative_step_cap(self):
+        p = params(n=3, t=4, r=1, epsilon=0.1, mu=0.2)
+        with pytest.raises(ValueError, match="step_cap must be at least 0, got -3"):
+            monte_carlo(p, samples=20, seed=1, step_cap=-3)
+
+
+class TestFailureDraw:
+    SIZES = [0, 1, 3, 8, 200, 1029]
+
+    @staticmethod
+    def cdf(table, k):
+        """P(F <= f) for f = 0..k-1, as the running sum of the build's masses."""
+        return np.array(list(accumulate(table.masses(k)))[:-1])
+
+    @pytest.mark.parametrize("mu", [0.0, 0.2, 1.0])
+    def test_uniforms_around_each_threshold(self, mu):
+        # one table for all sizes, as the sampler shares it; its stated error
+        # is 2G * 2**-52 for G sizes, so uniforms that far off a threshold
+        # fall on the side they are on
+        table = FiringTable(params(n=1029, t=4, r=1, mu=mu))
+        draw = FailureDraw(table, np.array(self.SIZES))
+        delta = 2 * len(self.SIZES) * 2.0**-52
+        for row, k in enumerate(self.SIZES):
+            cdf = self.cdf(table, k)
+            below, above = np.r_[0.0, cdf], np.r_[cdf, 1.0]  # P(F < f), P(F <= f)
+            nxt = np.minimum(above[1:], 1.0)
+            f = np.flatnonzero((above[:-1] - delta > below[:-1]) & (above[:-1] + delta < nxt))
+            rows = np.full(len(f), row)
+            assert np.array_equal(draw.failures(rows, above[f] - delta), f)
+            assert np.array_equal(draw.failures(rows, above[f] + delta), f + 1)
+            if mu == 0.2 and k >= 3:
+                assert len(f) >= 3  # the check is not vacuous
+
+    @pytest.mark.parametrize("mu", [0.0, 0.2, 1.0])
+    def test_single_size_is_exact(self, mu):
+        # alone in its table a size keeps keys and thresholds exact: the
+        # largest uniform below a threshold gives f, the threshold f + 1
+        table = FiringTable(params(n=1029, t=4, r=1, mu=mu))
+        for k in self.SIZES:
+            cdf = self.cdf(table, k)
+            f = np.flatnonzero((np.diff(np.r_[0.0, cdf]) > 0) & (cdf < 1.0))
+            f = f[np.r_[cdf, 1.0][f + 1] > cdf[f]]
+            rows = np.zeros(len(f), np.int64)
+            draw = FailureDraw(table, np.array([k]))
+            assert np.array_equal(draw.failures(rows, np.nextafter(cdf[f], 0.0)), f)
+            assert np.array_equal(draw.failures(rows, cdf[f]), f + 1)
+
+    @pytest.mark.parametrize("mu", [0.0, 1.0])
+    def test_certain_outcomes(self, mu):
+        sizes = np.array([*self.SIZES, 1600])
+        draw = FailureDraw(FiringTable(params(n=1600, t=4, r=1, mu=mu)), sizes)
+        u = np.r_[0.0, np.random.default_rng(0).random(50), np.nextafter(1.0, 0.0)]
+        for row, k in enumerate(sizes):
+            assert np.all(draw.failures(np.full(len(u), row), u) == (k if mu else 0))
+
+    def test_group_beyond_the_build_limit_matches_the_exact_law(self):
+        k, mu = 1600, 0.2
+        assert k > FiringTable.MAX_GROUP
+        table = FiringTable(params(n=k, t=4, r=1, mu=mu))
+        draw = FailureDraw(table, np.array([k]))
+        # P(F <= f) = sum_j C(k, j) a**j b**(k - j) / d**k for mu = a / d, b = d - a
+        a, d = Fraction(mu).as_integer_ratio()
+        terms = [math.comb(k, j) * a**j * (d - a) ** (k - j) for j in range(401)]
+        for f in [250, 300, 320, 340, 400]:
+            exact = float(Fraction(sum(terms[: f + 1]), d**k))
+            rows = np.zeros(2, np.int64)
+            assert list(draw.failures(rows, np.array([exact - 1e-12, exact + 1e-12]))) == [f, f + 1]

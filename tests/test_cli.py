@@ -409,6 +409,17 @@ class TestSimulate:
         assert rows == [] and status == "# status: error: samples must be at least 1, got 0"
         assert capsys.readouterr().err == "error: samples must be at least 1, got 0\n"
 
+    def test_group_beyond_the_build_limit(self, tmp_path):
+        # with --u 1 every state has a group of 1,599 or more, above FiringTable.MAX_GROUP
+        out = tmp_path / "o.csv"
+        assert main([
+            "simulate", "--n", "1600", "--t", "10", "--r", "4", "--eps", "0.1", "--mu", "0.2",
+            "--u", "1", "--samples", "200", "--seed", "7", "--output", str(out),
+        ]) == 0
+        (row,), status = read_csv(out)
+        assert status == "# status: ok"
+        assert dict(zip(CSV_COLUMNS, row))["reach_probability"] == "1"
+
     def test_min_aggregate_leaves_error_status(self, tmp_path):
         out = tmp_path / "o.csv"
         assert main([
