@@ -123,23 +123,26 @@ def _factor(a: sp.csr_matrix) -> list[tuple[np.ndarray, sp.csr_matrix, spla.Supe
 
     n_scc, label = connected_components(a, directed=True, connection="strong")
     src, dst = np.repeat(label, np.diff(a.indptr)), label[a.indices]
-    into = sp.csc_matrix((src != dst, (src, dst)), shape=(n_scc, n_scc))  # column j: SCCs into j
-    into.eliminate_zeros()
-    out = np.bincount(into.indices, minlength=n_scc)
-    level, frontier, depth = np.full(n_scc, -1), np.flatnonzero(out == 0), 0
-    while frontier.size:  # the SCCs whose edges all lead to lower levels
+    src, dst = src[src != dst], dst[src != dst]  # the edges between SCCs
+    out = np.bincount(src, minlength=n_scc)
+    level, frontier, depth = np.full(n_scc, -1), out == 0, 0
+    while frontier.any():  # the SCCs whose edges all lead to lower levels
         level[frontier], depth = depth, depth + 1
-        out -= np.bincount(into[:, frontier].indices, minlength=n_scc)
-        frontier = np.flatnonzero((out == 0) & (level < 0))
+        out -= np.bincount(src[frontier[dst]], minlength=n_scc)
+        frontier = (out == 0) & (level < 0)
+    # the unknowns by level, in lexicographic order within one; permuted
+    # once, a level's rows and diagonal block are contiguous
+    order = np.argsort(level[label], kind="stable")
+    bounds = np.r_[0, np.cumsum(np.bincount(level[label]))].tolist()
+    rows = a[order]
+    system = (sp.identity(len(order), format="csr") - rows[:, order]).tocsc()
     blocks = []
-    for l in range(depth):
-        idx = np.flatnonzero(level[label] == l)
-        rows = a[idx]
-        block = (sp.identity(len(idx), format="csr") - rows[:, idx]).tocsc()
+    for l, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         try:
-            blocks.append((idx, rows, spla.splu(block, permc_spec="NATURAL")))
+            lu = spla.splu(system[lo:hi, lo:hi], permc_spec="NATURAL")
         except RuntimeError as exc:  # a float cycle of probability one
-            raise SolverError(f"level {l} of the block factor ({len(idx)} unknowns): {exc}") from None
+            raise SolverError(f"level {l} of the block factor ({hi - lo} unknowns): {exc}") from None
+        blocks.append((order[lo:hi], rows[lo:hi], lu))
     return blocks
 
 

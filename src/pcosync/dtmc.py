@@ -298,8 +298,9 @@ def step(
     """Successor, time reward and power reward of each row of ``states``: a
     firing row steps with ``successes`` successful broadcasts of its firing
     group, any other row skips to the next firing state."""
-    fire = states[:, -1] > 0
-    targets = np.where(fire[:, None], table.successors(states, successes), skip_targets(states)[0])
+    targets = table.successors(states, successes)
+    idle = states[:, -1] == 0
+    targets[idle] = skip_targets(states[idle])
     return (targets, *step_rewards(states, targets, p, profile))
 
 
@@ -308,10 +309,13 @@ def step_rewards(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Time and power reward of the step from each row of ``states`` to the
     same row of ``targets``: one firing step, or the skip of a non-firing row."""
-    fire = states[:, -1] > 0
-    fire_power = state_power(states, p, profile) + targets[:, 0] * profile.w_transmit()
-    power = np.where(fire, fire_power, skip_power(states, p, profile))
-    return np.where(fire, 1.0 / p.t, skip_targets(states)[1] / p.t), power
+    idle = states[:, -1] == 0
+    time_r = np.full(len(states), 1.0 / p.t)
+    power = state_power(states, p, profile) + targets[:, 0] * profile.w_transmit()
+    # a skip moves every group up by its length, the lowest occupied phase too
+    time_r[idle] = (np.argmax(targets[idle] > 0, axis=1) - np.argmax(states[idle] > 0, axis=1)) / p.t
+    power[idle] = skip_power(states[idle], p, profile)
+    return time_r, power
 
 
 def build_dtmc(

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 from typing import Callable
 
 import numpy as np
@@ -76,11 +74,11 @@ def skip_successor(sigma: State) -> tuple[State, int]:
     return tuple(new), shift
 
 
-def skip_targets(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``skip_successor`` of each row of a count array; T - delta is 0 in a firing row."""
+def skip_targets(states: np.ndarray) -> np.ndarray:
+    """``skip_successor`` of each row of a count array; a firing row stays."""
     t = states.shape[1]
     shift = np.argmax(states[:, ::-1] > 0, axis=1)
-    return np.take_along_axis(states, (np.arange(t) - shift[:, None]) % t, 1), shift
+    return np.take_along_axis(states, (np.arange(t) - shift[:, None]) % t, 1)
 
 
 def chain_updates(successes: int, p: ModelParams) -> tuple[list[bool], list[int]]:
@@ -255,16 +253,33 @@ class FiringTable:
             self._masses[k] = [math.comb(k, f) * mu**f * (1.0 - mu) ** (k - f) for f in range(k + 1)]
         return self._masses[k]
 
-    def terms(self, sizes: list[int], k_t: int, f_t: int) -> list[float]:
-        """The failure-pattern products of a (state, f_T) pair that are not
-        exactly 0.0, in enumeration order (the highest absorbed phase
-        outermost): each runs over the absorbed group sizes in phase order,
-        zeros skipped, with the firing group's mass last."""
-        m_t = self.masses(k_t)[f_t]
-        products = [1.0]
-        for k in filter(None, sizes):
-            products = [q * m for m in self.masses(k) for q in products]
-        return [prob for q in products if (prob := q * m_t)]
+    def products(
+        self, absorbed: np.ndarray, k_t: np.ndarray, f_t: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero failure-pattern products of each key, as segments of
+        one flat array in key order, and each segment's start and length.
+        Key i runs over the failure counts of its absorbed group sizes
+        ``absorbed[i]`` (0 for none: radix 1, mass 1.0) by mixed radix,
+        lowest phase fastest, as ``successor_distribution`` enumerates them;
+        each product is ((1.0 * m_1) * m_2) * ... * m_T, with the mass of
+        ``f_t[i]`` failures in the firing group of ``k_t[i]`` last."""
+        sizes = np.unique(np.r_[absorbed.ravel(), k_t])
+        mass = np.concatenate([self.masses(k) for k in sizes.tolist()])
+        first = np.zeros(sizes[-1] + 1, np.int64)  # masses(k) starts at mass[first[k]]
+        first[sizes] = np.cumsum(sizes + 1) - sizes - 1
+        radix = absorbed.astype(np.int64) + 1
+        count = radix.prod(axis=1)
+        key = np.repeat(np.arange(len(count)), count)
+        place = _ranges(0, count)
+        products = np.ones(len(key))
+        for i in range(radix.shape[1]):
+            digit = radix[key, i]
+            products *= mass[first[digit - 1] + place % digit]
+            place //= digit
+        products *= mass[first[k_t] + f_t][key]
+        nonzero = products != 0.0
+        count = np.bincount(key[nonzero], minlength=len(count))
+        return products[nonzero], np.cumsum(count) - count, count
 
     def branches(
         self, states: np.ndarray, rank: Callable[[np.ndarray], np.ndarray]
@@ -275,41 +290,79 @@ class FiringTable:
         order and each row's targets by ascending rank.  A non-firing row
         (k_T = 0) gets its one branch, the skip, of probability 1.0.
 
-        A row's probability for a target sums the ``terms`` of its (row,
-        f_T) pairs in f_T order, starting at 0.0; a target that no term
-        reaches is left out.  The sum over a target's lowest f_T depends
-        only on the pair's key (the absorbed group sizes in phase order,
-        k_T and f_T), so it is taken once per key; only pairs that continue
-        a lower f_T's running sum are added up one by one.
+        A row's probability for a target is the left fold, from 0.0, of the
+        ``products`` of its (row, f_T) pairs in f_T order; a target that none
+        reaches is left out.  The products depend only on the pair's key
+        (the absorbed sizes, k_T and f_T), so ``fold_segments`` sums them
+        once per key, and a target's sum is its first pair's key sum folded
+        on through the products of the pairs that continue it.  The target
+        depends on the success count only through its ``dest`` row, so the
+        successor is formed once per run of a row's pairs that share one.
         """
         base = len(self.chain)
         k_t = states[:, -1].astype(np.int64)
         row = np.repeat(np.arange(len(states)), k_t + 1)
-        f_t = np.arange(len(row)) - np.repeat(np.cumsum(k_t + 1) - k_t - 1, k_t + 1)
+        f_t = _ranges(0, k_t + 1)
         successes = k_t[row] - f_t
+        # a run: consecutive pairs of a row whose success counts share a dest
+        # row, and so the absorbed groups and the target
+        dest_of = np.r_[0, np.cumsum(np.any(self.dest[1:] != self.dest[:-1], axis=1))]
+        lead = np.r_[True, (row[1:] != row[:-1]) | (dest_of[successes[1:]] != dest_of[successes[:-1]])]
+        run, run_of = np.flatnonzero(lead), np.cumsum(lead) - 1
+        absorbed = states[row[run], :-1] * self.fired[successes[run], :-1]
         # the key as base N + 1 digits: the nonzero absorbed sizes, k_T, f_T
         digits = int(np.count_nonzero(states[:, :-1], axis=1).max(initial=0)) + 2
-        key = np.zeros(len(row), np.int64 if base**digits < 2**63 else object)
-        for i in range(states.shape[1] - 1):
-            size = np.where(self.fired[successes, i], states[row, i], 0)
+        key = np.zeros(len(run), np.int64 if base**digits < 2**63 else object)
+        for size in absorbed.T:
             key = np.where(size > 0, key * base + size, key)
-        _, pair, key_of = np.unique(
-            (key * base + k_t[row]) * base + f_t, return_index=True, return_inverse=True
-        )
-        # per key, from one of its pairs; Python ints, as the reference uses
-        absorbed = states[row[pair], :-1] * self.fired[successes[pair], :-1]
-        terms = list(map(self.terms, absorbed.tolist(), k_t[row[pair]].tolist(), f_t[pair].tolist()))
-        sums = np.array([reduce(add, x, 0.0) for x in terms])[key_of]
-        keep = np.flatnonzero(sums)
-        row, successes, key_of, sums = row[keep], successes[keep], key_of[keep], sums[keep]
-        targets, idle = self.successors(states[row], successes), k_t[row] == 0
-        targets[idle] = skip_targets(states[row[idle]])[0]  # the skip of a non-firing row
+        key = (key * base + k_t[row[run]])[run_of] * base + f_t
+        _, pair, key_of = np.unique(key, return_index=True, return_inverse=True)
+        terms, start, count = self.products(absorbed[run_of[pair]], k_t[row[pair]], f_t[pair])
+        sums = fold_segments(terms, start, count, np.zeros(len(count)))
+        # a pair without a nonzero product reaches no target
+        keep = np.flatnonzero(count[key_of])
+        row, successes, key_of, run_of = row[keep], successes[keep], key_of[keep], run_of[keep]
+        # one successor per run that keeps a pair
+        lead = np.r_[True, run_of[1:] != run_of[:-1]]
+        run, run_of = np.flatnonzero(lead), np.cumsum(lead) - 1
+        targets = self.successors(states[row[run]], successes[run])
+        idle = np.flatnonzero(k_t[row[run]] == 0)
+        targets[idle] = skip_targets(states[row[run[idle]]])  # the skip of a non-firing row
         ranks = rank(targets)
-        order = np.lexsort((ranks, row))  # stable: f_T ascends within a target
-        row, key_of, ranks = row[order], key_of[order], ranks[order]
-        probs = sums[order].tolist()
-        new = np.r_[True, (row[1:] != row[:-1]) | (ranks[1:] != ranks[:-1])]
-        for j in np.flatnonzero(~new).tolist():
-            probs[j] = reduce(add, terms[key_of[j]], probs[j - 1])
+        order = np.lexsort((ranks[run_of], row))  # stable: f_T ascends within a target
+        row, key_of, run_of = row[order], key_of[order], run_of[order]
+        new = np.r_[True, (row[1:] != row[:-1]) | (ranks[run_of[1:]] != ranks[run_of[:-1]])]
+        probs = sums[key_of[new]]  # the key sum of a branch's first pair
+        # then the products of the pairs that continue the sum, in order
+        cont = np.flatnonzero(~new)
+        length = count[key_of[cont]]
+        branch = np.cumsum(new)[cont] - 1
+        end = np.flatnonzero(np.diff(branch, append=-1))  # a branch's last continuing pair
+        span = np.diff(np.cumsum(length)[end], prepend=0)
+        gather = _ranges(start[key_of[cont]], length)
+        probs[branch[end]] = fold_segments(terms[gather], np.cumsum(span) - span, span, probs[branch[end]])
         last = np.r_[new[1:], True]
-        return row[last], np.array(probs)[last], ranks[last], targets[order[last]]
+        return row[last], probs, ranks[run_of[last]], targets[run_of[last]]
+
+
+def _ranges(start: np.ndarray | int, length: np.ndarray) -> np.ndarray:
+    """The ranges start[i], ..., start[i] + length[i] - 1, one after another."""
+    return np.repeat(start - np.cumsum(length) + length, length) + np.arange(length.sum())
+
+
+def fold_segments(
+    values: np.ndarray, start: np.ndarray, length: np.ndarray, acc: np.ndarray
+) -> np.ndarray:
+    """``acc[i] + values[start[i]] + ... + values[start[i] + length[i] - 1]``
+    for every segment i, each added left to right as ``functools.reduce``
+    adds: step j adds the j-th value of every segment longer than j, with
+    the segments sorted by length so that those come first.  ``np.sum``
+    and ``np.add.reduceat`` add pairwise, which rounds differently."""
+    order = np.argsort(-length, kind="stable")
+    start, acc = start[order], acc[order]
+    longer = np.searchsorted(-length[order], -np.arange(length.max(initial=0)))
+    for j, a in enumerate(longer.tolist()):  # a: the segments longer than j
+        acc[:a] += values[start[:a] + j]
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out

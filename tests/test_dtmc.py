@@ -346,10 +346,18 @@ class TestArrayBuild:
             (params(n=53, t=2, r=0), "full"),
             (params(n=33, t=3, r=0), "full"),
             (params(n=34, t=3, r=0), "full"),
+            # k_T up to 200: the longest key sums 396 products, the longest
+            # continuation of a branch 1,544 more
+            (params(n=200, t=10, r=4), RestabilisationSpec(3)),
+            # every broadcast succeeds, or every one fails: most products are 0.0
+            (params(n=6, t=8, r=2, mu=0.0), "full"),
+            (params(n=6, t=8, r=2, mu=1.0), "full"),
+            # a lone oscillator, so no group is ever absorbed
+            (params(n=1, t=10, r=2), "full"),
         ],
         ids=[
             "n8t10", "n10t4", "restab35", "huge-gamma", "wide-binomials", "huge-keys",
-            "n52t2", "n53t2", "n33t3", "n34t3",
+            "n52t2", "n53t2", "n33t3", "n34t3", "restab200", "mu0", "mu1", "n1",
         ],
     )
     def test_matches_reference_build_explicit(self, p, mode):

@@ -1,4 +1,6 @@
 import itertools
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from pcosync.dynamics import (
     enumerate_failure_vectors,
     failure_probability,
     firing_successor,
+    fold_segments,
     resolve_chain,
     skip_successor,
     successor_distribution,
@@ -217,6 +220,28 @@ class TestFailureProbability:
         assert failure_probability(sigma, (None, None, 1), 0.2) == pytest.approx(
             3 * 0.2 * 0.8**2
         )
+
+
+class TestFoldSegments:
+    def test_left_fold_of_ragged_segments(self):
+        rng = np.random.default_rng(3)
+        # a left fold of the first gives 1.0; np.sum and np.add.reduceat,
+        # which add pairwise, give 1.0000000000000018
+        segments = [
+            [1.0] + [2.0**-53] * 16, [], [0.1] * 7, rng.random(40).tolist(), [],
+            (rng.random(3) * 1e-10).tolist(), [5.0], rng.random(17).tolist(),
+        ]
+        acc = [0.0, *rng.random(len(segments) - 1).tolist()]
+        # laid out in another order than the segments'
+        layout = rng.permutation(len(segments))
+        values = np.array([v for i in layout for v in segments[i]])
+        length = np.array([len(seg) for seg in segments])
+        start = np.empty_like(length)
+        start[layout] = np.cumsum(length[layout]) - length[layout]
+        got = fold_segments(values, start, length, np.array(acc))
+        want = [reduce(add, seg, a) for seg, a in zip(segments, acc)]
+        assert repr(got.tolist()) == repr(want)
+        assert got[0] == 1.0
 
 
 class TestFiringTableMasses:
