@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,11 +22,13 @@ import scipy.sparse.linalg as spla
 
 from .core import ModelParams, validate_params
 from .dtmc import DtmcModel, HardwareProfile, InitialMode, MICAZ, StateSpace, initial_weights, step
-from .dynamics import FiringTable
+from .dynamics import FiringTable, _ranges
 from .metrics import phase_coherences
 
 #: Value iteration gives up after this many sweeps.
 MAX_ITERATIONS = 1_000_000
+#: Monte Carlo runs still short of the target after this many steps are censored.
+STEP_CAP = 10_000
 
 
 class SolverError(RuntimeError):
@@ -328,6 +330,8 @@ class MonteCarloResult:
     samples: int
     censored: int
     seed: int
+    #: the censored runs were shown never to reach the target; not compared
+    trapped: bool = field(default=False, compare=False)
 
 
 def _group_masses(table: FiringTable, k: int) -> list[float] | np.ndarray:
@@ -362,7 +366,7 @@ class FailureDraw:
     ulp of 2G (2G * 2**-52) before u does, never after; each count's
     probability is therefore within 2G * 2**-52 of the difference of the two
     running sums around it.  A single size (G = 1, key u) is exact up to the
-    2**-53 grid of u.
+    2**-53 grid of u.  A last threshold of inf bounds the last size's counts.
     """
 
     def __init__(self, table: FiringTable, sizes: np.ndarray) -> None:
@@ -370,7 +374,7 @@ class FailureDraw:
         # P(F <= f) for f < k; a sum that reaches one is never passed by u < 1
         cdfs = [np.cumsum(_group_masses(table, k))[:-1] for k in groups.tolist()]
         cdfs = [cdf[cdf < 1.0] for cdf in cdfs]
-        self.thresholds = np.concatenate([2.0 * g + cdf for g, cdf in enumerate(cdfs)])
+        self.thresholds = np.concatenate([2.0 * g + cdf for g, cdf in enumerate(cdfs)] + [[np.inf]])
         counts = np.array([len(cdf) for cdf in cdfs])
         self.key, self.first = 2.0 * group, (np.cumsum(counts) - counts)[group]
 
@@ -378,6 +382,32 @@ class FailureDraw:
         """The failure count of each of ``rows`` drawn with uniforms ``u`` in [0, 1)."""
         # the method skips the dispatch of np.searchsorted, most of a small call's cost
         return self.thresholds.searchsorted(self.key[rows] + u, side="right") - self.first[rows]
+
+    def drawable(self, rows: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """Whether the draw can give each of ``rows`` the count f: whether a
+        key of the row (2g to 2g + 1 for its g-th size) can lie at or above
+        its threshold f - 1 (2g for f = 0) and below its threshold f."""
+        t, i = self.thresholds, self.first[rows] + f
+        low = np.where(f > 0, t[np.minimum(i, len(t)) - 1], self.key[rows])
+        return (low < t[np.minimum(i, len(t) - 1)]) & (low <= self.key[rows] + 1.0)
+
+
+def _closed_set(states: np.ndarray, flag: np.ndarray, outcomes) -> tuple | None:
+    """Where ``states``, none a target, stand among the states they lead to,
+    with each one's successor (as a position) and reward, if no target is
+    among them and each of them has one outcome; None otherwise.
+    ``outcomes(states)`` gives the state, successor and reward of each step
+    the given states can take, grouped by state in order."""
+    layer, found = np.unique(states), []
+    while layer.size:  # the states first reached
+        owner, nxt, r = outcomes(layer)
+        same = owner[1:] == owner[:-1]
+        if flag[nxt].any() or np.any(same & ((nxt[1:] != nxt[:-1]) | (r[1:] != r[:-1]))):
+            return None
+        found.append(np.column_stack((owner, nxt, r))[np.r_[True, ~same]])
+        layer = np.setdiff1d(nxt, np.concatenate(found)[:, 0])
+    ids, nxt, r = np.unique(np.concatenate(found), axis=0).T  # one row per state
+    return np.searchsorted(ids, states), np.searchsorted(ids, nxt), r
 
 
 def monte_carlo(
@@ -388,7 +418,7 @@ def monte_carlo(
     reward_kind: str = "time",
     samples: int = 10_000,
     seed: int = 0,
-    step_cap: int = 10_000,
+    step_cap: int = STEP_CAP,
 ) -> MonteCarloResult:
     """Estimate the average accumulated reward by simulating runs.
 
@@ -402,6 +432,14 @@ def monte_carlo(
     the draws are taken in step order across the runs.  A state's id is its
     row in the rank-ordered initial support, as in ``build_dtmc``, and the
     tables are sized by that support.
+
+    After 2**i steps, if none since step 2**(i-1) stopped a run or took a
+    new slot, ``_closed_set`` looks for a closed set without targets that
+    holds the live runs and in which every slot the draw can take of a
+    state has one successor and reward.  Then no run ever stops, and the
+    remaining steps' rewards are added left to right as stepping adds them,
+    so per seed the result is the same; ``trapped`` is set.  A state with
+    two outcomes keeps the runs stepping.
     """
     validate_params(p)
     AnalysisQuery(lam, reward_kind)  # the same lambda and reward kind checks
@@ -425,13 +463,36 @@ def monte_carlo(
     reward = np.zeros(len(succ))
     flag = np.append(phase_coherences(support, p.t) >= lam, True)
 
+    def fill(slots):  # the slots' successors and rewards, the untaken ones worked out
+        missing = np.unique(slots[succ[slots] == untaken])
+        if missing.size:
+            ids = np.searchsorted(offset, missing, side="right") - 1  # the slots' states
+            successes = k_t[ids] - (missing - offset[ids])
+            targets, time_r, power_r = step(support[ids], successes, table, p, profile)
+            succ[missing] = space.rows(targets)
+            reward[missing] = power_r if reward_kind == "power" else time_r
+        return succ[slots], reward[slots]
+
+    def outcomes(states):  # the state, successor and reward of each slot the draw can take
+        owner, f = np.repeat(states, k_t[states] + 1), _ranges(0, k_t[states] + 1)
+        drawn = draw.drawable(owner, f)
+        return (owner[drawn], *fill(offset[owner[drawn]] + f[drawn]))
+
     totals = np.zeros(samples)
     cur = rng.choice(len(support), size=samples, p=weights)
     runs = np.flatnonzero(~flag[cur])
     cur, acc = cur[runs], np.zeros(len(runs))  # acc: the live runs' rewards so far
-    for _ in range(step_cap):
+    last_new, closed = -1, None  # the last step (from 0) that stopped a run or took a new slot
+    for j in range(step_cap):
         if not runs.size:
             break
+        if j and not j & (j - 1) and last_new < j // 2:
+            if (closed := _closed_set(cur, flag, outcomes)) is not None:
+                here, nxt, r = closed
+                for _ in range(step_cap - j):
+                    acc += r[here]
+                    here = nxt[here]
+                break
         slots = offset[cur] + draw.failures(cur, rng.random(len(cur)))
         nxt = succ[slots]
         stop = flag[nxt]
@@ -439,16 +500,9 @@ def monte_carlo(
             acc += reward[slots]
             cur = nxt
             continue
-        missing = np.unique(slots[nxt == untaken])
-        if missing.size:
-            ids = np.searchsorted(offset, missing, side="right") - 1  # the slots' states
-            successes = k_t[ids] - (missing - offset[ids])
-            targets, time_r, power_r = step(support[ids], successes, table, p, profile)
-            succ[missing] = space.rows(targets)
-            reward[missing] = power_r if reward_kind == "power" else time_r
-            nxt = succ[slots]
-            stop = flag[nxt]
-        acc += reward[slots]
+        nxt, r = fill(slots)
+        stop, last_new = flag[nxt], j
+        acc += r
         totals[runs[stop]] = acc[stop]
         live = ~stop
         runs, cur, acc = runs[live], nxt[live], acc[live]
@@ -462,4 +516,5 @@ def monte_carlo(
         samples=samples,
         censored=int(runs.size),
         seed=seed,
+        trapped=closed is not None,
     )

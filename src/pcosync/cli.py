@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .analysis import (
+    STEP_CAP,
     AnalysisQuery,
     SolverConfig,
     SolverError,
@@ -50,7 +51,8 @@ PROFILE_DIR_ENV = "PCOSYNC_PROFILE_DIR"
 
 
 def parse_range(text: str, cast=float) -> list:
-    """Parse '3', '1,2,3' or an inclusive 'start:step:stop' range."""
+    """Parse '3', '1,2,3' or an inclusive 'start:step:stop' range; text that
+    gives no value, such as a descending range or a lone comma, is an error."""
     text = text.strip()
     if ":" in text:
         start_s, step_s, stop_s = text.split(":")
@@ -63,8 +65,11 @@ def parse_range(text: str, cast=float) -> list:
         while v <= stop + (step * 1e-9 if cast is float else 0):
             values.append(cast(round(v, 12)) if cast is float else v)
             v += step
-        return values
-    return [cast(part) for part in text.split(",") if part.strip()]
+    else:
+        values = [cast(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise ValueError(f"no value in {text!r}")
+    return values
 
 
 def parse_queries(entries: Sequence[str]) -> list[tuple[str, str]]:
@@ -311,6 +316,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 params, profile, mode, lam=lam, reward_kind=metric, samples=samples, seed=seed,
             )
             wall_ms = (time.perf_counter() - start) * 1000.0
+            if result.censored:
+                never = "; they never reach the target" if result.trapped else ""
+                note = f"{result.censored} of {samples} runs censored at step_cap {STEP_CAP}{never}"
+                print(f"note: {note}", file=sys.stderr)
             value = result.mean if agg == "avg" else result.max_observed
             per_node = value / params.n * 1000.0 if metric == "power" else None
             yield value, per_node, 1.0 - result.censored / result.samples, "", "", wall_ms

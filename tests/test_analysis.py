@@ -542,6 +542,107 @@ class TestMonteCarlo:
         sigma = math.sqrt(weight * (1.0 - weight) / samples)
         assert abs(1.0 - mc.censored / samples - weight) <= 5.0 * sigma
 
+    @pytest.mark.parametrize("cap", [0, 1, 16, 17, 33, 10_000])
+    @pytest.mark.parametrize(
+        "p, kind",
+        [
+            (params(n=3, t=4, r=1, epsilon=0.1, mu=0.2), "time"),
+            (params(n=3, t=4, r=1, epsilon=0.1, mu=0.2), "power"),
+            # the trapped runs outlive slow random ones
+            (params(n=3, t=4, r=1, epsilon=0.1, mu=0.9), "time"),
+            (params(n=5, t=8, r=3, epsilon=0.05, mu=0.2), "time"),
+            # every count but 0, or every count but k, has zero mass
+            (params(n=4, t=4, r=1, epsilon=0.1, mu=0.0), "power"),
+            (params(n=3, t=4, r=1, epsilon=0.5, mu=1.0), "time"),
+        ],
+        ids=["mu0.2-time", "mu0.2-power", "mu0.9", "n5t8", "mu0", "mu1"],
+    )
+    def test_closed_form_finish_equals_stepping(self, monkeypatch, p, kind, cap):
+        fast = monte_carlo(p, reward_kind=kind, samples=200, seed=3, step_cap=cap)
+        monkeypatch.setattr(analysis, "_closed_set", lambda *args: None)
+        stepped = monte_carlo(p, reward_kind=kind, samples=200, seed=3, step_cap=cap)
+        assert fast == stepped and not stepped.trapped
+        if cap == 10_000:  # the fast path was taken
+            assert fast.trapped and fast.censored > 0
+
+    def test_trapped_runs_finish_in_closed_form(self, monkeypatch):
+        # most runs rotate forever on a cycle where every failure count gives
+        # one successor and reward; the check runs O(log step_cap) times
+        p = params(n=3, t=4, r=1, epsilon=0.1, mu=0.2)
+        found, closed_set = [], analysis._closed_set
+
+        def spy(*args):
+            found.append(closed_set(*args))
+            return found[-1]
+
+        monkeypatch.setattr(analysis, "_closed_set", spy)
+        mc = monte_carlo(p, samples=50, seed=7)
+        assert mc.trapped and mc.censored > 0
+        assert 1 <= len(found) <= 14 and found[-1] is not None
+
+    @pytest.mark.parametrize(
+        "succ, reward, closed",
+        [
+            ([1, 2, 0], [1.0, 2.0, 3.0], True),  # a cycle
+            ([1, 2, 1, 3], [1.0, 2.0, 3.0, 4.0], True),  # a path into a cycle
+            ([1, 2, 3, 3], [1.0, 2.0, 3.0, 4.0], False),  # a path into the target 3
+            ([[1, 2], 0, 0], [1.0, 2.0, 3.0], False),  # state 0 has two successors
+            ([[1, 1], 0], [[1.0, 1.5], 2.0], False),  # and here two rewards
+            ([[1, 1], 0], [[1.0, 1.0], 2.0], True),  # two slots, one outcome
+        ],
+    )
+    def test_closed_set_of_a_small_chain(self, succ, reward, closed):
+        # state s has a slot per entry of succ[s] and reward[s]; 3 is the target
+        slots = [np.broadcast_arrays(s, n, r) for s, (n, r) in enumerate(zip(succ, reward))]
+
+        def outcomes(layer):
+            return tuple(np.concatenate([np.atleast_1d(slots[s][i]) for s in layer]) for i in range(3))
+
+        flag = np.arange(len(succ)) == 3
+        found = analysis._closed_set(np.array([0]), flag, outcomes)
+        assert (found is not None) == closed
+        if closed:  # the positions retrace the chain from state 0
+            (here,), nxt, r = found
+            state = 0
+            for _ in range(6):
+                assert r[here] == np.ravel(reward[state])[0]
+                here, state = nxt[here], np.ravel(succ[state])[0]
+
+    @pytest.mark.parametrize(
+        "p, trapped",
+        [
+            (params(n=4, t=3, r=1, epsilon=0.5, mu=0.0), False),  # a path into the target
+            (params(n=3, t=4, r=1, epsilon=0.5, mu=1.0), True),  # a rigid rotation
+        ],
+        ids=["mu0-into-target", "mu1-rotation"],
+    )
+    @pytest.mark.parametrize("kind", ["time", "power"])
+    def test_closed_set_on_the_built_chain(self, p, trapped, kind):
+        # the built chain is deterministic at mu = 0 and mu = 1; from its
+        # non-target starts the check follows its rows
+        model = build_dtmc(p)
+        a, flag = model.transitions, np.zeros(model.n_states, dtype=bool)
+        flag[list(target_set(model, 1.0))] = True
+        assert np.all(np.diff(a.indptr) == 1)
+
+        def outcomes(states):
+            return states, a.indices[states], model.rewards[kind][states]
+
+        starts = np.flatnonzero((model.initial > 0) & ~flag)
+        closed = analysis._closed_set(starts, flag, outcomes)
+        mc = monte_carlo(p, reward_kind=kind, samples=2000, seed=0, step_cap=50)
+        assert mc.trapped == trapped == (closed is not None)
+        if not trapped:
+            assert mc.censored == 0
+            return
+        here, nxt, r = closed
+        for start, h in zip(starts.tolist(), here.tolist()):
+            s, chain_sum, closed_sum = start, 0.0, 0.0
+            for _ in range(50):
+                chain_sum, s = chain_sum + model.rewards[kind][s], a.indices[s]
+                closed_sum, h = closed_sum + r[h], nxt[h]
+            assert chain_sum == closed_sum
+
     def test_zero_step_cap_accumulates_nothing(self):
         p = params(n=3, t=4, r=1, epsilon=0.1, mu=0.2)
         mc = monte_carlo(p, samples=200, seed=0, step_cap=0)
@@ -583,6 +684,20 @@ class TestFailureDraw:
             assert np.array_equal(draw.failures(rows, above[f] + delta), f + 1)
             if mu == 0.2 and k >= 3:
                 assert len(f) >= 3  # the check is not vacuous
+
+    @pytest.mark.parametrize("mu", [0.0, 0.2, 1.0])
+    def test_drawable_counts(self, mu):
+        # a count can be drawn iff the uniform at its lower end, P(F < f)
+        # (the largest uniform once that reaches one), draws it
+        table = FiringTable(params(n=1029, t=4, r=1, mu=mu))
+        draw = FailureDraw(table, np.array(self.SIZES))
+        for row, k in enumerate(self.SIZES):
+            f, rows = np.arange(k + 1), np.full(k + 1, row)
+            low = np.minimum(np.r_[0.0, self.cdf(table, k)], np.nextafter(1.0, 0.0))
+            drawable = draw.drawable(rows, f)
+            assert np.array_equal(drawable, draw.failures(rows, low) == f)
+            if mu in (0.0, 1.0):  # one count has all the mass
+                assert np.array_equal(drawable, f == (k if mu else 0))
 
     @pytest.mark.parametrize("mu", [0.0, 0.2, 1.0])
     def test_single_size_is_exact(self, mu):

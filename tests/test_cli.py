@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from pcosync import analysis
 from pcosync.analysis import AnalysisQuery, monte_carlo, solve_query
 from pcosync.core import ModelParams
 from pcosync.dtmc import MICAZ, RestabilisationSpec, build_dtmc
@@ -45,6 +46,13 @@ class TestParseRange:
         assert parse_range("0.1:0.1:1.0", float) == pytest.approx(
             [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
         )
+
+    @pytest.mark.parametrize("text, cast", [("3:1:2", int), ("1:0.1:0.5", float), (",", float),
+                                            (" , ", int)])
+    def test_text_without_values_is_an_error(self, text, cast):
+        # a descending range or a list of commas only gives no value
+        with pytest.raises(ValueError, match=f"no value in '{text.strip()}'"):
+            parse_range(text, cast)
 
     def test_bad_step(self):
         with pytest.raises(ValueError):
@@ -398,6 +406,42 @@ class TestSimulate:
                 "simulate", "--n", "2", "--t", "3", "--r", "1", "--eps", "0.5",
                 "--mu", "0.2", "--seed", "1", *flag, "--output", str(tmp_path / "o.csv"),
             ])
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--n", "3:1:2", "--t", "4", "--r", "1", "--eps", "0.1", "--mu", "0.2"],
+        ["simulate", "--n", "3", "--t", "4", "--r", "1", "--eps", "0.1", "--mu", "0.2",
+         "--seed", "1", "--lambda", "1:0.1:0.5"],
+        ["analyze", "--n", "3", "--t", "4", "--r", "1", "--eps", "0.1", "--mu", "0.2",
+         "--lambda", ","],
+    ], ids=["descending-n", "descending-lambda", "comma-lambda"])
+    def test_empty_sweep_range_fails(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.csv"
+        assert main([*argv, "--output", str(out)]) == 1
+        assert "no value in" in capsys.readouterr().err
+        assert "# status: ok" not in (out.read_text() if out.exists() else "")
+
+    def test_censored_runs_noted_on_stderr(self, tmp_path, capsys, monkeypatch):
+        # n=3, T=4, R=1, eps=0.1, mu=0.2: most runs rotate forever on a
+        # closed set that holds no target; the CSV row stays as it was
+        out = tmp_path / "o.csv"
+        argv = ["simulate", "--n", "3", "--t", "4", "--r", "1", "--eps", "0.1", "--mu", "0.2",
+                "--seed", "7", "--samples", "50", "--output", str(out)]
+        assert main(argv) == 0
+        (row,), status = read_csv(out)
+        censored = round(50 * (1 - float(dict(zip(CSV_COLUMNS, row))["reach_probability"])))
+        assert status == "# status: ok" and censored > 0
+        note = f"note: {censored} of 50 runs censored at step_cap 10000"
+        assert capsys.readouterr().err == f"{note}; they never reach the target\n"
+        # stepped to the cap, the runs are not known to be trapped
+        monkeypatch.setattr(analysis, "_closed_set", lambda *args: None)
+        assert main(argv) == 0
+        (stepped,), stepped_status = read_csv(out)
+        assert stepped[:-1] == row[:-1] and stepped_status == status  # all but wall_ms
+        assert capsys.readouterr().err == f"{note}\n"
+        # every run reaches the target: no note
+        assert main(["simulate", "--n", "4", "--t", "3", "--r", "1", "--eps", "0.5", "--mu", "0",
+                     "--seed", "7", "--samples", "50", "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_zero_samples_is_a_clear_error(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
