@@ -7,7 +7,9 @@ or by value iteration; states that fail to reach the target with
 probability one, as decided on the graph, get an infinite expected reward.
 The reachability and the rewards of one target set share one system.
 Direct elimination factors it once, one level of its SCC condensation at a
-time, and solves each right-hand side once.
+time, and solves each right-hand side once.  The reachability of a state that
+reaches the target with probability one, as decided on the graph, is 1, and
+it is solved only when some state reaches the target with a lower probability.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ class AnalysisResult:
     states_explored: int
     solve_iterations: int
     wall_time: float
-    #: Largest ||(I - A) x - b||_inf over the reachability and reward solves.
+    #: Largest ||(I - A) x - b||_inf over the solves the query made: the
+    #: reward, and the reachability where it is not read off the graph.
     residual: float = 0.0
 
 
@@ -120,7 +123,14 @@ def _factor(a: sp.csr_matrix) -> list[tuple[np.ndarray, sp.csr_matrix, spla.Supe
     level of the SCC condensation, bottom first, its unknowns in lexicographic
     order, their rows of a and the natural-order LU factor of its diagonal
     block.  A level is an SCC's longest path to a bottom SCC, so edges between
-    SCCs lead down and a diagonal block has no fill between its SCCs."""
+    SCCs lead down and a diagonal block has no fill between its SCCs.
+
+    The rows of a are permuted once into level order.  A level's rows are one
+    ``indptr`` range of the permuted arrays, and its diagonal block holds the
+    entries of that range whose column lies in the level, since none lies
+    above it.  SuperLU factors each block with a one-column panel: on blocks
+    of about two nonzeros per row its supernodal panels gain nothing, and the
+    default panel gives the same fill in more time and memory."""
     from scipy.sparse.csgraph import connected_components
 
     n_scc, label = connected_components(a, directed=True, connection="strong")
@@ -132,19 +142,32 @@ def _factor(a: sp.csr_matrix) -> list[tuple[np.ndarray, sp.csr_matrix, spla.Supe
         level[frontier], depth = depth, depth + 1
         out -= np.bincount(src[frontier[dst]], minlength=n_scc)
         frontier = (out == 0) & (level < 0)
-    # the unknowns by level, in lexicographic order within one; permuted
-    # once, a level's rows and diagonal block are contiguous
+    # the unknowns by level, in lexicographic order within one
     order = np.argsort(level[label], kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
     bounds = np.r_[0, np.cumsum(np.bincount(level[label]))].tolist()
-    rows = a[order]
-    system = (sp.identity(len(order), format="csr") - rows[:, order]).tocsc()
-    blocks = []
+    length = np.diff(a.indptr)[order]
+    indptr = np.r_[0, np.cumsum(length)]
+    take = _ranges(a.indptr[order], length)
+    cols, vals = a.indices[take], a.data[take]
+    del take
+    n, blocks = len(order), []
     for l, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        span, m = slice(indptr[lo], indptr[hi]), hi - lo
+        rows = sp.csr_matrix((vals[span], cols[span], indptr[lo : hi + 1] - indptr[lo]), shape=(m, n))
+        # I - a_ll: the range's entries in the level, and a diagonal entry of
+        # one per row, which the conversion sums with a self-loop's entry
+        col = position[cols[span]] - lo
+        inside, diag = col >= 0, np.arange(m)
+        entries = np.r_[-vals[span][inside], np.ones(m)]
+        at = (np.r_[np.repeat(diag, length[lo:hi])[inside], diag], np.r_[col[inside], diag])
+        block = sp.csc_matrix((entries, at), shape=(m, m))
         try:
-            lu = spla.splu(system[lo:hi, lo:hi], permc_spec="NATURAL")
+            lu = spla.splu(block, permc_spec="NATURAL", panel_size=1)
         except RuntimeError as exc:  # a float cycle of probability one
-            raise SolverError(f"level {l} of the block factor ({hi - lo} unknowns): {exc}") from None
-        blocks.append((order[lo:hi], rows[lo:hi], lu))
+            raise SolverError(f"level {l} of the block factor ({m} unknowns): {exc}") from None
+        blocks.append((order[lo:hi], rows, lu))
     return blocks
 
 
@@ -212,13 +235,15 @@ def target_set(model: DtmcModel, lam: float) -> frozenset[int]:
 def _backward(pred: sp.csc_matrix, seed: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     """Boolean mask of the seed states and of the states with a path into
     the seed through ``allowed`` states only."""
-    mask = seed.copy()
-    frontier = np.flatnonzero(mask)
-    while frontier.size:
-        found = pred[:, frontier].indices
-        found = found[allowed[found] & ~mask[found]]
-        mask[found] = True
-        frontier = np.unique(found)
+    mask, new = seed.copy(), seed
+    while new.any():
+        frontier = np.flatnonzero(new)
+        start = pred.indptr[frontier]
+        found = pred.indices[_ranges(start, pred.indptr[frontier + 1] - start)]
+        new = np.zeros_like(mask)
+        new[found] = True
+        new &= allowed & ~mask
+        mask |= new
     return mask
 
 
@@ -227,10 +252,13 @@ def _reach(
 ) -> tuple[np.ndarray, int, float]:
     cache = _cache_of(model)
     system = cache.system_of(targets)
+    x = system.certain.astype(float)  # Prob1, the targets among it, reach with probability one
+    unsure = ~system.certain[system.idx]
+    if not unsure.any():
+        return x, 0, 0.0
     # b: the one-step probability of entering the target set
     sol, iterations, residual = system.solve("reach", cache.p @ system.mask, solver)
-    x = system.mask.astype(float)
-    x[system.idx] = np.clip(sol, 0.0, 1.0)
+    x[system.idx[unsure]] = np.clip(sol[unsure], 0.0, 1.0)
     return x, iterations, residual
 
 
@@ -251,7 +279,8 @@ def _reward(
 def reach_probability(
     model: DtmcModel, targets: frozenset[int], solver: SolverConfig = SolverConfig()
 ) -> tuple[np.ndarray, int]:
-    """Per-state probability of eventually reaching the target set."""
+    """Per-state probability of eventually reaching the target set: exactly
+    1 wherever the graph shows the target is reached with probability one."""
     x, iterations, _ = _reach(model, targets, solver)
     return x, iterations
 

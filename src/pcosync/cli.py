@@ -250,12 +250,12 @@ def _sweep(args: argparse.Namespace, answer) -> int:
     metric, aggregate) point in turn, the value, the per-node mWh, the reach
     probability, the state and transition counts and the wall time in ms.
     """
-    profile = _resolve_profile(args)
-    queries = parse_queries(args.query or ["time:avg"])
-    lams = parse_range(str(args.lam), float) if args.lam is not None else [1.0]
-    points = [(lam, metric, agg) for lam in lams for metric, agg in queries]
     sink = CsvSink(args.output)
     try:
+        profile = _resolve_profile(args)
+        queries = parse_queries(args.query or ["time:avg"])
+        lams = parse_range(str(args.lam), float) if args.lam is not None else [1.0]
+        points = [(lam, metric, agg) for lam in lams for metric, agg in queries]
         for params, mode, u in _grid(args):
             for cells, (lam, metric, agg) in zip(answer(params, profile, mode, points), points):
                 value, per_node, reach, states, transitions, wall_ms = cells

@@ -97,7 +97,8 @@ class StateSpace(Sequence):
     column i and r = T - 1 - i columns after it, C(m + r, r) -
     C(m - k_i + r, r) states agree with sigma before column i and hold
     fewer than k_i there.  ``ranks`` holds the ranks of the rows, ascending;
-    ``index`` and ``in`` find a state tuple by its rank.
+    ``index`` and ``in`` find a state tuple by its rank.  When the rows are
+    all of Gamma, a state's row is its rank, and no row is ranked or searched.
     """
 
     def __init__(self, p: ModelParams, array: np.ndarray):
@@ -108,7 +109,8 @@ class StateSpace(Sequence):
             [[math.comb(a, b) if a - b <= p.n else 0 for b in range(p.t)] for a in range(p.n + p.t)],
             dtype=np.int64 if state_count(p) < 2**63 else object,
         )
-        self.ranks = self.rank(array)
+        self.full = len(array) == state_count(p)
+        self.ranks = np.arange(len(array)) if self.full else self.rank(array)
 
     def rank(self, states: np.ndarray) -> np.ndarray:
         """Ranks of the rows of a count array (of a single state: a scalar)."""
@@ -121,7 +123,11 @@ class StateSpace(Sequence):
 
     def rows(self, states: np.ndarray) -> np.ndarray:
         """Rows of the given states, found by rank; each must be in the space."""
-        return np.searchsorted(self.ranks, self.rank(states))
+        return self.rows_of(self.rank(states))
+
+    def rows_of(self, ranks: np.ndarray) -> np.ndarray:
+        """Rows of the states of the given ranks; each must be in the space."""
+        return ranks if self.full else np.searchsorted(self.ranks, ranks)
 
     def index(self, sigma: State) -> int:
         """The row of a state tuple, found by its rank; ``ValueError`` if it
@@ -343,7 +349,7 @@ def build_dtmc(
     table = FiringTable(p)
     rows, probs, ranks, targets = table.branches(support, space.rank)
     time_r, power_r = step_rewards(support[rows], targets, p, profile)
-    cols = np.searchsorted(space.ranks, ranks)
+    cols = space.rows_of(ranks)
     indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=len(support)))]
     return DtmcModel(
         params=p,

@@ -69,11 +69,15 @@ class TestReachProbability:
         reach, _ = reach_probability(model, target_set(model, 1.0))
         assert reach[model.states.index((1, 1))] == 0.0
 
-    def test_exact_and_iterative_agree(self, hand_model):
-        targets = target_set(hand_model, 1.0)
-        exact, _ = reach_probability(hand_model, targets, SolverConfig(kind="exact"))
+    def test_exact_and_iterative_agree(self):
+        # 4 of the 12 unknowns reach the target with probability below one,
+        # so the reach is solved, not read off the graph
+        p, mode = FACTOR_MODELS["partial"]
+        model = build_dtmc(p, MICAZ, mode)
+        targets = target_set(model, 1.0)
+        exact, _ = reach_probability(model, targets, SolverConfig(kind="exact"))
         iterative, its = reach_probability(
-            hand_model, targets, SolverConfig(kind="iterative", tolerance=1e-12)
+            model, targets, SolverConfig(kind="iterative", tolerance=1e-12)
         )
         assert its > 0
         assert np.allclose(exact, iterative, atol=1e-9)
@@ -347,7 +351,8 @@ class TestFactorReuse:
             return real(system, b, solver)
 
         monkeypatch.setattr(analysis._System, "_solve", counting)
-        for name, want in (("full", [784] * 3), ("partial", [12] * 3)):
+        # in "full" every unknown is in Prob1, so its reach is not solved
+        for name, want in (("full", [784] * 2), ("partial", [12] * 3)):
             p, mode = FACTOR_MODELS[name]
             model = build_dtmc(p, MICAZ, mode)
             sweeps.clear()
@@ -357,12 +362,18 @@ class TestFactorReuse:
             assert sweeps == want, name
 
 
-# FACTOR_MODELS, the edge values of mu, and a model where some states never
-# reach the target
+# FACTOR_MODELS, the edge values of mu, R, T, N and epsilon, and a model
+# where some states never reach the target.  At mu = 1 and N = 1 the systems
+# are empty: no broadcast ever arrives, or every state is synchronised.
 SOLVE_MODELS = {
     **FACTOR_MODELS,
     "mu0": (ModelParams(n=6, t=8, r=2, epsilon=0.1, mu=0.0), "full"),
     "mu99": (ModelParams(n=6, t=8, r=2, epsilon=0.1, mu=0.99), "full"),
+    "mu1": (ModelParams(n=6, t=8, r=2, epsilon=0.1, mu=1.0), "full"),
+    "r0": (ModelParams(n=5, t=8, r=0, epsilon=0.1, mu=0.2), "full"),
+    "t2": (ModelParams(n=6, t=2, r=0, epsilon=0.1, mu=0.2), "full"),
+    "n1": (ModelParams(n=1, t=10, r=2, epsilon=0.1, mu=0.2), "full"),
+    "eps05": (ModelParams(n=5, t=8, r=2, epsilon=0.5, mu=0.2), "full"),
     "trapped3": (ModelParams(n=3, t=4, r=1, epsilon=0.1, mu=0.2), "full"),
 }
 
@@ -399,6 +410,25 @@ class TestBlockSolve:
             # depends on, and the members of one SCC share a block
             assert np.all(level[i[cross]] > level[j[cross]])
             assert np.all(level[i[~cross]] == level[j[~cross]])
+
+    @pytest.mark.parametrize("name", sorted(LEVEL_MODELS))
+    def test_blocks_are_diagonal_blocks_of_the_system(self, name, monkeypatch):
+        p, mode = LEVEL_MODELS[name]
+        blocks = []
+        real = analysis.spla.splu
+
+        def recording(block, **kwargs):
+            blocks.append(block)
+            return real(block, **kwargs)
+
+        monkeypatch.setattr(analysis.spla, "splu", recording)
+        for system in factored_systems(p, mode):
+            system_matrix = sp.identity(len(system.idx), format="csr") - system.a
+            assert len(blocks) == len(system.levels)
+            for (idx, _, _), block in zip(system.levels, blocks):
+                want = system_matrix[idx][:, idx]
+                assert block.format == "csc" and block.shape == want.shape
+                assert (block != want).nnz == 0
 
     @pytest.mark.parametrize("name", sorted(SOLVE_MODELS))
     @pytest.mark.parametrize("lam", [1.0, 0.6])

@@ -420,6 +420,21 @@ class TestSimulate:
         assert "no value in" in capsys.readouterr().err
         assert "# status: ok" not in (out.read_text() if out.exists() else "")
 
+    @pytest.mark.parametrize("flag, message", [
+        (["--lambda", ","], "no value in ','"),
+        (["--query", "time"], "bad query 'time', expected metric:aggregate"),
+        (["--profile", "nosuch"], "unknown hardware profile 'nosuch'"),
+    ], ids=["lambda", "query", "profile"])
+    def test_bad_query_flag_leaves_error_status(self, tmp_path, capsys, flag, message):
+        out = tmp_path / "o.csv"
+        assert main([
+            "analyze", "--n", "3", "--t", "4", "--r", "1", "--eps", "0.1", "--mu", "0.2",
+            *flag, "--output", str(out),
+        ]) == 1
+        rows, status = read_csv(out)
+        assert rows == [] and status == f"# status: error: {message}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_censored_runs_noted_on_stderr(self, tmp_path, capsys, monkeypatch):
         # n=3, T=4, R=1, eps=0.1, mu=0.2: most runs rotate forever on a
         # closed set that holds no target; the CSV row stays as it was

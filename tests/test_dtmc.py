@@ -371,6 +371,10 @@ class TestArrayBuild:
                 space = StateSpace(p, state_array(p))
                 assert np.array_equal(space.array, want), (n, t)
                 assert space.rank(want).tolist() == list(range(len(want))), (n, t)
+                # all of Gamma: a row is its rank; without the first state, found by rank
+                assert space.rows(want).tolist() == list(range(len(want))), (n, t)
+                part = StateSpace(p, want[1:])
+                assert part.rows(want[1:]).tolist() == list(range(len(want) - 1)), (n, t)
 
     def test_index_finds_only_model_states(self):
         p = params(n=10, t=10, r=4)
