@@ -43,7 +43,6 @@ from .export import export_model
 from .analysis import (
     AnalysisQuery,
     AnalysisResult,
-    SolverConfig,
     aggregate,
     expected_reward,
     monte_carlo,
@@ -63,7 +62,6 @@ __all__ = [
     "MICAZ",
     "ModelParams",
     "RestabilisationSpec",
-    "SolverConfig",
     "State",
     "SuccessorDistribution",
     "aggregate",

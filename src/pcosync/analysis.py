@@ -2,14 +2,14 @@
 
 Queries target the set of states whose phase coherence meets a threshold.
 Expected accumulated rewards (time in cycles, energy in Watt-hours) are
-solved from the linear fixed-point equations, either by direct elimination
-or by value iteration; states that fail to reach the target with
-probability one, as decided on the graph, get an infinite expected reward.
-The reachability and the rewards of one target set share one system.
-Direct elimination factors it once, one level of its SCC condensation at a
-time, and solves each right-hand side once.  The reachability of a state that
-reaches the target with probability one, as decided on the graph, is 1, and
-it is solved only when some state reaches the target with a lower probability.
+solved from the linear fixed-point equations by direct elimination; states
+that fail to reach the target with probability one, as decided on the graph,
+get an infinite expected reward.  The reachability and the rewards of one
+target set share one system, factored once, one level of its SCC
+condensation at a time, and each right-hand side is solved once.  The
+reachability of a state that reaches the target with probability one, as
+decided on the graph, is 1, and it is solved only when some state reaches
+the target with a lower probability.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from .dtmc import DtmcModel, HardwareProfile, InitialMode, MICAZ, StateSpace, in
 from .dynamics import FiringTable, _ranges
 from .metrics import phase_coherences
 
-#: Value iteration gives up after this many sweeps.
-MAX_ITERATIONS = 1_000_000
 #: Monte Carlo runs still short of the target after this many steps are censored.
 STEP_CAP = 10_000
 
@@ -38,21 +36,10 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    kind: str = "exact"  # "exact" | "iterative"
-    tolerance: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not self.tolerance > 0:  # NaN too
-            raise ValueError(f"solver tolerance must be positive, got {self.tolerance}")
-
-
-@dataclass(frozen=True)
 class AnalysisQuery:
     lam: float
     reward_kind: str = "time"  # "time" | "power"
     aggregate: str = "avg"  # "min" | "avg" | "max"
-    solver: SolverConfig = SolverConfig()
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.lam <= 1.0:
@@ -69,7 +56,6 @@ class AnalysisResult:
     reach_probability: float
     per_node_mWh: float | None
     states_explored: int
-    solve_iterations: int
     wall_time: float
     #: Largest ||(I - A) x - b||_inf over the solves the query made: the
     #: reward, and the reachability where it is not read off the graph.
@@ -83,39 +69,34 @@ class _System:
     states that reach it with probability one (Prob1), decided on the graph.
     A non-target Prob1 state only steps into Prob1 or the target, so its
     rows reference no unknown outside Prob1, and a reward is the solution
-    on ``idx`` within Prob1.  Exact solves back-substitute through the
-    level blocks of ``_factor``; each solution is kept under its right-hand
-    side's name and solver."""
+    on ``idx`` within Prob1.  The system is factored when built and keeps
+    only the level blocks of ``_factor``, not a itself; every solve
+    back-substitutes through them, and each solution is kept under its
+    right-hand side's name."""
 
     def __init__(self, p: sp.csr_matrix, pred: sp.csc_matrix, mask: np.ndarray) -> None:
         reaching = _backward(pred, mask, np.ones_like(mask))
         self.mask, self.certain = mask, ~_backward(pred, ~reaching, ~mask)
         self.idx = idx = np.flatnonzero(reaching & ~mask)
-        self.a = p[idx][:, idx]
-        self.levels: list[tuple[np.ndarray, sp.csr_matrix, spla.SuperLU]] | None = None
-        self.solutions: dict[tuple[str, SolverConfig], tuple[np.ndarray, int, float]] = {}
+        self.levels = _factor(p[idx][:, idx])
+        self.solutions: dict[str, tuple[np.ndarray, float]] = {}
 
-    def solve(self, name: str, b: np.ndarray, solver: SolverConfig) -> tuple[np.ndarray, int, float]:
-        """Solution, iterations and residual ||(I - a) x - b[idx]||_inf of
-        the right-hand side ``name``, given with one entry per state."""
-        if (name, solver) not in self.solutions:
-            self.solutions[name, solver] = self._solve(b[self.idx], solver)
-        return self.solutions[name, solver]
+    def solve(self, name: str, b: np.ndarray) -> tuple[np.ndarray, float]:
+        """Solution and residual ||(I - a) x - b[idx]||_inf of the
+        right-hand side ``name``, given with one entry per state."""
+        if name not in self.solutions:
+            self.solutions[name] = self._solve(b[self.idx])
+        return self.solutions[name]
 
-    def _solve(self, b: np.ndarray, solver: SolverConfig) -> tuple[np.ndarray, int, float]:
-        if len(self.idx) == 0:
-            return np.zeros(0), 0, 0.0
-        if solver.kind == "exact":
-            if self.levels is None:
-                self.levels = _factor(self.a)
-            x, iterations = np.zeros(len(self.idx)), 0
-            for idx, rows, lu in self.levels:  # unsolved entries of x are still 0
-                x[idx] = lu.solve(b[idx] + rows @ x)
-        elif solver.kind == "iterative":
-            x, iterations = _value_iteration(self.a, b, solver)
-        else:
-            raise ValueError(f"unknown solver kind {solver.kind!r}")
-        return x, iterations, float(np.max(np.abs(x - self.a @ x - b)))
+    def _solve(self, b: np.ndarray) -> tuple[np.ndarray, float]:
+        # a level's rows reference no unknown above it, so once the level is
+        # solved they give its part of the residual, each row summed in the
+        # stored order of a's entries
+        x, residual = np.zeros(len(self.idx)), 0.0
+        for idx, rows, lu in self.levels:  # unsolved entries of x are still 0
+            x[idx] = lu.solve(b[idx] + rows @ x)
+            residual = max(residual, float(np.max(np.abs(x[idx] - rows @ x - b[idx]))))
+        return x, residual
 
 
 def _factor(a: sp.csr_matrix) -> list[tuple[np.ndarray, sp.csr_matrix, spla.SuperLU]]:
@@ -169,23 +150,6 @@ def _factor(a: sp.csr_matrix) -> list[tuple[np.ndarray, sp.csr_matrix, spla.Supe
             raise SolverError(f"level {l} of the block factor ({m} unknowns): {exc}") from None
         blocks.append((order[lo:hi], rows, lu))
     return blocks
-
-
-def _value_iteration(
-    a: sp.csr_matrix, b: np.ndarray, solver: SolverConfig
-) -> tuple[np.ndarray, int]:
-    x = np.zeros(len(b))
-    for it in range(1, MAX_ITERATIONS + 1):
-        x_new = a @ x + b
-        diff = np.max(np.abs(x_new - x))
-        x = x_new
-        if diff < solver.tolerance:
-            return x, it
-    residual = np.max(np.abs(a @ x + b - x))
-    raise SolverError(
-        f"value iteration did not converge in {MAX_ITERATIONS} iterations"
-        f" (residual {residual:.3e})"
-    )
 
 
 class _ModelCache:
@@ -247,57 +211,46 @@ def _backward(pred: sp.csc_matrix, seed: np.ndarray, allowed: np.ndarray) -> np.
     return mask
 
 
-def _reach(
-    model: DtmcModel, targets: frozenset[int], solver: SolverConfig
-) -> tuple[np.ndarray, int, float]:
+def _reach(model: DtmcModel, targets: frozenset[int]) -> tuple[np.ndarray, float]:
     cache = _cache_of(model)
     system = cache.system_of(targets)
     x = system.certain.astype(float)  # Prob1, the targets among it, reach with probability one
     unsure = ~system.certain[system.idx]
     if not unsure.any():
-        return x, 0, 0.0
+        return x, 0.0
     # b: the one-step probability of entering the target set
-    sol, iterations, residual = system.solve("reach", cache.p @ system.mask, solver)
+    sol, residual = system.solve("reach", cache.p @ system.mask)
     x[system.idx[unsure]] = np.clip(sol[unsure], 0.0, 1.0)
-    return x, iterations, residual
+    return x, residual
 
 
 def _reward(
-    model: DtmcModel, targets: frozenset[int], reward_kind: str, solver: SolverConfig
-) -> tuple[np.ndarray, int, float]:
+    model: DtmcModel, targets: frozenset[int], reward_kind: str
+) -> tuple[np.ndarray, float]:
     if reward_kind not in model.rewards:
         raise ValueError(f"unknown reward kind {reward_kind!r}")
     cache = _cache_of(model)
     system = cache.system_of(targets)
-    sol, iterations, residual = system.solve(reward_kind, cache.reward_b[reward_kind], solver)
+    sol, residual = system.solve(reward_kind, cache.reward_b[reward_kind])
     values = np.where(system.certain, 0.0, np.inf)
     certain = system.certain[system.idx]
     values[system.idx[certain]] = np.maximum(sol[certain], 0.0)
-    return values, iterations, residual
+    return values, residual
 
 
-def reach_probability(
-    model: DtmcModel, targets: frozenset[int], solver: SolverConfig = SolverConfig()
-) -> tuple[np.ndarray, int]:
+def reach_probability(model: DtmcModel, targets: frozenset[int]) -> np.ndarray:
     """Per-state probability of eventually reaching the target set: exactly
     1 wherever the graph shows the target is reached with probability one."""
-    x, iterations, _ = _reach(model, targets, solver)
-    return x, iterations
+    return _reach(model, targets)[0]
 
 
-def expected_reward(
-    model: DtmcModel,
-    targets: frozenset[int],
-    reward_kind: str,
-    solver: SolverConfig = SolverConfig(),
-) -> tuple[np.ndarray, int]:
+def expected_reward(model: DtmcModel, targets: frozenset[int], reward_kind: str) -> np.ndarray:
     """Per-state expected accumulated reward until the target set is entered.
 
     Infinite wherever the target is not reached with probability one, as
     decided on the graph.
     """
-    values, iterations, _ = _reward(model, targets, reward_kind, solver)
-    return values, iterations
+    return _reward(model, targets, reward_kind)[0]
 
 
 def aggregate(
@@ -306,7 +259,6 @@ def aggregate(
     reach: np.ndarray,
     agg: str,
     reward_kind: str,
-    solve_iterations: int = 0,
     wall_time: float = 0.0,
     residual: float = 0.0,
 ) -> AnalysisResult:
@@ -331,7 +283,6 @@ def aggregate(
         reach_probability=reach_p,
         per_node_mWh=per_node,
         states_explored=model.n_states,
-        solve_iterations=solve_iterations,
         wall_time=wall_time,
         residual=residual,
     )
@@ -342,12 +293,12 @@ def solve_query(model: DtmcModel, query: AnalysisQuery) -> AnalysisResult:
     reward, aggregation."""
     start = time.perf_counter()
     targets = target_set(model, query.lam)
-    reach, it1, res1 = _reach(model, targets, query.solver)
-    values, it2, res2 = _reward(model, targets, query.reward_kind, query.solver)
+    reach, res1 = _reach(model, targets)
+    values, res2 = _reward(model, targets, query.reward_kind)
     wall = time.perf_counter() - start
     return aggregate(
         model, values, reach, query.aggregate, query.reward_kind,
-        solve_iterations=it1 + it2, wall_time=wall, residual=max(res1, res2),
+        wall_time=wall, residual=max(res1, res2),
     )
 
 

@@ -24,7 +24,6 @@ from typing import Iterator, Sequence
 from .analysis import (
     STEP_CAP,
     AnalysisQuery,
-    SolverConfig,
     SolverError,
     monte_carlo,
     solve_query,
@@ -155,11 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda", dest="lam", help="target phase coherence (value, list or range)")
         p.add_argument("--query", action="append", help="metric:aggregate, repeatable")
         p.add_argument("--output", help="CSV output path (default stdout)")
-    for p in (p_an, p_re):
-        p.add_argument(
-            "--solver", choices=["exact", "iterative"], help="linear solver (default exact)"
-        )
-        p.add_argument("--tolerance", type=float, help="iterative solver tolerance")
     p_ex.add_argument("--out", required=True, help="output path prefix")
     p_si.add_argument("--samples", help="number of simulated runs")
     p_si.add_argument("--seed", help="RNG seed (required for reproducibility)")
@@ -279,18 +273,13 @@ def _sweep(args: argparse.Namespace, answer) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     """analyze and restab: build each grid point once and solve every query on it."""
-    solver = SolverConfig(
-        kind=args.solver or "exact",
-        tolerance=args.tolerance if args.tolerance is not None else 1e-9,
-    )
 
     def answer(params, profile, mode, points):
         start = time.perf_counter()
         model = build_dtmc(params, profile, mode, max_states=args.max_states)
         build_ms = (time.perf_counter() - start) * 1000.0
         for lam, metric, agg in points:
-            query = AnalysisQuery(lam=lam, reward_kind=metric, aggregate=agg, solver=solver)
-            result = solve_query(model, query)
+            result = solve_query(model, AnalysisQuery(lam=lam, reward_kind=metric, aggregate=agg))
             yield (
                 result.value, result.per_node_mWh, result.reach_probability,
                 model.n_states, model.n_transitions, build_ms + result.wall_time * 1000.0,

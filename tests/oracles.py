@@ -8,15 +8,17 @@ order, kept so that the array build can be compared with it bit for bit.
 ``natural_factor`` is likewise the single natural-order LU factor of a
 whole system that the level-by-level block factor replaced, and
 ``reference_export`` the line-at-a-time writer that the chunked exporter
-replaced.
+replaced.  ``rational_solve`` solves a linear system in exact rational
+arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -237,9 +239,32 @@ def reference_build(p: ModelParams, profile: HardwareProfile = MICAZ, mode: Init
 
 def natural_factor(a: sp.csr_matrix) -> list[tuple[np.ndarray, sp.csr_matrix, spla.SuperLU]]:
     """The factor the level blocks replaced, in their layout: one block
-    holding every unknown, I - a factored whole in natural order."""
+    holding every unknown, I - a factored whole in natural order; none for
+    a system without unknowns."""
+    if a.shape[0] == 0:
+        return []
     system = (sp.identity(a.shape[0], format="csr") - a).tocsc()
     return [(np.arange(a.shape[0]), a, spla.splu(system, permc_spec="NATURAL"))]
+
+
+def rational_solve(a: sp.spmatrix, b: Sequence) -> np.ndarray:
+    """The solution x of (I - a) x = b by Gauss-Jordan elimination in
+    ``Fraction`` arithmetic.  Every entry of a and b (floats or fractions)
+    is taken exactly, and each entry of x is rounded to a float once, at the
+    end."""
+    n, coo = a.shape[0], sp.coo_matrix(a)
+    m = [[Fraction(int(i == j)) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
+    for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
+        m[i][j] -= Fraction(v)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if m[r][col])
+        m[col], m[pivot] = m[pivot], m[col]
+        d = m[col][col]
+        m[col] = row = [v / d for v in m[col]]
+        for r in range(n):
+            if r != col and (f := m[r][col]):
+                m[r] = [v - f * w for v, w in zip(m[r], row)]
+    return np.array([float(row[n]) for row in m])
 
 
 def reference_export(model: DtmcModel, prefix: Path) -> dict[str, Path]:

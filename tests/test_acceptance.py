@@ -18,7 +18,6 @@ import pytest
 from oracles import brute_force_successors, materialized_skip_power
 from pcosync.analysis import (
     AnalysisQuery,
-    SolverConfig,
     aggregate,
     expected_reward,
     monte_carlo,
@@ -116,7 +115,7 @@ def test_criterion_3_perturbation_and_absorption():
     ok_absorbed = len(dist.branches) == 1 and is_synchronised(dist.branches[0].target)
     # and the full restabilisation model reaches synchrony from everywhere
     model = build_dtmc(p, MICAZ, RestabilisationSpec(1))
-    reach, _ = reach_probability(model, target_set(model, 1.0))
+    reach = reach_probability(model, target_set(model, 1.0))
     ok_model = reach[model.initial > 0].min() >= 1.0 - 1e-6
     ok = ok_arith and ok_absorbed and ok_model
     report(
@@ -129,7 +128,7 @@ def test_criterion_3_perturbation_and_absorption():
 def test_criterion_4_synchrony_guarantee_vs_refractory(headline_models):
     mins = {}
     for r, model in headline_models.items():
-        reach, _ = reach_probability(model, target_set(model, 1.0))
+        reach = reach_probability(model, target_set(model, 1.0))
         mins[r] = reach[model.initial > 0].min()
     ok_guaranteed = all(abs(mins[r] - 1.0) <= 1e-6 for r in (1, 2, 3, 4))
     ok_lost = mins[5] < 1.0
@@ -175,9 +174,9 @@ def test_criterion_6_lambda_trends(headline_models):
         times, powers = [], []
         for lam in lambdas:
             targets = target_set(model, lam)
-            reach, _ = reach_probability(model, targets)
+            reach = reach_probability(model, targets)
             for kind, acc in (("time", times), ("power", powers)):
-                values, _ = expected_reward(model, targets, kind)
+                values = expected_reward(model, targets, kind)
                 result = aggregate(model, values, reach, "avg", kind)
                 acc.append(result.value if kind == "time" else result.per_node_mWh)
         mono_t = all(b >= a - 1e-12 for a, b in zip(times, times[1:]))

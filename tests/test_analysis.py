@@ -7,12 +7,11 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from oracles import csr_rows, natural_factor
+from oracles import csr_rows, natural_factor, rational_solve
 from pcosync import analysis
 from pcosync.analysis import (
     AnalysisQuery,
     FailureDraw,
-    SolverConfig,
     aggregate,
     expected_reward,
     monte_carlo,
@@ -55,64 +54,51 @@ class TestTargetSet:
 class TestReachProbability:
     def test_targets_are_one(self, hand_model):
         targets = target_set(hand_model, 1.0)
-        reach, _ = reach_probability(hand_model, targets)
+        reach = reach_probability(hand_model, targets)
         for i in targets:
             assert reach[i] == 1.0
 
     def test_all_states_synchronise(self, hand_model):
-        reach, _ = reach_probability(hand_model, target_set(hand_model, 1.0))
+        reach = reach_probability(hand_model, target_set(hand_model, 1.0))
         assert np.allclose(reach, 1.0)
 
     def test_trapped_state_scores_zero(self):
         # with 2 phases and a refractory first phase, a split pair loops forever
         model = build_dtmc(params(n=2, t=2, r=1, mu=0.2))
-        reach, _ = reach_probability(model, target_set(model, 1.0))
+        reach = reach_probability(model, target_set(model, 1.0))
         assert reach[model.states.index((1, 1))] == 0.0
-
-    def test_exact_and_iterative_agree(self):
-        # 4 of the 12 unknowns reach the target with probability below one,
-        # so the reach is solved, not read off the graph
-        p, mode = FACTOR_MODELS["partial"]
-        model = build_dtmc(p, MICAZ, mode)
-        targets = target_set(model, 1.0)
-        exact, _ = reach_probability(model, targets, SolverConfig(kind="exact"))
-        iterative, its = reach_probability(
-            model, targets, SolverConfig(kind="iterative", tolerance=1e-12)
-        )
-        assert its > 0
-        assert np.allclose(exact, iterative, atol=1e-9)
 
 
 class TestExpectedReward:
     def test_targets_are_zero(self, hand_model):
         targets = target_set(hand_model, 1.0)
-        values, _ = expected_reward(hand_model, targets, "time")
+        values = expected_reward(hand_model, targets, "time")
         for i in targets:
             assert values[i] == 0.0
 
     def test_single_step_identity(self):
         # (1,1) with no refractory fires both oscillators in one step
         model = build_dtmc(params(n=2, t=2, r=0))
-        values, _ = expected_reward(model, target_set(model, 1.0), "time")
+        values = expected_reward(model, target_set(model, 1.0), "time")
         assert values[model.states.index((1, 1))] == pytest.approx(0.5)
 
     def test_hand_solved_chain(self, hand_model):
         # (1,0,1) -> (1,1,0) -> (0,1,1) -> synchronised, one third of a
         # cycle per step
-        values, _ = expected_reward(hand_model, target_set(hand_model, 1.0), "time")
+        values = expected_reward(hand_model, target_set(hand_model, 1.0), "time")
         assert values[hand_model.states.index((0, 1, 1))] == pytest.approx(1 / 3)
         assert values[hand_model.states.index((1, 1, 0))] == pytest.approx(2 / 3)
         assert values[hand_model.states.index((1, 0, 1))] == pytest.approx(1.0)
 
     def test_infinite_where_not_certain(self):
         model = build_dtmc(params(n=2, t=2, r=1, mu=0.2))
-        values, _ = expected_reward(model, target_set(model, 1.0), "time")
+        values = expected_reward(model, target_set(model, 1.0), "time")
         assert math.isinf(values[model.states.index((1, 1))])
 
     def test_power_reward_hand_value(self, hand_model):
         # (0,1,1): one firing step; the phase-2 node listens, the firing
         # node listens too, then both transmit after resetting
-        values, _ = expected_reward(hand_model, target_set(hand_model, 1.0), "power")
+        values = expected_reward(hand_model, target_set(hand_model, 1.0), "power")
         expected = 2 * MICAZ.w_receive(3) + 2 * MICAZ.w_transmit()
         assert values[hand_model.states.index((0, 1, 1))] == pytest.approx(expected)
 
@@ -129,8 +115,8 @@ class TestGraphFiniteness:
         # the trap (2,0,1,0) almost surely: its reach value is 1 - 1e-12
         model = build_dtmc(ModelParams(n=3, t=4, r=2, epsilon=0.5, mu=1e-12))
         targets = target_set(model, 1.0)
-        values, _ = expected_reward(model, targets, "time")
-        reach, _ = reach_probability(model, targets)
+        values = expected_reward(model, targets, "time")
+        reach = reach_probability(model, targets)
         assert reach[model.states.index((2, 0, 1, 0))] == 0.0
         assert reach[model.states.index((1, 1, 0, 1))] < 1e-11
         assert reach[model.states.index((1, 0, 1, 1))] > 1.0 - 1e-11
@@ -141,7 +127,7 @@ class TestGraphFiniteness:
         # value comes out near 0.99987, yet it synchronises for certain
         mu = 1e-12
         model = build_dtmc(ModelParams(n=2, t=3, r=0, epsilon=0.5, mu=mu))
-        values, _ = expected_reward(model, target_set(model, 1.0), "time")
+        values = expected_reward(model, target_set(model, 1.0), "time")
         want = (1 + 2 * mu) / (3 * mu * (1 - mu))
         assert values[model.states.index((1, 0, 1))] == pytest.approx(want, rel=1e-3)
 
@@ -153,16 +139,12 @@ class TestGraphFiniteness:
         assert system.certain.tolist() == [True, True, False]
         assert system.idx.tolist() == [0]
 
-    def test_iterative_agrees_with_exact_on_finiteness(self):
-        # value iteration to 1e-6 stops with reach values as low as 0.9933,
-        # though every state synchronises for certain
+    def test_slow_certain_synchrony_is_finite(self):
+        # every state synchronises for certain, but so slowly that value
+        # iteration stopped at 1e-6 left reach values as low as 0.9933
         model = build_dtmc(ModelParams(n=6, t=8, r=2, epsilon=0.1, mu=0.99))
         exact = solve_query(model, AnalysisQuery(lam=1.0))
-        iterative = solve_query(
-            model, AnalysisQuery(lam=1.0, solver=SolverConfig(kind="iterative", tolerance=1e-6))
-        )
         assert exact.value == pytest.approx(395.4131583933702, rel=1e-12)
-        assert iterative.value == pytest.approx(exact.value, rel=1e-5)
 
 
 class TestAggregate:
@@ -189,17 +171,19 @@ class TestAggregate:
 
     def test_per_node_conversion(self, hand_model):
         targets = target_set(hand_model, 1.0)
-        reach, _ = reach_probability(hand_model, targets)
-        values, _ = expected_reward(hand_model, targets, "power")
+        reach = reach_probability(hand_model, targets)
+        values = expected_reward(hand_model, targets, "power")
         result = aggregate(hand_model, values, reach, "avg", "power")
         assert result.per_node_mWh == pytest.approx(result.value / 2 * 1000.0)
 
 
-def loop_reference(model, targets, reward_kind):
+def loop_reference(model, targets, reward_kind, exact=False):
     """Per-state reachability and expected reward straight from the
     transition rows: backward searches over predecessor lists for the
     states that reach the target and those that reach it with probability
-    one, then one dense solve per system."""
+    one, then one dense solve per system, or, if ``exact``, one
+    ``rational_solve`` of its float entries, the right-hand side summed
+    exactly."""
     n = model.n_states
     rows = csr_rows(model)
     predecessors = [[] for _ in range(n)]
@@ -224,6 +208,13 @@ def loop_reference(model, targets, reward_kind):
 
     def solve(unknown, one_step):
         idx = sorted(unknown)
+        if exact:
+            b = [
+                sum((one_step(target, Fraction(prob), [*map(Fraction, rewards)])
+                     for target, prob, *rewards in rows[s]), Fraction(0))
+                for s in idx
+            ]
+            return idx, rational_solve(model.transitions[idx][:, idx], b)
         pos = {s: i for i, s in enumerate(idx)}
         system, b = np.eye(len(idx)), np.zeros(len(idx))
         for s in idx:
@@ -263,9 +254,9 @@ def splu_calls(monkeypatch):
     calls = []
     real = analysis._factor
 
-    def counting(a, *args, **kwargs):
+    def counting(a):
         calls.append(a.shape[0])
-        return real(a, *args, **kwargs)
+        return real(a)
 
     monkeypatch.setattr(analysis, "_factor", counting)
     return calls
@@ -284,8 +275,8 @@ class TestFactorReuse:
                 assert got.value == pytest.approx(want.value, rel=1e-12)
                 assert got.reach_probability == pytest.approx(want.reach_probability, rel=1e-12)
                 fresh = build_dtmc(p, MICAZ, mode)
-                want_values, _ = expected_reward(fresh, target_set(fresh, 1.0), kind)
-                got_values, _ = expected_reward(cached, target_set(cached, 1.0), kind)
+                want_values = expected_reward(fresh, target_set(fresh, 1.0), kind)
+                got_values = expected_reward(cached, target_set(cached, 1.0), kind)
                 np.testing.assert_allclose(got_values, want_values, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("name", sorted(FACTOR_MODELS))
@@ -296,8 +287,8 @@ class TestFactorReuse:
         targets = target_set(model, lam)
         for kind in ("time", "power"):
             want_reach, want_values = loop_reference(model, targets, kind)
-            reach, _ = reach_probability(model, targets)
-            values, _ = expected_reward(model, targets, kind)
+            reach = reach_probability(model, targets)
+            values = expected_reward(model, targets, kind)
             np.testing.assert_allclose(reach, want_reach, rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(values, want_values, rtol=1e-10, atol=0.0)
 
@@ -330,25 +321,13 @@ class TestFactorReuse:
         # reach values are of order one, power values of order 1e-4 Wh
         assert 0.0 < result.residual < 1e-14
 
-    def test_iterative_still_iterates(self, splu_calls):
-        model = build_dtmc(FACTOR_MODELS["full"][0])
-        exact = solve_query(model, AnalysisQuery(lam=1.0))
-        splu_calls.clear()
-        iterative = solve_query(
-            model, AnalysisQuery(lam=1.0, solver=SolverConfig(kind="iterative", tolerance=1e-12))
-        )
-        assert iterative.solve_iterations > 0
-        assert splu_calls == []
-        assert iterative.value == pytest.approx(exact.value, rel=1e-9)
-        assert exact.residual < iterative.residual < 1e-11
-
     def test_four_queries_solve_each_right_hand_side_once(self, monkeypatch):
         sweeps = []
         real = analysis._System._solve
 
-        def counting(system, b, solver):
+        def counting(system, b):
             sweeps.append(len(system.idx))
-            return real(system, b, solver)
+            return real(system, b)
 
         monkeypatch.setattr(analysis._System, "_solve", counting)
         # in "full" every unknown is in Prob1, so its reach is not solved
@@ -360,6 +339,35 @@ class TestFactorReuse:
                 for agg in ("avg", "max"):
                     solve_query(model, AnalysisQuery(lam=1.0, reward_kind=kind, aggregate=agg))
             assert sweeps == want, name
+
+
+# systems of at most 40 unknowns; at mu = 0.99 the masses span many binary
+# orders, and in the last two every system is empty
+RATIONAL_MODELS = {
+    "partial": FACTOR_MODELS["partial"],
+    "trapped3": (ModelParams(n=3, t=4, r=1, epsilon=0.1, mu=0.2), "full"),
+    "n3t6mu02": (ModelParams(n=3, t=6, r=1, epsilon=0.1, mu=0.2), "full"),
+    "n3t6mu99": (ModelParams(n=3, t=6, r=1, epsilon=0.1, mu=0.99), "full"),
+    "n4t5": (ModelParams(n=4, t=5, r=1, epsilon=0.1, mu=0.2), "full"),
+    "n2t2r0": (ModelParams(n=2, t=2, r=0, epsilon=0.1, mu=0.2), "full"),
+    "n1": (ModelParams(n=1, t=10, r=2, epsilon=0.1, mu=0.2), "full"),
+}
+
+
+class TestRationalOracle:
+    @pytest.mark.parametrize("name", sorted(RATIONAL_MODELS))
+    @pytest.mark.parametrize("lam", [1.0, 0.6])
+    def test_matches_rational_solve(self, name, lam):
+        # the exact solution of the float system the library solves
+        p, mode = RATIONAL_MODELS[name]
+        model = build_dtmc(p, MICAZ, mode)
+        targets = target_set(model, lam)
+        for kind in ("time", "power"):
+            want_reach, want_values = loop_reference(model, targets, kind, exact=True)
+            reach = reach_probability(model, targets)
+            values = expected_reward(model, targets, kind)
+            np.testing.assert_allclose(reach, want_reach, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=0.0)
 
 
 # FACTOR_MODELS, the edge values of mu, R, T, N and epsilon, and a model
@@ -381,21 +389,20 @@ LEVEL_MODELS = {**FACTOR_MODELS, "n8r2": (ModelParams(n=8, t=10, r=2, epsilon=0.
 
 
 def factored_systems(p, mode):
-    """The system of the model's reach and reward solves at lambda = 1,
-    after one query of each reward kind, if it is not empty."""
+    """The matrix a and the system of the model's reach and reward solves at
+    lambda = 1, after one query of each reward kind, if it is not empty."""
     model = build_dtmc(p, MICAZ, mode)
     for kind in ("time", "power"):
         solve_query(model, AnalysisQuery(lam=1.0, reward_kind=kind))
     system = model._analysis.system
-    return [system] if len(system.idx) else []
+    return [(model.transitions[system.idx][:, system.idx], system)] if len(system.idx) else []
 
 
 class TestBlockSolve:
     @pytest.mark.parametrize("name", sorted(LEVEL_MODELS))
     def test_levels_order_the_condensation(self, name):
         p, mode = LEVEL_MODELS[name]
-        for system in factored_systems(p, mode):
-            a = system.a
+        for a, _ in factored_systems(p, mode):
             level = np.full(a.shape[0], -1)
             for depth, (idx, rows, _) in enumerate(analysis._factor(a)):
                 assert np.all(np.diff(idx) > 0)
@@ -422,13 +429,31 @@ class TestBlockSolve:
             return real(block, **kwargs)
 
         monkeypatch.setattr(analysis.spla, "splu", recording)
-        for system in factored_systems(p, mode):
-            system_matrix = sp.identity(len(system.idx), format="csr") - system.a
+        for a, system in factored_systems(p, mode):
+            system_matrix = sp.identity(len(system.idx), format="csr") - a
             assert len(blocks) == len(system.levels)
             for (idx, _, _), block in zip(system.levels, blocks):
                 want = system_matrix[idx][:, idx]
                 assert block.format == "csc" and block.shape == want.shape
                 assert (block != want).nnz == 0
+
+    @pytest.mark.parametrize("name", sorted(LEVEL_MODELS))
+    def test_residual_is_the_whole_systems(self, name):
+        # taken level by level, the residual is bit for bit the one of the
+        # whole system, each row of a x summed in stored order
+        p, mode = LEVEL_MODELS[name]
+        model = build_dtmc(p, MICAZ, mode)
+        for kind in ("time", "power"):
+            result = solve_query(model, AnalysisQuery(lam=1.0, reward_kind=kind))
+            system, want = model._analysis.system, 0.0
+            a = model.transitions[system.idx][:, system.idx]
+            rhs = {"reach": model.transitions @ system.mask, **model._analysis.reward_b}
+            for solved in ("reach", kind):
+                if solved in system.solutions and len(system.idx):
+                    x, b = system.solutions[solved][0], rhs[solved][system.idx]
+                    want = max(want, float(np.max(np.abs(x - a @ x - b))))
+            assert result.residual == want
+            assert want > 0.0 or not len(system.idx)
 
     @pytest.mark.parametrize("name", sorted(SOLVE_MODELS))
     @pytest.mark.parametrize("lam", [1.0, 0.6])
@@ -437,9 +462,9 @@ class TestBlockSolve:
 
         def solve(model):
             targets = target_set(model, lam)
-            reach, _ = reach_probability(model, targets)
+            reach = reach_probability(model, targets)
             return [reach] + [
-                expected_reward(model, targets, kind)[0] for kind in ("time", "power")
+                expected_reward(model, targets, kind) for kind in ("time", "power")
             ]
 
         got = solve(build_dtmc(p, MICAZ, mode))
@@ -533,7 +558,7 @@ class TestMonteCarlo:
         # costliest run costs exactly the expected reward of its start state
         p = params(n=4, t=3, r=1, epsilon=0.5, mu=0.0)
         model = build_dtmc(p)
-        values, _ = expected_reward(model, target_set(model, 1.0), kind)
+        values = expected_reward(model, target_set(model, 1.0), kind)
         per_start = values[model.initial > 0]
         mc = monte_carlo(p, lam=1.0, reward_kind=kind, samples=2000, seed=0)
         assert mc.censored == 0

@@ -9,6 +9,7 @@ from pcosync.core import ModelParams
 from pcosync.dtmc import MICAZ, RestabilisationSpec, build_dtmc
 from pcosync.cli import (
     CSV_COLUMNS,
+    build_parser,
     load_config,
     load_profile,
     main,
@@ -153,15 +154,6 @@ class TestAnalyze:
         assert status.startswith("# status: solver failure: level ")
         assert "exactly singular" in status
 
-    @pytest.mark.parametrize("tolerance", ["0", "-1", "nan"])
-    def test_non_positive_tolerance_fails_at_once(self, tmp_path, capsys, tolerance):
-        code = main([
-            "analyze", "--n", "3", "--t", "4", "--r", "1", "--eps", "0.5", "--mu", "0.2",
-            "--solver", "iterative", "--tolerance", tolerance, "--output", str(tmp_path / "o.csv"),
-        ])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: solver tolerance must be positive")
-
     def test_state_cap_exit_code(self, tmp_path):
         code = main([
             "analyze", "--n", "6", "--t", "6", "--r", "1", "--eps", "0.1",
@@ -275,6 +267,13 @@ class TestAnalyze:
         assert main(["analyze", "--config", str(cfg), "--output", str(out)]) == 1
         assert "lamda" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_tolerance_rejected(self, tmp_path, capsys):
+        # the exact solver takes no tolerance, from a flag or from a config
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("n = 3\nt = 4\nr = 1\neps = 0.1\nmu = 0.2\ntolerance = 1e-6\n")
+        assert main(["analyze", "--config", str(cfg), "--output", str(tmp_path / "o.csv")]) == 1
+        assert "is not a flag of analyze" in capsys.readouterr().err
 
 
 class TestRestab:
@@ -398,14 +397,20 @@ class TestSimulate:
         ])
         assert code == 1
 
-    @pytest.mark.parametrize("flag", [["--solver", "exact"], ["--tolerance", "1e-6"],
-                                      ["--max-states", "10"]])
-    def test_solver_flags_not_taken(self, tmp_path, flag):
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", ["--solver", "exact"]), ("simulate", ["--tolerance", "1e-6"]),
+        ("simulate", ["--max-states", "10"]),
+        ("analyze", ["--solver", "exact"]), ("analyze", ["--tolerance", "1e-6"]),
+        ("restab", ["--solver", "exact"]), ("restab", ["--tolerance", "1e-6"]),
+    ], ids=[f"flag{i}" for i in range(7)])
+    def test_solver_flags_not_taken(self, tmp_path, capsys, command, flag):
+        own = {"simulate": ["--seed", "1"], "analyze": [], "restab": ["--u", "1"]}[command]
+        argv = [command, "--n", "2", "--t", "3", "--r", "1", "--eps", "0.5", "--mu", "0.2",
+                *own, "--output", str(tmp_path / "o.csv")]
+        build_parser().parse_args(argv)  # taken without the flag
         with pytest.raises(SystemExit):
-            main([
-                "simulate", "--n", "2", "--t", "3", "--r", "1", "--eps", "0.5",
-                "--mu", "0.2", "--seed", "1", *flag, "--output", str(tmp_path / "o.csv"),
-            ])
+            main([*argv, *flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--n", "3:1:2", "--t", "4", "--r", "1", "--eps", "0.1", "--mu", "0.2"],
