@@ -14,7 +14,6 @@ the target with a lower probability.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -23,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .core import ModelParams, validate_params
-from .dtmc import DtmcModel, HardwareProfile, InitialMode, MICAZ, StateSpace, initial_weights, step
+from .dtmc import DtmcModel, HardwareProfile, InitialMode, MICAZ, StateSpace, initial_weights, step_rewards
 from .dynamics import FiringTable, _ranges
 from .metrics import phase_coherences
 
@@ -174,12 +173,13 @@ class _ModelCache:
         self.coherence = phase_coherences(model.states.array, model.params.t)
         self.system: _System | None = None
 
-    def system_of(self, targets: frozenset[int]) -> _System:
-        """The system of ``targets``, built anew unless it is the current one."""
-        mask = np.zeros(len(self.coherence), dtype=bool)
-        mask[np.fromiter(targets, dtype=np.int64, count=len(targets))] = True
-        if self.system is None or not np.array_equal(mask, self.system.mask):
-            self.system = _System(self.p, self.pred, mask)
+    def system_of(self, targets: np.ndarray) -> _System:
+        """The system of the target mask, built anew unless it is the current one."""
+        n = len(self.coherence)
+        if getattr(targets, "dtype", None) != bool or targets.shape != (n,):
+            raise ValueError(f"targets must be a boolean array of length {n}, one entry per state")
+        if self.system is None or not np.array_equal(targets, self.system.mask):
+            self.system = _System(self.p, self.pred, targets.copy())
         return self.system
 
 
@@ -191,9 +191,9 @@ def _cache_of(model: DtmcModel) -> _ModelCache:
     return cache
 
 
-def target_set(model: DtmcModel, lam: float) -> frozenset[int]:
-    """Indices of states whose phase coherence is at least lam."""
-    return frozenset(np.flatnonzero(_cache_of(model).coherence >= lam).tolist())
+def target_set(model: DtmcModel, lam: float) -> np.ndarray:
+    """Boolean mask, by row, of the states whose phase coherence is at least lam."""
+    return _cache_of(model).coherence >= lam
 
 
 def _backward(pred: sp.csc_matrix, seed: np.ndarray, allowed: np.ndarray) -> np.ndarray:
@@ -211,7 +211,7 @@ def _backward(pred: sp.csc_matrix, seed: np.ndarray, allowed: np.ndarray) -> np.
     return mask
 
 
-def _reach(model: DtmcModel, targets: frozenset[int]) -> tuple[np.ndarray, float]:
+def _reach(model: DtmcModel, targets: np.ndarray) -> tuple[np.ndarray, float]:
     cache = _cache_of(model)
     system = cache.system_of(targets)
     x = system.certain.astype(float)  # Prob1, the targets among it, reach with probability one
@@ -225,7 +225,7 @@ def _reach(model: DtmcModel, targets: frozenset[int]) -> tuple[np.ndarray, float
 
 
 def _reward(
-    model: DtmcModel, targets: frozenset[int], reward_kind: str
+    model: DtmcModel, targets: np.ndarray, reward_kind: str
 ) -> tuple[np.ndarray, float]:
     if reward_kind not in model.rewards:
         raise ValueError(f"unknown reward kind {reward_kind!r}")
@@ -238,14 +238,16 @@ def _reward(
     return values, residual
 
 
-def reach_probability(model: DtmcModel, targets: frozenset[int]) -> np.ndarray:
-    """Per-state probability of eventually reaching the target set: exactly
-    1 wherever the graph shows the target is reached with probability one."""
+def reach_probability(model: DtmcModel, targets: np.ndarray) -> np.ndarray:
+    """Per-state probability of eventually reaching the states of the
+    target mask (``target_set``): exactly 1 wherever the graph shows the
+    target is reached with probability one."""
     return _reach(model, targets)[0]
 
 
-def expected_reward(model: DtmcModel, targets: frozenset[int], reward_kind: str) -> np.ndarray:
-    """Per-state expected accumulated reward until the target set is entered.
+def expected_reward(model: DtmcModel, targets: np.ndarray, reward_kind: str) -> np.ndarray:
+    """Per-state expected accumulated reward until a state of the target
+    mask (``target_set``) is entered.
 
     Infinite wherever the target is not reached with probability one, as
     decided on the graph.
@@ -314,25 +316,6 @@ class MonteCarloResult:
     trapped: bool = field(default=False, compare=False)
 
 
-def _group_masses(table: FiringTable, k: int) -> list[float] | np.ndarray:
-    """Failure-count masses of a group of k: the build's own, or, for a group
-    too large for the build, the same terms formed in log space from the
-    exact C(k, f), which the rounding of the logs leaves within a few 1e-13
-    relative (2.6e-13 at k = 1,600, mu = 0.2)."""
-    if k <= FiringTable.MAX_GROUP:
-        return table.masses(k)
-    masses = np.zeros(k + 1)
-    mu = table.mu
-    if mu in (0.0, 1.0):  # every broadcast succeeds, or every one fails
-        masses[k if mu else 0] = 1.0
-        return masses
-    log_mu, log_nu, comb = math.log(mu), math.log1p(-mu), 1
-    for f in range(k + 1):
-        masses[f] = math.exp(math.log(comb) + f * log_mu + (k - f) * log_nu)
-        comb = comb * (k - f) // (f + 1)
-    return masses
-
-
 class FailureDraw:
     """Inverse-CDF draws of firing-group failure counts from the build's masses.
 
@@ -352,7 +335,7 @@ class FailureDraw:
     def __init__(self, table: FiringTable, sizes: np.ndarray) -> None:
         groups, group = np.unique(sizes, return_inverse=True)
         # P(F <= f) for f < k; a sum that reaches one is never passed by u < 1
-        cdfs = [np.cumsum(_group_masses(table, k))[:-1] for k in groups.tolist()]
+        cdfs = [np.cumsum(table.masses(k))[:-1] for k in groups.tolist()]
         cdfs = [cdf[cdf < 1.0] for cdf in cdfs]
         self.thresholds = np.concatenate([2.0 * g + cdf for g, cdf in enumerate(cdfs)] + [[np.inf]])
         counts = np.array([len(cdf) for cdf in cdfs])
@@ -405,7 +388,8 @@ def monte_carlo(
     All live runs take each step together.  In a firing state the failure
     count of the firing group is drawn by ``FailureDraw`` from one uniform
     per run, so the sampler draws from the masses the build uses, and the
-    successor is read from the model's ``FiringTable``; the failures of
+    successor and rewards are those of the build, from
+    ``FiringTable.successors`` and ``step_rewards``; the failures of
     absorbed groups change neither the successor nor the rewards.  Runs
     still short of the target after step_cap steps are censored at the
     accumulated value and counted.  One seed always gives the same result;
@@ -448,7 +432,8 @@ def monte_carlo(
         if missing.size:
             ids = np.searchsorted(offset, missing, side="right") - 1  # the slots' states
             successes = k_t[ids] - (missing - offset[ids])
-            targets, time_r, power_r = step(support[ids], successes, table, p, profile)
+            targets = table.successors(support[ids], successes)
+            time_r, power_r = step_rewards(support[ids], targets, p, profile)
             succ[missing] = space.rows(targets)
             reward[missing] = power_r if reward_kind == "power" else time_r
         return succ[slots], reward[slots]

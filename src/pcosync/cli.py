@@ -54,8 +54,10 @@ def parse_range(text: str, cast=float) -> list:
     gives no value, such as a descending range or a lone comma, is an error."""
     text = text.strip()
     if ":" in text:
-        start_s, step_s, stop_s = text.split(":")
-        start, step, stop = cast(start_s), cast(step_s), cast(stop_s)
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"bad range {text!r}, expected start:step:stop")
+        start, step, stop = map(cast, parts)
         if step <= 0:
             raise ValueError(f"range step must be positive in {text!r}")
         values = []
@@ -290,13 +292,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Monte Carlo estimates of every query; no model is built."""
-    if args.seed is None:
-        print("error: --seed is required for reproducible simulation", file=sys.stderr)
-        return 1
-    samples = int(args.samples) if args.samples is not None else 10_000
-    seed = int(args.seed)
 
     def answer(params, profile, mode, points):
+        if args.seed is None:
+            raise ValueError("--seed is required for reproducible simulation")
+        samples = int(args.samples) if args.samples is not None else 10_000
+        seed = int(args.seed)
         for lam, metric, agg in points:
             if agg == "min":
                 raise ValueError("simulate supports avg and max aggregates only")

@@ -62,6 +62,8 @@ def validate_params(p: ModelParams) -> ModelParams:
         raise ValueError(f"R must satisfy 0 <= R < T, got R={p.r} with T={p.t}")
     if not p.epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {p.epsilon}")
+    if not math.isfinite(p.epsilon):
+        raise ValueError(f"epsilon must be finite, got {p.epsilon}")
     if not 0 <= p.mu <= 1:
         raise ValueError(f"mu must be in [0, 1], got {p.mu}")
     return p

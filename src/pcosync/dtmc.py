@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import ModelParams, State, validate_params
-from .dynamics import FiringTable, skip_targets
+from .dynamics import FiringTable
 
 
 class StateSpaceLimitExceeded(RuntimeError):
@@ -123,10 +123,7 @@ class StateSpace(Sequence):
 
     def rows(self, states: np.ndarray) -> np.ndarray:
         """Rows of the given states, found by rank; each must be in the space."""
-        return self.rows_of(self.rank(states))
-
-    def rows_of(self, ranks: np.ndarray) -> np.ndarray:
-        """Rows of the states of the given ranks; each must be in the space."""
+        ranks = self.rank(states)
         return ranks if self.full else np.searchsorted(self.ranks, ranks)
 
     def index(self, sigma: State) -> int:
@@ -297,19 +294,6 @@ def skip_power(sigma: np.ndarray | State, p: ModelParams, profile: HardwareProfi
     return total[()]
 
 
-def step(
-    states: np.ndarray, successes: np.ndarray, table: FiringTable, p: ModelParams,
-    profile: HardwareProfile,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Successor, time reward and power reward of each row of ``states``: a
-    firing row steps with ``successes`` successful broadcasts of its firing
-    group, any other row skips to the next firing state."""
-    targets = table.successors(states, successes)
-    idle = states[:, -1] == 0
-    targets[idle] = skip_targets(states[idle])
-    return (targets, *step_rewards(states, targets, p, profile))
-
-
 def step_rewards(
     states: np.ndarray, targets: np.ndarray, p: ModelParams, profile: HardwareProfile
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -337,7 +321,8 @@ def build_dtmc(
     phase move together, so the largest group never shrinks and both Gamma
     and a restabilisation support are closed under the dynamics.  States
     are numbered in lexicographic order, which is rank order, and each
-    target's row is found by its rank.
+    target's row is found by its rank.  A group larger than
+    ``FiringTable.MAX_GROUP`` is refused before any branch is formed.
     """
     validate_params(p)
     if max_states is not None and mode == "full" and state_count(p) > max_states:
@@ -345,11 +330,11 @@ def build_dtmc(
     support, weights = initial_weights(p, mode)
     if max_states is not None and len(support) > max_states:
         raise StateSpaceLimitExceeded(len(support), max_states)
+    if (big := support[support > FiringTable.MAX_GROUP]).size:
+        raise ValueError(f"a group of {big.min()} oscillators exceeds the limit of {FiringTable.MAX_GROUP}")
     space = StateSpace(p, support)
-    table = FiringTable(p)
-    rows, probs, ranks, targets = table.branches(support, space.rank)
-    time_r, power_r = step_rewards(support[rows], targets, p, profile)
-    cols = space.rows_of(ranks)
+    rows, probs, cols = FiringTable(p).branches(support, space.rows)
+    time_r, power_r = step_rewards(support[rows], support[cols], p, profile)
     indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=len(support)))]
     return DtmcModel(
         params=p,

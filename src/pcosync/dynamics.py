@@ -74,18 +74,12 @@ def skip_successor(sigma: State) -> tuple[State, int]:
     return tuple(new), shift
 
 
-def skip_targets(states: np.ndarray) -> np.ndarray:
-    """``skip_successor`` of each row of a count array; a firing row stays."""
-    t = states.shape[1]
-    shift = np.argmax(states[:, ::-1] > 0, axis=1)
-    return np.take_along_axis(states, (np.arange(t) - shift[:, None]) % t, 1)
-
-
 def chain_updates(successes: int, p: ModelParams) -> tuple[list[bool], list[int]]:
     """Fire flags and updated phases for all phase groups, given the number
     of successful broadcasts from the firing group at phase T."""
+    epsilon = min(p.epsilon, p.t)  # T already absorbs all perturbed groups; more can overflow
     updated = [
-        phi + 1 + refractory(phi, perturbation(phi, successes, p.epsilon), p.r)
+        phi + 1 + refractory(phi, perturbation(phi, successes, epsilon), p.r)
         for phi in range(1, p.t)
     ]
     updated.append(p.t + 1)  # the firing group itself
@@ -221,11 +215,14 @@ class FiringTable:
 
     The fired set and the updated phases depend only on the number s of
     successful broadcasts, so ``chain[s]`` is ``chain_updates(s, p)`` for
-    s = 0..N.  The build and the sampler use this table;
-    ``successor_distribution`` stays the reference it is tested against.
+    s = 0..N.  The build and the sampler both step with ``successors`` and
+    weigh failures with ``masses``; ``successor_distribution`` stays the
+    reference the table is tested against.
     """
 
-    MAX_GROUP = 1029  #: C(k, f) of a larger group leaves the float range
+    #: C(k, f) of a larger group leaves the float range: ``masses`` forms its
+    #: terms in log space, and ``build_dtmc`` refuses it
+    MAX_GROUP = 1029
 
     def __init__(self, p: ModelParams):
         self.mu = p.mu
@@ -236,21 +233,39 @@ class FiringTable:
         self._masses: dict[int, list[float]] = {}
 
     def successors(self, states: np.ndarray, successes: np.ndarray) -> np.ndarray:
-        """Row j of states stepped with ``successes[j]`` successful broadcasts."""
+        """Row j of states stepped with ``successes[j]`` successful broadcasts
+        of its firing group, or, if it does not fire, by ``skip_successor``."""
+        n, t = states.shape
+        idle = np.flatnonzero(states[:, -1] == 0)
+        shift = np.argmax(states[idle, ::-1] > 0, axis=1)  # T - delta
         targets = np.zeros(states.shape, states.dtype)
-        cells = np.arange(len(states)) * states.shape[1] - 1
-        for i in range(states.shape[1]):
-            np.add.at(targets.reshape(-1), cells + self.dest[successes, i], states[:, i])
+        cells = np.arange(n) * t - 1
+        for i in range(t):
+            dest = self.dest[successes, i]  # the phase group i + 1 lands on
+            # a skip moves it up by T - delta; an empty group above delta lands on T
+            dest[idle] = np.minimum(i + 1 + shift, t)
+            np.add.at(targets.reshape(-1), cells + dest, states[:, i])
         return targets
 
     def masses(self, k: int) -> list[float]:
-        """Failure-count masses of a group of k, formed as in ``failure_probability``."""
+        """Failure-count masses of a group of k, formed as in
+        ``failure_probability``.  Above ``MAX_GROUP`` the same terms are
+        formed in log space from the exact C(k, f), which the rounding of the
+        logs leaves within a few 1e-13 relative (2.6e-13 at k = 1,600,
+        mu = 0.2)."""
         k = int(k)  # a NumPy k would take the powers in NumPy, off in the last bit
         if k not in self._masses:
-            if k > self.MAX_GROUP:
-                raise ValueError(f"a group of {k} oscillators exceeds the limit of {self.MAX_GROUP}")
             mu = self.mu
-            self._masses[k] = [math.comb(k, f) * mu**f * (1.0 - mu) ** (k - f) for f in range(k + 1)]
+            if k <= self.MAX_GROUP:
+                masses = [math.comb(k, f) * mu**f * (1.0 - mu) ** (k - f) for f in range(k + 1)]
+            elif mu in (0.0, 1.0):  # every broadcast succeeds, or every one fails
+                masses = [float(f == (k if mu else 0)) for f in range(k + 1)]
+            else:
+                log_mu, log_nu, comb, masses = math.log(mu), math.log1p(-mu), 1, []
+                for f in range(k + 1):
+                    masses.append(math.exp(math.log(comb) + f * log_mu + (k - f) * log_nu))
+                    comb = comb * (k - f) // (f + 1)
+            self._masses[k] = masses
         return self._masses[k]
 
     def products(
@@ -282,12 +297,12 @@ class FiringTable:
         return products[nonzero], np.cumsum(count) - count, count
 
     def branches(
-        self, states: np.ndarray, rank: Callable[[np.ndarray], np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        self, states: np.ndarray, rows: Callable[[np.ndarray], np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The branches of every row of ``states``, bit for bit as
         ``successor_distribution`` gives them: per branch its row, its
-        probability, the target's rank and the target itself, with rows in
-        order and each row's targets by ascending rank.  A non-firing row
+        probability and its target's row, which ``rows`` finds, with rows in
+        order and each row's targets by ascending row.  A non-firing row
         (k_T = 0) gets its one branch, the skip, of probability 1.0.
 
         A row's probability for a target is the left fold, from 0.0, of the
@@ -325,13 +340,10 @@ class FiringTable:
         # one successor per run that keeps a pair
         lead = np.r_[True, run_of[1:] != run_of[:-1]]
         run, run_of = np.flatnonzero(lead), np.cumsum(lead) - 1
-        targets = self.successors(states[row[run]], successes[run])
-        idle = np.flatnonzero(k_t[row[run]] == 0)
-        targets[idle] = skip_targets(states[row[run[idle]]])  # the skip of a non-firing row
-        ranks = rank(targets)
-        order = np.lexsort((ranks[run_of], row))  # stable: f_T ascends within a target
+        target = rows(self.successors(states[row[run]], successes[run]))
+        order = np.lexsort((target[run_of], row))  # stable: f_T ascends within a target
         row, key_of, run_of = row[order], key_of[order], run_of[order]
-        new = np.r_[True, (row[1:] != row[:-1]) | (ranks[run_of[1:]] != ranks[run_of[:-1]])]
+        new = np.r_[True, (row[1:] != row[:-1]) | (target[run_of[1:]] != target[run_of[:-1]])]
         probs = sums[key_of[new]]  # the key sum of a branch's first pair
         # then the products of the pairs that continue the sum, in order
         cont = np.flatnonzero(~new)
@@ -342,7 +354,7 @@ class FiringTable:
         gather = _ranges(start[key_of[cont]], length)
         probs[branch[end]] = fold_segments(terms[gather], np.cumsum(span) - span, span, probs[branch[end]])
         last = np.r_[new[1:], True]
-        return row[last], probs, ranks[run_of[last]], targets[run_of[last]]
+        return row[last], probs, target[run_of[last]]
 
 
 def _ranges(start: np.ndarray | int, length: np.ndarray) -> np.ndarray:

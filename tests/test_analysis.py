@@ -39,23 +39,24 @@ def hand_model():
 class TestTargetSet:
     def test_lambda_one_is_synchrony(self, hand_model):
         targets = target_set(hand_model, 1.0)
+        assert targets.dtype == bool and targets.shape == (hand_model.n_states,)
         for i, sigma in enumerate(hand_model.states):
-            assert (i in targets) == is_synchronised(sigma)
+            assert targets[i] == is_synchronised(sigma)
 
     def test_lambda_zero_is_everything(self, hand_model):
-        assert target_set(hand_model, 0.0) == frozenset(range(hand_model.n_states))
+        assert target_set(hand_model, 0.0).all()
 
     def test_half_threshold_excludes_reference_state(self):
         model = build_dtmc(ModelParams(n=8, t=10, r=2, epsilon=0.1, mu=0.2))
         i = model.states.index((0, 0, 0, 0, 0, 2, 1, 0, 0, 5))
-        assert i not in target_set(model, 0.5)  # coherence 0.4671 falls short
+        assert not target_set(model, 0.5)[i]  # coherence 0.4671 falls short
 
 
 class TestReachProbability:
     def test_targets_are_one(self, hand_model):
         targets = target_set(hand_model, 1.0)
         reach = reach_probability(hand_model, targets)
-        for i in targets:
+        for i in np.flatnonzero(targets):
             assert reach[i] == 1.0
 
     def test_all_states_synchronise(self, hand_model):
@@ -73,7 +74,7 @@ class TestExpectedReward:
     def test_targets_are_zero(self, hand_model):
         targets = target_set(hand_model, 1.0)
         values = expected_reward(hand_model, targets, "time")
-        for i in targets:
+        for i in np.flatnonzero(targets):
             assert values[i] == 0.0
 
     def test_single_step_identity(self):
@@ -104,7 +105,22 @@ class TestExpectedReward:
 
     def test_rejects_unknown_kind(self, hand_model):
         with pytest.raises(ValueError):
-            expected_reward(hand_model, frozenset(), "fuel")
+            expected_reward(hand_model, np.zeros(hand_model.n_states, dtype=bool), "fuel")
+
+
+@pytest.mark.parametrize(
+    "targets",
+    [frozenset({0}), [True] * 6, np.ones(6), np.ones(5, dtype=bool), np.ones((6, 1), dtype=bool)],
+    ids=["set", "list", "float-array", "short-mask", "column-mask"],
+)
+def test_target_argument_must_be_a_mask(hand_model, targets):
+    # one boolean per state, as target_set gives it
+    assert hand_model.n_states == 6
+    message = "targets must be a boolean array of length 6, one entry per state"
+    with pytest.raises(ValueError, match=message):
+        reach_probability(hand_model, targets)
+    with pytest.raises(ValueError, match=message):
+        expected_reward(hand_model, targets, "time")
 
 
 class TestGraphFiniteness:
@@ -185,6 +201,7 @@ def loop_reference(model, targets, reward_kind, exact=False):
     ``rational_solve`` of its float entries, the right-hand side summed
     exactly."""
     n = model.n_states
+    targets = set(np.flatnonzero(targets).tolist())
     rows = csr_rows(model)
     predecessors = [[] for _ in range(n)]
     for src, row in enumerate(rows):
@@ -314,6 +331,17 @@ class TestFactorReuse:
         assert len(splu_calls) == 3
         fresh = [solve_query(build_dtmc(p), AnalysisQuery(lam=lam)).value for lam in (1.0, 0.6)]
         assert values == pytest.approx(fresh + fresh[:1], rel=1e-12)
+
+    def test_mask_changed_in_place_is_a_new_target_set(self, splu_calls):
+        # the system keeps its own copy of the mask it was built for
+        p, _ = FACTOR_MODELS["full"]
+        model, fresh = build_dtmc(p), build_dtmc(p)
+        targets = target_set(model, 1.0)
+        expected_reward(model, targets, "time")
+        targets[:] = target_set(model, 0.6)
+        got = expected_reward(model, targets, "time")
+        assert len(splu_calls) == 2
+        assert np.array_equal(got, expected_reward(fresh, target_set(fresh, 0.6), "time"))
 
     def test_residual_is_reported(self):
         model = build_dtmc(FACTOR_MODELS["full"][0])
@@ -578,7 +606,7 @@ class TestMonteCarlo:
         for s in np.flatnonzero(model.initial).tolist():
             total = 0.0
             for _ in range(50):
-                if s in targets:
+                if targets[s]:
                     break
                 total += model.rewards[kind][a.indptr[s]]
                 s = a.indices[a.indptr[s]]
@@ -676,8 +704,7 @@ class TestMonteCarlo:
         # the built chain is deterministic at mu = 0 and mu = 1; from its
         # non-target starts the check follows its rows
         model = build_dtmc(p)
-        a, flag = model.transitions, np.zeros(model.n_states, dtype=bool)
-        flag[list(target_set(model, 1.0))] = True
+        a, flag = model.transitions, target_set(model, 1.0)
         assert np.all(np.diff(a.indptr) == 1)
 
         def outcomes(states):
@@ -697,6 +724,26 @@ class TestMonteCarlo:
                 chain_sum, s = chain_sum + model.rewards[kind][s], a.indices[s]
                 closed_sum, h = closed_sum + r[h], nxt[h]
             assert chain_sum == closed_sum
+
+    @pytest.mark.parametrize(
+        "p, mode, kind, samples, want",
+        [
+            (ModelParams(n=8, t=10, r=1, epsilon=0.1, mu=0.2), "full", "time", 5000,
+             (4.44158, 0.06355737037185952, 100.39999999999937, 0, False)),
+            (ModelParams(n=3, t=4, r=1, epsilon=0.1, mu=0.2), "full", "power", 50,
+             (0.06228694575000054, 0.006790758256904738, 0.12331166250001938, 32, True)),
+            (ModelParams(n=200, t=10, r=4, epsilon=0.1, mu=0.2), RestabilisationSpec(3), "time", 2000,
+             (2.53575, 0.03558379648148884, 9.999999999999995, 0, False)),
+            # firing groups of 1,599 and 1,600: log-space masses
+            (ModelParams(n=1600, t=10, r=4, epsilon=0.1, mu=0.2), RestabilisationSpec(1), "time", 200,
+             (1.605, 0.11508517710786975, 7.499999999999997, 0, False)),
+        ],
+        ids=["n8", "trapped-power", "restab200", "restab1600"],
+    )
+    def test_pinned_per_seed_values(self, p, mode, kind, samples, want):
+        # the draws and steps of one seed, pinned to the last bit
+        mc = monte_carlo(p, MICAZ, mode, reward_kind=kind, samples=samples, seed=7)
+        assert (mc.mean, mc.std_error, mc.max_observed, mc.censored, mc.trapped) == want
 
     def test_zero_step_cap_accumulates_nothing(self):
         p = params(n=3, t=4, r=1, epsilon=0.1, mu=0.2)

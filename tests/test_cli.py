@@ -59,6 +59,11 @@ class TestParseRange:
         with pytest.raises(ValueError):
             parse_range("1:0:5", int)
 
+    @pytest.mark.parametrize("text", ["1:3", "1:1:2:3"])
+    def test_range_needs_three_parts(self, text):
+        with pytest.raises(ValueError, match=f"bad range '{text}', expected start:step:stop"):
+            parse_range(text, int)
+
 
 class TestParseQueries:
     def test_valid(self):
@@ -357,11 +362,14 @@ class TestExport:
 
 class TestSimulate:
     def test_seed_required(self, tmp_path):
+        out = tmp_path / "o.csv"
         code = main([
             "simulate", "--n", "2", "--t", "3", "--r", "1", "--eps", "0.5",
-            "--mu", "0.2", "--output", str(tmp_path / "o.csv"),
+            "--mu", "0.2", "--output", str(out),
         ])
         assert code == 1
+        rows, status = read_csv(out)
+        assert rows == [] and status == "# status: error: --seed is required for reproducible simulation"
 
     def test_fixed_seed_reproducible(self, tmp_path):
         args = [

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -102,6 +104,8 @@ class TestValidation:
             dict(epsilon=-0.1),
             dict(mu=-0.01),
             dict(mu=1.01),
+            dict(epsilon=math.inf),
+            dict(epsilon=math.nan),
         ],
     )
     def test_bad_params_rejected(self, kw):

@@ -303,6 +303,21 @@ class TestFiringTable:
         p = params(n=35, t=10, r=4)
         assert_firing_rows_match_oracle(build_dtmc(p, MICAZ, RestabilisationSpec(3)))
 
+    @pytest.mark.parametrize("eps", [1e200, 1e308])
+    @pytest.mark.parametrize("kw", [dict(n=3, t=4, r=1), dict(n=5, t=4, r=0), dict(n=6, t=8, r=2)])
+    def test_huge_epsilon_builds_the_epsilon_t_chain(self, kw, eps):
+        # epsilon = T already absorbs every perturbed group outside the
+        # refractory interval; phi * alpha * 1e308 would overflow the rounding
+        def arrays(model):
+            a = model.transitions
+            return repr([(x.dtype, x.tolist()) for x in (
+                a.indptr, a.indices, a.data, model.rewards["time"], model.rewards["power"],
+                model.initial, model.states.array,
+            )])
+
+        want = arrays(build_dtmc(params(**kw, epsilon=float(kw["t"]))))
+        assert arrays(build_dtmc(params(**kw, epsilon=eps))) == want
+
 
 def assert_same_as_reference_build(p, mode="full"):
     """States, CSR arrays, rewards and initial weights equal the

@@ -1,4 +1,5 @@
 import itertools
+import math
 from functools import reduce
 from operator import add
 
@@ -11,7 +12,7 @@ from oracles import (
     brute_force_successors,
 )
 from pcosync.core import ModelParams, is_firing, is_synchronised
-from pcosync.dtmc import enumerate_states
+from pcosync.dtmc import build_dtmc, enumerate_states
 from pcosync.dynamics import (
     FiringTable,
     InconsistentFailureVector,
@@ -257,8 +258,14 @@ class TestFiringTableMasses:
         table = FiringTable(ModelParams(n=2, t=3, r=1, epsilon=0.1, mu=0.2))
         limit = FiringTable.MAX_GROUP
         assert len(table.masses(limit)) == limit + 1
-        with pytest.raises(ValueError, match=f"{limit + 1} oscillators"):
-            table.masses(limit + 1)
+        # above the limit the terms are formed in log space from the exact C(k, f)
+        k, log_mu, log_nu = limit + 1, math.log(0.2), math.log1p(-0.2)
+        want = [math.exp(math.log(math.comb(k, f)) + f * log_mu + (k - f) * log_nu) for f in range(k + 1)]
+        assert repr(table.masses(k)) == repr(want)
+        # and the build refuses such a group, naming the smallest: (1, 1030)
+        # and (0, 1031) hold groups of 1030 and 1031
+        with pytest.raises(ValueError, match=f"a group of {k} oscillators exceeds the limit of {limit}"):
+            build_dtmc(ModelParams(n=k + 1, t=2, r=0, epsilon=0.1, mu=0.2))
 
 
 class TestSuccessorDistribution:
