@@ -47,6 +47,7 @@ from .analysis import (
     expected_reward,
     monte_carlo,
     reach_probability,
+    solve_queries,
     solve_query,
     target_set,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "refractory",
     "resolve_chain",
     "skip_successor",
+    "solve_queries",
     "solve_query",
     "state_count",
     "successor_distribution",

@@ -4,9 +4,10 @@ Queries target the set of states whose phase coherence meets a threshold.
 Expected accumulated rewards (time in cycles, energy in Watt-hours) are
 solved from the linear fixed-point equations by direct elimination; states
 that fail to reach the target with probability one, as decided on the graph,
-get an infinite expected reward.  The reachability and the rewards of one
-target set share one system, factored once, one level of its SCC
-condensation at a time, and each right-hand side is solved once.  The
+get an infinite expected reward.  Within one ``solve_queries`` call, the
+reachability and the rewards of one target set share one system, factored
+once, one level of its SCC condensation at a time, and each right-hand side
+is solved once; nothing is kept on the model between calls.  The
 reachability of a state that reaches the target with probability one, as
 decided on the graph, is 1, and it is solved only when some state reaches
 the target with a lower probability.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,29 +64,44 @@ class AnalysisResult:
 
 
 class _System:
-    """The fixed-point system x = a x + b of one target set, on which the
-    reachability and every reward solve.  Its unknowns ``idx`` are the
-    states that reach the target but are not in it; ``certain`` marks the
-    states that reach it with probability one (Prob1), decided on the graph.
-    A non-target Prob1 state only steps into Prob1 or the target, so its
-    rows reference no unknown outside Prob1, and a reward is the solution
-    on ``idx`` within Prob1.  The system is factored when built and keeps
-    only the level blocks of ``_factor``, not a itself; every solve
+    """The fixed-point system x = a x + b of one target set of a model, on
+    which the reachability and every reward solve.  Its unknowns ``idx`` are
+    the states that reach the target but are not in it; ``certain`` marks
+    the states that reach it with probability one (Prob1), decided on the
+    graph.  A non-target Prob1 state only steps into Prob1 or the target, so
+    its rows reference no unknown outside Prob1, and a reward is the
+    solution on ``idx`` within Prob1.  The system is factored when built and
+    keeps only the level blocks of ``_factor``, not a itself; every solve
     back-substitutes through them, and each solution is kept under its
     right-hand side's name."""
 
-    def __init__(self, p: sp.csr_matrix, pred: sp.csc_matrix, mask: np.ndarray) -> None:
+    def __init__(self, model: DtmcModel, mask: np.ndarray, pred: sp.csc_matrix | None = None) -> None:
+        self.p, self.rewards, n = model.transitions, model.rewards, model.n_states
+        if getattr(mask, "dtype", None) != bool or mask.shape != (n,):
+            raise ValueError(f"targets must be a boolean array of length {n}, one entry per state")
+        pred = self.p.tocsc() if pred is None else pred  # column j: the predecessors of state j
         reaching = _backward(pred, mask, np.ones_like(mask))
         self.mask, self.certain = mask, ~_backward(pred, ~reaching, ~mask)
         self.idx = idx = np.flatnonzero(reaching & ~mask)
-        self.levels = _factor(p[idx][:, idx])
+        self.levels = _factor(self.p[idx][:, idx])
         self.solutions: dict[str, tuple[np.ndarray, float]] = {}
 
-    def solve(self, name: str, b: np.ndarray) -> tuple[np.ndarray, float]:
+    def rhs(self, name: str) -> np.ndarray:
+        """b of the right-hand side ``name``, one entry per state: the
+        one-step probability of entering the target ("reach"), or the
+        expected one-step reward of a reward kind."""
+        p = self.p
+        if name == "reach":
+            return p @ self.mask
+        # a matvec adds each row in stored order, np.add.reduceat would pair terms up
+        weighted = sp.csr_matrix((p.data * self.rewards[name], p.indices, p.indptr), shape=p.shape)
+        return weighted @ np.ones(p.shape[1])
+
+    def solve(self, name: str) -> tuple[np.ndarray, float]:
         """Solution and residual ||(I - a) x - b[idx]||_inf of the
-        right-hand side ``name``, given with one entry per state."""
+        right-hand side ``name``, solved the first time it is asked for."""
         if name not in self.solutions:
-            self.solutions[name] = self._solve(b[self.idx])
+            self.solutions[name] = self._solve(self.rhs(name)[self.idx])
         return self.solutions[name]
 
     def _solve(self, b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -151,49 +168,9 @@ def _factor(a: sp.csr_matrix) -> list[tuple[np.ndarray, sp.csr_matrix, spla.Supe
     return blocks
 
 
-class _ModelCache:
-    """Arrays derived once from a model, and the system of its current
-    target set.
-
-    ``p`` is the model's own transition matrix, ``pred`` its CSC copy, whose
-    column j lists the predecessors of state j.  Moving to another target
-    set drops the system of the previous one.
-    """
-
-    def __init__(self, model: DtmcModel) -> None:
-        self.p = p = model.transitions
-        self.pred = p.tocsc()
-        #: expected one-step reward of every state, per reward kind; a matvec
-        #: adds each row in stored order, np.add.reduceat would pair terms up
-        self.reward_b = {
-            kind: sp.csr_matrix((p.data * r, p.indices, p.indptr), shape=p.shape)
-            @ np.ones(p.shape[1])
-            for kind, r in model.rewards.items()
-        }
-        self.coherence = phase_coherences(model.states.array, model.params.t)
-        self.system: _System | None = None
-
-    def system_of(self, targets: np.ndarray) -> _System:
-        """The system of the target mask, built anew unless it is the current one."""
-        n = len(self.coherence)
-        if getattr(targets, "dtype", None) != bool or targets.shape != (n,):
-            raise ValueError(f"targets must be a boolean array of length {n}, one entry per state")
-        if self.system is None or not np.array_equal(targets, self.system.mask):
-            self.system = _System(self.p, self.pred, targets.copy())
-        return self.system
-
-
-def _cache_of(model: DtmcModel) -> _ModelCache:
-    cache = model._analysis
-    if cache is None:
-        cache = _ModelCache(model)
-        object.__setattr__(model, "_analysis", cache)
-    return cache
-
-
 def target_set(model: DtmcModel, lam: float) -> np.ndarray:
     """Boolean mask, by row, of the states whose phase coherence is at least lam."""
-    return _cache_of(model).coherence >= lam
+    return phase_coherences(model.states.array, model.params.t) >= lam
 
 
 def _backward(pred: sp.csc_matrix, seed: np.ndarray, allowed: np.ndarray) -> np.ndarray:
@@ -211,27 +188,18 @@ def _backward(pred: sp.csc_matrix, seed: np.ndarray, allowed: np.ndarray) -> np.
     return mask
 
 
-def _reach(model: DtmcModel, targets: np.ndarray) -> tuple[np.ndarray, float]:
-    cache = _cache_of(model)
-    system = cache.system_of(targets)
+def _reach(system: _System) -> tuple[np.ndarray, float]:
     x = system.certain.astype(float)  # Prob1, the targets among it, reach with probability one
     unsure = ~system.certain[system.idx]
     if not unsure.any():
         return x, 0.0
-    # b: the one-step probability of entering the target set
-    sol, residual = system.solve("reach", cache.p @ system.mask)
+    sol, residual = system.solve("reach")
     x[system.idx[unsure]] = np.clip(sol[unsure], 0.0, 1.0)
     return x, residual
 
 
-def _reward(
-    model: DtmcModel, targets: np.ndarray, reward_kind: str
-) -> tuple[np.ndarray, float]:
-    if reward_kind not in model.rewards:
-        raise ValueError(f"unknown reward kind {reward_kind!r}")
-    cache = _cache_of(model)
-    system = cache.system_of(targets)
-    sol, residual = system.solve(reward_kind, cache.reward_b[reward_kind])
+def _reward(system: _System, reward_kind: str) -> tuple[np.ndarray, float]:
+    sol, residual = system.solve(reward_kind)
     values = np.where(system.certain, 0.0, np.inf)
     certain = system.certain[system.idx]
     values[system.idx[certain]] = np.maximum(sol[certain], 0.0)
@@ -242,7 +210,7 @@ def reach_probability(model: DtmcModel, targets: np.ndarray) -> np.ndarray:
     """Per-state probability of eventually reaching the states of the
     target mask (``target_set``): exactly 1 wherever the graph shows the
     target is reached with probability one."""
-    return _reach(model, targets)[0]
+    return _reach(_System(model, targets))[0]
 
 
 def expected_reward(model: DtmcModel, targets: np.ndarray, reward_kind: str) -> np.ndarray:
@@ -252,7 +220,9 @@ def expected_reward(model: DtmcModel, targets: np.ndarray, reward_kind: str) -> 
     Infinite wherever the target is not reached with probability one, as
     decided on the graph.
     """
-    return _reward(model, targets, reward_kind)[0]
+    if reward_kind not in model.rewards:
+        raise ValueError(f"unknown reward kind {reward_kind!r}")
+    return _reward(_System(model, targets), reward_kind)[0]
 
 
 def aggregate(
@@ -290,18 +260,30 @@ def aggregate(
     )
 
 
-def solve_query(model: DtmcModel, query: AnalysisQuery) -> AnalysisResult:
-    """Answer one query end to end: target set, reachability, expected
-    reward, aggregation."""
+def solve_queries(model: DtmcModel, queries: Iterable[AnalysisQuery]) -> Iterator[AnalysisResult]:
+    """Answer the queries in order, each end to end: target set,
+    reachability, expected reward, aggregation.  Consecutive queries with
+    the same lambda share one system, factored once, and each right-hand
+    side is solved once; the factor is dropped when lambda changes or the
+    generator ends."""
     start = time.perf_counter()
-    targets = target_set(model, query.lam)
-    reach, res1 = _reach(model, targets)
-    values, res2 = _reward(model, targets, query.reward_kind)
-    wall = time.perf_counter() - start
-    return aggregate(
-        model, values, reach, query.aggregate, query.reward_kind,
-        wall_time=wall, residual=max(res1, res2),
-    )
+    pred, system, lam = model.transitions.tocsc(), None, None
+    for query in queries:
+        if query.lam != lam:
+            system = None  # the previous factor is freed before the next is built
+            lam, system = query.lam, _System(model, target_set(model, query.lam), pred)
+        reach, res1 = _reach(system)
+        values, res2 = _reward(system, query.reward_kind)
+        yield aggregate(
+            model, values, reach, query.aggregate, query.reward_kind,
+            wall_time=time.perf_counter() - start, residual=max(res1, res2),
+        )
+        start = time.perf_counter()
+
+
+def solve_query(model: DtmcModel, query: AnalysisQuery) -> AnalysisResult:
+    """Answer one query end to end, as ``solve_queries`` does."""
+    return next(solve_queries(model, [query]))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .analysis import (
     AnalysisQuery,
     SolverError,
     monte_carlo,
-    solve_query,
+    solve_queries,
 )
 from .core import ModelParams, validate_params
 from .dtmc import (
@@ -280,8 +280,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         start = time.perf_counter()
         model = build_dtmc(params, profile, mode, max_states=args.max_states)
         build_ms = (time.perf_counter() - start) * 1000.0
-        for lam, metric, agg in points:
-            result = solve_query(model, AnalysisQuery(lam=lam, reward_kind=metric, aggregate=agg))
+        queries = (AnalysisQuery(lam=lam, reward_kind=metric, aggregate=agg) for lam, metric, agg in points)
+        for result in solve_queries(model, queries):
             yield (
                 result.value, result.per_node_mWh, result.reach_probability,
                 model.n_states, model.n_transitions, build_ms + result.wall_time * 1000.0,

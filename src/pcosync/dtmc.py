@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import ModelParams, State, validate_params
-from .dynamics import FiringTable
+from .dynamics import FiringTable, _ranges
 
 
 class StateSpaceLimitExceeded(RuntimeError):
@@ -182,9 +182,6 @@ class DtmcModel:
     rewards: dict[str, np.ndarray] = field(repr=False, compare=False)
     #: Initial weight of every state, by row.
     initial: np.ndarray = field(repr=False, compare=False)
-    #: Derived data of the analysis layer (predecessors, LU factors),
-    #: created on first use; it lives and dies with the model.
-    _analysis: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_states(self) -> int:
@@ -202,23 +199,16 @@ def state_count(p: ModelParams) -> int:
 
 def state_array(p: ModelParams) -> np.ndarray:
     """All global states as the rows of an (S, T) array, in lexicographic
-    order of the counts.
-
-    Built column by column from the right: the states of m oscillators in
-    the last L columns are, for k = 0..m in turn, k in front of those of
-    m - k oscillators in the last L - 1 columns.
-    """
+    order of the counts.  Built column by column from the left: a row with m
+    oscillators left is followed, in the next column, by k = 0..m in turn,
+    and the last column takes what is left."""
     dtype = np.min_scalar_type(p.n)
-    tails = [np.full((1, 1), m, dtype) for m in range(p.n + 1)]
+    states, left = np.zeros((1, 0), dtype), np.array([p.n])
     for _ in range(p.t - 1):
-        tails = [
-            np.concatenate([
-                np.column_stack([np.full(len(tails[m - k]), k, dtype), tails[m - k]])
-                for k in range(m + 1)
-            ])
-            for m in range(p.n + 1)
-        ]
-    return tails[p.n]
+        k = _ranges(0, left + 1)
+        states = np.column_stack([np.repeat(states, left + 1, axis=0), k.astype(dtype)])
+        left = np.repeat(left, left + 1) - k
+    return np.column_stack([states, left.astype(dtype)])
 
 
 def enumerate_states(p: ModelParams) -> Iterator[State]:
@@ -322,16 +312,20 @@ def build_dtmc(
     and a restabilisation support are closed under the dynamics.  States
     are numbered in lexicographic order, which is rank order, and each
     target's row is found by its rank.  A group larger than
-    ``FiringTable.MAX_GROUP`` is refused before any branch is formed.
+    ``FiringTable.MAX_GROUP`` is refused before any branch is formed, and in
+    full mode before Gamma is built.
     """
     validate_params(p)
     if max_states is not None and mode == "full" and state_count(p) > max_states:
         raise StateSpaceLimitExceeded(state_count(p), max_states)  # before building Gamma
+    limit = FiringTable.MAX_GROUP
+    if mode == "full" and p.n > limit:  # Gamma holds a group of every size up to N
+        raise ValueError(f"a group of {limit + 1} oscillators exceeds the limit of {limit}")
     support, weights = initial_weights(p, mode)
     if max_states is not None and len(support) > max_states:
         raise StateSpaceLimitExceeded(len(support), max_states)
-    if (big := support[support > FiringTable.MAX_GROUP]).size:
-        raise ValueError(f"a group of {big.min()} oscillators exceeds the limit of {FiringTable.MAX_GROUP}")
+    if (big := support[support > limit]).size:
+        raise ValueError(f"a group of {big.min()} oscillators exceeds the limit of {limit}")
     space = StateSpace(p, support)
     rows, probs, cols = FiringTable(p).branches(support, space.rows)
     time_r, power_r = step_rewards(support[rows], support[cols], p, profile)

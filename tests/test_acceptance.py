@@ -18,10 +18,9 @@ import pytest
 from oracles import brute_force_successors, materialized_skip_power
 from pcosync.analysis import (
     AnalysisQuery,
-    aggregate,
-    expected_reward,
     monte_carlo,
     reach_probability,
+    solve_queries,
     solve_query,
     target_set,
 )
@@ -171,14 +170,9 @@ def test_criterion_6_lambda_trends(headline_models):
     detail = []
     for r in (1, 2, 3, 4):
         model = headline_models[r]
-        times, powers = [], []
-        for lam in lambdas:
-            targets = target_set(model, lam)
-            reach = reach_probability(model, targets)
-            for kind, acc in (("time", times), ("power", powers)):
-                values = expected_reward(model, targets, kind)
-                result = aggregate(model, values, reach, "avg", kind)
-                acc.append(result.value if kind == "time" else result.per_node_mWh)
+        queries = [AnalysisQuery(lam=lam, reward_kind=kind) for lam in lambdas for kind in ("time", "power")]
+        results = [(res.value, res.per_node_mWh) for res in solve_queries(model, queries)]
+        times, powers = [value for value, _ in results[::2]], [mwh for _, mwh in results[1::2]]
         mono_t = all(b >= a - 1e-12 for a, b in zip(times, times[1:]))
         mono_p = all(b >= a - 1e-12 for a, b in zip(powers, powers[1:]))
         ok = ok and mono_t and mono_p

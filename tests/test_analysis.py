@@ -1,6 +1,8 @@
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import accumulate
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,11 +18,12 @@ from pcosync.analysis import (
     expected_reward,
     monte_carlo,
     reach_probability,
+    solve_queries,
     solve_query,
     target_set,
 )
 from pcosync.core import ModelParams, is_synchronised
-from pcosync.dtmc import MICAZ, RestabilisationSpec, build_dtmc
+from pcosync.dtmc import MICAZ, DtmcModel, RestabilisationSpec, build_dtmc
 from pcosync.dynamics import FiringTable
 
 
@@ -151,7 +154,8 @@ class TestGraphFiniteness:
         # 0 -> 1 -> 2, where 1 is the target and 2 a trap: 0 enters the
         # target for certain, though a path from it ends in the trap
         p = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]))
-        system = analysis._System(p, p.tocsc(), np.array([False, True, False]))
+        chain = SimpleNamespace(transitions=p, rewards={}, n_states=3)
+        system = analysis._System(chain, np.array([False, True, False]))
         assert system.certain.tolist() == [True, True, False]
         assert system.idx.tolist() == [0]
 
@@ -264,6 +268,12 @@ FACTOR_MODELS = {
 }
 
 
+FOUR_QUERIES = [
+    AnalysisQuery(lam=1.0, reward_kind=kind, aggregate=agg)
+    for kind in ("time", "power") for agg in ("avg", "max")
+]
+
+
 @pytest.fixture
 def splu_calls(monkeypatch):
     """Sizes of the systems factored while the test runs, one entry per
@@ -311,18 +321,39 @@ class TestFactorReuse:
 
     def test_four_queries_factor_once(self, splu_calls):
         model = build_dtmc(FACTOR_MODELS["full"][0])
-        for kind in ("time", "power"):
-            for agg in ("avg", "max"):
-                solve_query(model, AnalysisQuery(lam=1.0, reward_kind=kind, aggregate=agg))
+        list(solve_queries(model, FOUR_QUERIES))
         assert splu_calls == [784]
 
     def test_reach_and_rewards_share_one_factor(self, splu_calls):
         # 4 of the 12 unknowns reach the target with probability below one
         p, mode = FACTOR_MODELS["partial"]
         model = build_dtmc(p, MICAZ, mode)
-        for kind in ("time", "power"):
-            solve_query(model, AnalysisQuery(lam=1.0, reward_kind=kind))
+        list(solve_queries(model, [AnalysisQuery(lam=1.0, reward_kind=kind) for kind in ("time", "power")]))
         assert splu_calls == [12]
+
+    def test_runs_of_one_lambda_share_a_factor(self, splu_calls):
+        p, _ = FACTOR_MODELS["full"]
+        model = build_dtmc(p)
+        queries = [
+            AnalysisQuery(lam=lam, reward_kind=kind, aggregate=agg)
+            for lam, kind, agg in (
+                (1.0, "time", "avg"), (1.0, "power", "max"), (0.6, "time", "min"),
+                (0.6, "power", "avg"), (1.0, "time", "max"),
+            )
+        ]
+        got = list(solve_queries(model, queries))
+        assert len(splu_calls) == 3
+        want = [solve_query(model, query) for query in queries]
+        for g, w in zip(got, want):
+            assert dataclasses.replace(g, wall_time=0.0) == dataclasses.replace(w, wall_time=0.0)
+
+    def test_solving_leaves_the_model_untouched(self):
+        assert "_analysis" not in {f.name for f in dataclasses.fields(DtmcModel)}
+        model = build_dtmc(FACTOR_MODELS["full"][0])
+        before = dict(vars(model))
+        solve_query(model, AnalysisQuery(lam=1.0, reward_kind="power"))
+        assert vars(model).keys() == before.keys()
+        assert all(vars(model)[name] is value for name, value in before.items())
 
     def test_new_target_set_refactors(self, splu_calls):
         p, _ = FACTOR_MODELS["full"]
@@ -363,9 +394,7 @@ class TestFactorReuse:
             p, mode = FACTOR_MODELS[name]
             model = build_dtmc(p, MICAZ, mode)
             sweeps.clear()
-            for kind in ("time", "power"):
-                for agg in ("avg", "max"):
-                    solve_query(model, AnalysisQuery(lam=1.0, reward_kind=kind, aggregate=agg))
+            list(solve_queries(model, FOUR_QUERIES))
             assert sweeps == want, name
 
 
@@ -418,11 +447,9 @@ LEVEL_MODELS = {**FACTOR_MODELS, "n8r2": (ModelParams(n=8, t=10, r=2, epsilon=0.
 
 def factored_systems(p, mode):
     """The matrix a and the system of the model's reach and reward solves at
-    lambda = 1, after one query of each reward kind, if it is not empty."""
+    lambda = 1, if it is not empty."""
     model = build_dtmc(p, MICAZ, mode)
-    for kind in ("time", "power"):
-        solve_query(model, AnalysisQuery(lam=1.0, reward_kind=kind))
-    system = model._analysis.system
+    system = analysis._System(model, target_set(model, 1.0))
     return [(model.transitions[system.idx][:, system.idx], system)] if len(system.idx) else []
 
 
@@ -473,12 +500,12 @@ class TestBlockSolve:
         model = build_dtmc(p, MICAZ, mode)
         for kind in ("time", "power"):
             result = solve_query(model, AnalysisQuery(lam=1.0, reward_kind=kind))
-            system, want = model._analysis.system, 0.0
+            system, want = analysis._System(model, target_set(model, 1.0)), 0.0
+            analysis._reach(system), analysis._reward(system, kind)  # the solves the query makes
             a = model.transitions[system.idx][:, system.idx]
-            rhs = {"reach": model.transitions @ system.mask, **model._analysis.reward_b}
             for solved in ("reach", kind):
                 if solved in system.solutions and len(system.idx):
-                    x, b = system.solutions[solved][0], rhs[solved][system.idx]
+                    x, b = system.solutions[solved][0], system.rhs(solved)[system.idx]
                     want = max(want, float(np.max(np.abs(x - a @ x - b))))
             assert result.residual == want
             assert want > 0.0 or not len(system.idx)

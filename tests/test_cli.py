@@ -159,6 +159,21 @@ class TestAnalyze:
         assert status.startswith("# status: solver failure: level ")
         assert "exactly singular" in status
 
+    def test_rows_stream_before_a_solver_failure(self, tmp_path):
+        # at lambda = 0.6 no state outside the target reaches it, so the row is
+        # written with nothing factored; at 1.0 the factor is singular
+        out = tmp_path / "out.csv"
+        code = main([
+            "analyze", "--n", "3", "--t", "4", "--r", "1", "--eps", "0.1",
+            "--mu", "0.999999999", "--lambda", "0.6,1.0", "--query", "time:avg",
+            "--output", str(out),
+        ])
+        assert code == 2
+        rows, status = read_csv(out)
+        lam, value = CSV_COLUMNS.index("lambda"), CSV_COLUMNS.index("value")
+        assert [(row[lam], row[value]) for row in rows] == [("0.6", "inf")]
+        assert status.startswith("# status: solver failure: level 0 ")
+
     def test_state_cap_exit_code(self, tmp_path):
         code = main([
             "analyze", "--n", "6", "--t", "6", "--r", "1", "--eps", "0.1",

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import deque
 
@@ -64,6 +65,14 @@ class TestStateEnumeration:
         assert all(sum(s) == 2 for s in states)
         assert states[0] == (0, 0, 2)
         assert states[-1] == (2, 0, 0)
+
+    @pytest.mark.parametrize("n, t", [(1, 2), (1, 5), (2, 2), (3, 4), (4, 3), (5, 5), (6, 2)])
+    def test_matches_brute_force_enumeration(self, n, t):
+        p = params(n=n, t=t, r=0)
+        want = [s for s in itertools.product(range(n + 1), repeat=t) if sum(s) == n]
+        got = state_array(p)
+        assert got.dtype == np.min_scalar_type(n)
+        assert got.tolist() == [list(s) for s in want]
 
 
 class TestMultinomial:
@@ -239,6 +248,14 @@ class TestBuildDtmc:
         monkeypatch.setattr(dtmc, "state_array", lambda p: pytest.fail("built the states"))
         with pytest.raises(StateSpaceLimitExceeded):
             build_dtmc(params(n=30, t=10, r=1), max_states=10)  # 211,915,132 states
+
+    def test_group_limit_is_checked_before_the_states_are_built(self, monkeypatch):
+        # Gamma holds a group of every size up to N, so the smallest one above
+        # the limit is named without building it
+        monkeypatch.setattr(dtmc, "initial_weights", lambda *a: pytest.fail("built the states"))
+        limit = FiringTable.MAX_GROUP
+        with pytest.raises(ValueError, match=f"a group of {limit + 1} oscillators exceeds the limit of {limit}"):
+            build_dtmc(params(n=1030, t=3, r=1))
 
     def test_indexing_is_lexicographic(self):
         model = build_dtmc(params(n=3, t=3, r=1))
