@@ -32,7 +32,6 @@ from .dtmc import (
     MICAZ,
     DtmcModel,
     HardwareProfile,
-    RestabilisationSpec,
     build_dtmc,
     enumerate_states,
     initial_weights,
@@ -62,7 +61,6 @@ __all__ = [
     "HardwareProfile",
     "MICAZ",
     "ModelParams",
-    "RestabilisationSpec",
     "State",
     "SuccessorDistribution",
     "aggregate",

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .core import ModelParams, validate_params
-from .dtmc import DtmcModel, HardwareProfile, InitialMode, MICAZ, StateSpace, initial_weights, step_rewards
+from .dtmc import DtmcModel, HardwareProfile, MICAZ, StateSpace, initial_weights, step_rewards
 from .dynamics import FiringTable, _ranges
 from .metrics import phase_coherences
 
@@ -56,7 +56,6 @@ class AnalysisResult:
     value: float
     reach_probability: float
     per_node_mWh: float | None
-    states_explored: int
     wall_time: float
     #: Largest ||(I - A) x - b||_inf over the solves the query made: the
     #: reward, and the reachability where it is not read off the graph.
@@ -254,7 +253,6 @@ def aggregate(
         value=value,
         reach_probability=reach_p,
         per_node_mWh=per_node,
-        states_explored=model.n_states,
         wall_time=wall_time,
         residual=residual,
     )
@@ -358,7 +356,6 @@ def _closed_set(states: np.ndarray, flag: np.ndarray, outcomes) -> tuple | None:
 def monte_carlo(
     p: ModelParams,
     profile: HardwareProfile = MICAZ,
-    mode: InitialMode = "full",
     lam: float = 1.0,
     reward_kind: str = "time",
     samples: int = 10_000,
@@ -394,7 +391,7 @@ def monte_carlo(
     if step_cap < 0:
         raise ValueError(f"step_cap must be at least 0, got {step_cap}")
     rng = np.random.default_rng(seed)
-    support, weights = initial_weights(p, mode)
+    support, weights = initial_weights(p)
     space, table = StateSpace(p, support), FiringTable(p)
     k_t = support[:, -1].astype(np.int64)
     draw = FailureDraw(table, k_t)

@@ -33,8 +33,6 @@ from .dtmc import (
     MICAZ,
     PROFILES,
     HardwareProfile,
-    InitialMode,
-    RestabilisationSpec,
     StateSpaceLimitExceeded,
     build_dtmc,
 )
@@ -114,7 +112,8 @@ def load_profile(name: str) -> HardwareProfile:
     raise ValueError(f"unknown hardware profile {name!r}")
 
 
-#: The swept flags, in the nesting order of the sweep, and their types.
+#: The swept flags, in the nesting order of the sweep and the field order
+#: of ``ModelParams``, and their types.
 GRID_FLAGS = (("n", int), ("t", int), ("r", int), ("eps", float), ("mu", float), ("u", int))
 MODEL_FLAGS = ("n", "t", "r", "eps", "mu")
 
@@ -197,18 +196,17 @@ def _resolve_profile(args: argparse.Namespace) -> HardwareProfile:
     return replace(profile, **overrides)
 
 
-def _grid(args: argparse.Namespace) -> Iterator[tuple[ModelParams, InitialMode, int | None]]:
+def _grid(args: argparse.Namespace) -> Iterator[ModelParams]:
     """Every combination of the grid flags, in ``GRID_FLAGS`` order, as
-    validated parameters, the initial mode and U (None in full mode)."""
+    validated parameters."""
     axes = []
     for flag, cast in GRID_FLAGS:
         raw = getattr(args, flag, None)
         if raw is None and flag in args.required:
             raise ValueError(f"missing required parameter --{flag}")
         axes.append([None] if raw is None else parse_range(str(raw), cast))
-    for n, t, r, eps, mu, u in itertools.product(*axes):
-        params = validate_params(ModelParams(n=n, t=t, r=r, epsilon=eps, mu=mu))
-        yield params, RestabilisationSpec(u) if u is not None else "full", u
+    for values in itertools.product(*axes):
+        yield validate_params(ModelParams(*values))
 
 
 class CsvSink:
@@ -242,7 +240,7 @@ def _fmt(x: float | None) -> str:
 def _sweep(args: argparse.Namespace, answer) -> int:
     """Write one CSV row per grid point, lambda and query, in that nesting.
 
-    ``answer(params, profile, mode, points)`` yields, for each (lambda,
+    ``answer(params, profile, points)`` yields, for each (lambda,
     metric, aggregate) point in turn, the value, the per-node mWh, the reach
     probability, the state and transition counts and the wall time in ms.
     """
@@ -252,12 +250,12 @@ def _sweep(args: argparse.Namespace, answer) -> int:
         queries = parse_queries(args.query or ["time:avg"])
         lams = parse_range(str(args.lam), float) if args.lam is not None else [1.0]
         points = [(lam, metric, agg) for lam in lams for metric, agg in queries]
-        for params, mode, u in _grid(args):
-            for cells, (lam, metric, agg) in zip(answer(params, profile, mode, points), points):
+        for params in _grid(args):
+            for cells, (lam, metric, agg) in zip(answer(params, profile, points), points):
                 value, per_node, reach, states, transitions, wall_ms = cells
                 sink.row([
                     params.n, params.t, params.r, _fmt(params.epsilon), _fmt(params.mu),
-                    _fmt(lam), "" if u is None else u, profile.name, metric, agg,
+                    _fmt(lam), "" if params.u is None else params.u, profile.name, metric, agg,
                     _fmt(value), _fmt(per_node), _fmt(reach), states, transitions,
                     _fmt(wall_ms),
                 ])
@@ -276,9 +274,9 @@ def _sweep(args: argparse.Namespace, answer) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     """analyze and restab: build each grid point once and solve every query on it."""
 
-    def answer(params, profile, mode, points):
+    def answer(params, profile, points):
         start = time.perf_counter()
-        model = build_dtmc(params, profile, mode, max_states=args.max_states)
+        model = build_dtmc(params, profile, max_states=args.max_states)
         build_ms = (time.perf_counter() - start) * 1000.0
         queries = (AnalysisQuery(lam=lam, reward_kind=metric, aggregate=agg) for lam, metric, agg in points)
         for result in solve_queries(model, queries):
@@ -291,25 +289,29 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    """Monte Carlo estimates of every query; no model is built."""
+    """Monte Carlo estimates of every query, one simulation per (lambda,
+    metric) of a grid point, shared by its aggregates; no model is built."""
 
-    def answer(params, profile, mode, points):
+    def answer(params, profile, points):
         if args.seed is None:
             raise ValueError("--seed is required for reproducible simulation")
         samples = int(args.samples) if args.samples is not None else 10_000
         seed = int(args.seed)
+        runs = {}  # (lambda, metric) -> the result and its wall time in ms
         for lam, metric, agg in points:
             if agg == "min":
                 raise ValueError("simulate supports avg and max aggregates only")
-            start = time.perf_counter()
-            result = monte_carlo(
-                params, profile, mode, lam=lam, reward_kind=metric, samples=samples, seed=seed,
-            )
-            wall_ms = (time.perf_counter() - start) * 1000.0
-            if result.censored:
-                never = "; they never reach the target" if result.trapped else ""
-                note = f"{result.censored} of {samples} runs censored at step_cap {STEP_CAP}{never}"
-                print(f"note: {note}", file=sys.stderr)
+            if (lam, metric) not in runs:
+                start = time.perf_counter()
+                result = monte_carlo(
+                    params, profile, lam=lam, reward_kind=metric, samples=samples, seed=seed,
+                )
+                runs[lam, metric] = result, (time.perf_counter() - start) * 1000.0
+                if result.censored:
+                    never = "; they never reach the target" if result.trapped else ""
+                    note = f"{result.censored} of {samples} runs censored at step_cap {STEP_CAP}{never}"
+                    print(f"note: {note}", file=sys.stderr)
+            result, wall_ms = runs[lam, metric]
             value = result.mean if agg == "avg" else result.max_observed
             per_node = value / params.n * 1000.0 if metric == "power" else None
             yield value, per_node, 1.0 - result.censored / result.samples, "", "", wall_ms
@@ -322,8 +324,8 @@ def cmd_export(args: argparse.Namespace) -> int:
     grid = list(_grid(args))
     if len(grid) != 1:
         raise ValueError("export expects exactly one parameter tuple")
-    ((params, mode, _),) = grid
-    model = build_dtmc(params, profile, mode, max_states=args.max_states)
+    (params,) = grid
+    model = build_dtmc(params, profile, max_states=args.max_states)
     for kind, path in export_model(model, args.out).items():
         print(f"{kind}: {path}")
     return 0

@@ -43,13 +43,16 @@ def refractory(phi: int, delta: int, r: int) -> int:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """One population model: (N, T, R, epsilon, mu)."""
+    """One population model: (N, T, R, epsilon, mu) and U.  With U set, the
+    initial states are those where at least N - U oscillators share a phase
+    (restabilisation); with U None, every state of Gamma is initial."""
 
     n: int
     t: int
     r: int
     epsilon: float
     mu: float
+    u: int | None = None
 
 
 def validate_params(p: ModelParams) -> ModelParams:
@@ -66,6 +69,8 @@ def validate_params(p: ModelParams) -> ModelParams:
         raise ValueError(f"epsilon must be finite, got {p.epsilon}")
     if not 0 <= p.mu <= 1:
         raise ValueError(f"mu must be in [0, 1], got {p.mu}")
+    if p.u is not None and not 1 <= p.u < p.n:
+        raise ValueError(f"U must satisfy 1 <= U < N, got U={p.u} with N={p.n}")
     return p
 
 

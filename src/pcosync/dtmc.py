@@ -15,8 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import Iterator, Union
+from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,16 +76,6 @@ MICAZ = HardwareProfile(
 )
 
 PROFILES: dict[str, HardwareProfile] = {"micaz": MICAZ}
-
-
-@dataclass(frozen=True)
-class RestabilisationSpec:
-    """Initial-state restriction: at least n - u oscillators share a phase."""
-
-    u: int
-
-
-InitialMode = Union[str, RestabilisationSpec]  # "full" or a restabilisation spec
 
 
 class StateSpace(Sequence):
@@ -169,8 +159,7 @@ class StateSpace(Sequence):
 class DtmcModel:
     params: ModelParams
     profile: HardwareProfile
-    mode: InitialMode
-    #: The chain follows from params, profile and mode, so equality does
+    #: The chain follows from params and profile, so equality does
     #: not compare arrays.
     states: StateSpace = field(repr=False, compare=False)
     #: Transition probabilities, row = source state, column = target state.
@@ -193,7 +182,7 @@ class DtmcModel:
 
 
 def state_count(p: ModelParams) -> int:
-    """|Gamma|: weak compositions of n into t parts."""
+    """|Gamma|: weak compositions of n into t parts, whatever U is."""
     return math.comb(p.n + p.t - 1, p.t - 1)
 
 
@@ -223,32 +212,28 @@ def multinomial(counts: State) -> int:
     return math.prod(map(math.comb, itertools.accumulate(counts), counts))
 
 
-def restabilisation_support(p: ModelParams, u: int) -> list[State]:
-    """Gamma_U: states where some phase holds at least n - u oscillators."""
-    if not 1 <= u < p.n:
-        raise ValueError(f"U must satisfy 1 <= U < N, got U={u} with N={p.n}")
-    loose = state_array(ModelParams(n=u, t=p.t, r=p.r, epsilon=p.epsilon, mu=p.mu))
+def restabilisation_support(p: ModelParams) -> list[State]:
+    """Gamma_U: states where some phase holds at least N - U oscillators."""
+    u = validate_params(p).u
+    loose = state_array(replace(p, n=u))
     lifted = (loose + (p.n - u) * (np.arange(p.t) == i) for i in range(p.t))
     return sorted({sigma for states in lifted for sigma in map(tuple, states.tolist())})
 
 
-def initial_weights(p: ModelParams, mode: InitialMode = "full") -> tuple[np.ndarray, np.ndarray]:
+def initial_weights(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """The initial support as a lexicographic count array, and the
     multinomial weight of each state normalised to one.
 
     A multinomial depends only on the sorted counts, so it is computed once
     per key, the sorted counts read as base N + 1 digits.  The total is the
-    sum of each multinomial times the number of its states (T**N in full
-    mode), and each weight is multinomial / total divided in Python ints,
+    sum of each multinomial times the number of its states (T**N when U is
+    None), and each weight is multinomial / total divided in Python ints,
     correctly rounded.
     """
-    validate_params(p)
-    if mode == "full":
+    if validate_params(p).u is None:
         support = state_array(p)
-    elif isinstance(mode, RestabilisationSpec):
-        support = np.array(restabilisation_support(p, mode.u), np.min_scalar_type(p.n))
     else:
-        raise ValueError(f"unknown initial mode {mode!r}")
+        support = np.array(restabilisation_support(p), np.min_scalar_type(p.n))
     key = np.zeros(len(support), np.int64 if (p.n + 1) ** p.t < 2**63 else object)
     for column in np.sort(support, axis=1).T:
         key = key * (p.n + 1) + column.astype(key.dtype)
@@ -301,7 +286,6 @@ def step_rewards(
 def build_dtmc(
     p: ModelParams,
     profile: HardwareProfile = MICAZ,
-    mode: InitialMode = "full",
     max_states: int | None = None,
 ) -> DtmcModel:
     """The chain over the initial support, with transition probabilities
@@ -312,16 +296,16 @@ def build_dtmc(
     and a restabilisation support are closed under the dynamics.  States
     are numbered in lexicographic order, which is rank order, and each
     target's row is found by its rank.  A group larger than
-    ``FiringTable.MAX_GROUP`` is refused before any branch is formed, and in
-    full mode before Gamma is built.
+    ``FiringTable.MAX_GROUP`` is refused before any branch is formed, and
+    without U before Gamma is built.
     """
-    validate_params(p)
-    if max_states is not None and mode == "full" and state_count(p) > max_states:
+    full = validate_params(p).u is None
+    if max_states is not None and full and state_count(p) > max_states:
         raise StateSpaceLimitExceeded(state_count(p), max_states)  # before building Gamma
     limit = FiringTable.MAX_GROUP
-    if mode == "full" and p.n > limit:  # Gamma holds a group of every size up to N
+    if full and p.n > limit:  # Gamma holds a group of every size up to N
         raise ValueError(f"a group of {limit + 1} oscillators exceeds the limit of {limit}")
-    support, weights = initial_weights(p, mode)
+    support, weights = initial_weights(p)
     if max_states is not None and len(support) > max_states:
         raise StateSpaceLimitExceeded(len(support), max_states)
     if (big := support[support > limit]).size:
@@ -333,7 +317,6 @@ def build_dtmc(
     return DtmcModel(
         params=p,
         profile=profile,
-        mode=mode,
         states=space,
         transitions=sp.csr_matrix((probs, cols, indptr), shape=(len(support), len(support))),
         rewards={"time": time_r, "power": power_r},

@@ -63,13 +63,6 @@ def _write_entries(model: DtmcModel, outputs: list[tuple[TextIO, np.ndarray]]) -
             fh.write("".join(map(operator.add, prefixes, values)))
 
 
-def write_transition_rewards(model: DtmcModel, path: str | Path, reward_kind: str) -> None:
-    if reward_kind not in model.rewards:
-        raise ValueError(f"unknown reward kind {reward_kind!r}")
-    with _create(path) as fh:
-        _write_entries(model, [(fh, model.rewards[reward_kind])])
-
-
 def export_model(model: DtmcModel, prefix: str | Path) -> dict[str, Path]:
     """Write all four files, named ``<prefix>.sta``, ``.tra``, ``.time.trew``
     and ``.power.trew`` (dots in the prefix are kept); returns their paths."""

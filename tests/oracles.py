@@ -29,7 +29,6 @@ from pcosync.dtmc import (
     MICAZ,
     DtmcModel,
     HardwareProfile,
-    InitialMode,
     multinomial,
     restabilisation_support,
 )
@@ -193,15 +192,15 @@ def scalar_skip_power(sigma: State, p: ModelParams, profile: HardwareProfile) ->
     return total
 
 
-def reference_build(p: ModelParams, profile: HardwareProfile = MICAZ, mode: InitialMode = "full"):
+def reference_build(p: ModelParams, profile: HardwareProfile = MICAZ):
     """The chain built one state at a time: breadth-first closure of the
     initial support with a seen set and a successor dict, states sorted and
     indexed through a dict, rows from ``firing_row``.  Returns the states,
     the CSR transitions, the reward arrays and the initial weights."""
-    if mode == "full":
+    if p.u is None:
         support, total = list(compositions(p.n, p.t)), p.t**p.n
     else:
-        support = restabilisation_support(p, mode.u)
+        support = restabilisation_support(p)
         total = sum(multinomial(sigma) for sigma in support)
     init = {sigma: multinomial(sigma) / total for sigma in support}
     table = FiringTable(p)

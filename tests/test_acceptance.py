@@ -28,7 +28,6 @@ from pcosync.core import ModelParams, is_firing, is_synchronised, perturbation
 from pcosync.dtmc import (
     MICAZ,
     HardwareProfile,
-    RestabilisationSpec,
     build_dtmc,
     enumerate_states,
     multinomial,
@@ -73,7 +72,7 @@ def headline_models():
     models = {}
     for r in range(1, 6):
         p = ModelParams(n=8, t=10, r=r, epsilon=0.1, mu=0.2)
-        models[r] = build_dtmc(p, MICAZ_10S, "full")
+        models[r] = build_dtmc(p, MICAZ_10S)
     return models
 
 
@@ -108,12 +107,12 @@ def test_criterion_2_phase_coherence_value():
 
 def test_criterion_3_perturbation_and_absorption():
     ok_arith = perturbation(2, 14, 0.1) == 3 and perturbation(5, 14, 0.1) == 7
-    p = ModelParams(n=15, t=10, r=4, epsilon=0.1, mu=0.0)
+    p = ModelParams(n=15, t=10, r=4, epsilon=0.1, mu=0.0, u=1)
     lone_at_5 = (0, 0, 0, 0, 1, 0, 0, 0, 0, 14)
     dist = successor_distribution(lone_at_5, p)
     ok_absorbed = len(dist.branches) == 1 and is_synchronised(dist.branches[0].target)
     # and the full restabilisation model reaches synchrony from everywhere
-    model = build_dtmc(p, MICAZ, RestabilisationSpec(1))
+    model = build_dtmc(p)
     reach = reach_probability(model, target_set(model, 1.0))
     ok_model = reach[model.initial > 0].min() >= 1.0 - 1e-6
     ok = ok_arith and ok_absorbed and ok_model
@@ -300,14 +299,13 @@ def test_criterion_8_restabilisation_scaling():
     counts = {}
     for n in (10, 15, 20):
         for u in (1, 2, 3):
-            p = ModelParams(n=n, t=10, r=4, epsilon=0.1, mu=0.2)
-            model = build_dtmc(p, MICAZ, RestabilisationSpec(u))
+            p = ModelParams(n=n, t=10, r=4, epsilon=0.1, mu=0.2, u=u)
+            model = build_dtmc(p)
             counts[(n, u)] = model.n_states
             ok_counts = ok_counts and model.n_states < state_count(p)
     energies = []
     for n in range(15, 36, 5):
-        p = ModelParams(n=n, t=10, r=4, epsilon=0.1, mu=0.2)
-        model = build_dtmc(p, MICAZ, RestabilisationSpec(1))
+        model = build_dtmc(ModelParams(n=n, t=10, r=4, epsilon=0.1, mu=0.2, u=1))
         result = solve_query(
             model, AnalysisQuery(lam=1.0, reward_kind="power", aggregate="avg")
         )

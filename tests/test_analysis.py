@@ -23,7 +23,7 @@ from pcosync.analysis import (
     target_set,
 )
 from pcosync.core import ModelParams, is_synchronised
-from pcosync.dtmc import MICAZ, DtmcModel, RestabilisationSpec, build_dtmc
+from pcosync.dtmc import MICAZ, DtmcModel, build_dtmc
 from pcosync.dynamics import FiringTable
 
 
@@ -257,14 +257,14 @@ def loop_reference(model, targets, reward_kind, exact=False):
     return reach, values
 
 
-# name -> (params, mode); in "restab" and "partial" some states reach the
+# name -> params; in "restab" and "partial" some states reach the
 # target with probability strictly between 0 and 1, so only part of the
 # shared system's unknowns get a finite reward.  In "trapped" it is empty.
 FACTOR_MODELS = {
-    "full": (ModelParams(n=5, t=8, r=1, epsilon=0.1, mu=0.2), "full"),
-    "restab": (ModelParams(n=12, t=6, r=2, epsilon=0.1, mu=0.2), RestabilisationSpec(2)),
-    "trapped": (params(n=2, t=2, r=1, mu=0.2), "full"),
-    "partial": (ModelParams(n=3, t=4, r=2, epsilon=0.5, mu=0.2), "full"),
+    "full": ModelParams(n=5, t=8, r=1, epsilon=0.1, mu=0.2),
+    "restab": ModelParams(n=12, t=6, r=2, epsilon=0.1, mu=0.2, u=2),
+    "trapped": params(n=2, t=2, r=1, mu=0.2),
+    "partial": ModelParams(n=3, t=4, r=2, epsilon=0.5, mu=0.2),
 }
 
 
@@ -292,16 +292,16 @@ def splu_calls(monkeypatch):
 class TestFactorReuse:
     @pytest.mark.parametrize("name", sorted(FACTOR_MODELS))
     def test_cached_factor_matches_fresh_factor(self, name):
-        p, mode = FACTOR_MODELS[name]
-        cached = build_dtmc(p, MICAZ, mode)
+        p = FACTOR_MODELS[name]
+        cached = build_dtmc(p)
         for kind in ("time", "power"):
             for agg in ("min", "avg", "max"):
                 query = AnalysisQuery(lam=1.0, reward_kind=kind, aggregate=agg)
                 got = solve_query(cached, query)
-                want = solve_query(build_dtmc(p, MICAZ, mode), query)
+                want = solve_query(build_dtmc(p), query)
                 assert got.value == pytest.approx(want.value, rel=1e-12)
                 assert got.reach_probability == pytest.approx(want.reach_probability, rel=1e-12)
-                fresh = build_dtmc(p, MICAZ, mode)
+                fresh = build_dtmc(p)
                 want_values = expected_reward(fresh, target_set(fresh, 1.0), kind)
                 got_values = expected_reward(cached, target_set(cached, 1.0), kind)
                 np.testing.assert_allclose(got_values, want_values, rtol=1e-12, atol=0.0)
@@ -309,8 +309,8 @@ class TestFactorReuse:
     @pytest.mark.parametrize("name", sorted(FACTOR_MODELS))
     @pytest.mark.parametrize("lam", [1.0, 0.6])
     def test_matches_loop_reference(self, name, lam):
-        p, mode = FACTOR_MODELS[name]
-        model = build_dtmc(p, MICAZ, mode)
+        p = FACTOR_MODELS[name]
+        model = build_dtmc(p)
         targets = target_set(model, lam)
         for kind in ("time", "power"):
             want_reach, want_values = loop_reference(model, targets, kind)
@@ -320,19 +320,19 @@ class TestFactorReuse:
             np.testing.assert_allclose(values, want_values, rtol=1e-10, atol=0.0)
 
     def test_four_queries_factor_once(self, splu_calls):
-        model = build_dtmc(FACTOR_MODELS["full"][0])
+        model = build_dtmc(FACTOR_MODELS["full"])
         list(solve_queries(model, FOUR_QUERIES))
         assert splu_calls == [784]
 
     def test_reach_and_rewards_share_one_factor(self, splu_calls):
         # 4 of the 12 unknowns reach the target with probability below one
-        p, mode = FACTOR_MODELS["partial"]
-        model = build_dtmc(p, MICAZ, mode)
+        p = FACTOR_MODELS["partial"]
+        model = build_dtmc(p)
         list(solve_queries(model, [AnalysisQuery(lam=1.0, reward_kind=kind) for kind in ("time", "power")]))
         assert splu_calls == [12]
 
     def test_runs_of_one_lambda_share_a_factor(self, splu_calls):
-        p, _ = FACTOR_MODELS["full"]
+        p = FACTOR_MODELS["full"]
         model = build_dtmc(p)
         queries = [
             AnalysisQuery(lam=lam, reward_kind=kind, aggregate=agg)
@@ -349,14 +349,14 @@ class TestFactorReuse:
 
     def test_solving_leaves_the_model_untouched(self):
         assert "_analysis" not in {f.name for f in dataclasses.fields(DtmcModel)}
-        model = build_dtmc(FACTOR_MODELS["full"][0])
+        model = build_dtmc(FACTOR_MODELS["full"])
         before = dict(vars(model))
         solve_query(model, AnalysisQuery(lam=1.0, reward_kind="power"))
         assert vars(model).keys() == before.keys()
         assert all(vars(model)[name] is value for name, value in before.items())
 
     def test_new_target_set_refactors(self, splu_calls):
-        p, _ = FACTOR_MODELS["full"]
+        p = FACTOR_MODELS["full"]
         model = build_dtmc(p)
         values = [solve_query(model, AnalysisQuery(lam=lam)).value for lam in (1.0, 0.6, 1.0)]
         assert len(splu_calls) == 3
@@ -365,7 +365,7 @@ class TestFactorReuse:
 
     def test_mask_changed_in_place_is_a_new_target_set(self, splu_calls):
         # the system keeps its own copy of the mask it was built for
-        p, _ = FACTOR_MODELS["full"]
+        p = FACTOR_MODELS["full"]
         model, fresh = build_dtmc(p), build_dtmc(p)
         targets = target_set(model, 1.0)
         expected_reward(model, targets, "time")
@@ -375,7 +375,7 @@ class TestFactorReuse:
         assert np.array_equal(got, expected_reward(fresh, target_set(fresh, 0.6), "time"))
 
     def test_residual_is_reported(self):
-        model = build_dtmc(FACTOR_MODELS["full"][0])
+        model = build_dtmc(FACTOR_MODELS["full"])
         result = solve_query(model, AnalysisQuery(lam=1.0, reward_kind="power"))
         # reach values are of order one, power values of order 1e-4 Wh
         assert 0.0 < result.residual < 1e-14
@@ -391,8 +391,8 @@ class TestFactorReuse:
         monkeypatch.setattr(analysis._System, "_solve", counting)
         # in "full" every unknown is in Prob1, so its reach is not solved
         for name, want in (("full", [784] * 2), ("partial", [12] * 3)):
-            p, mode = FACTOR_MODELS[name]
-            model = build_dtmc(p, MICAZ, mode)
+            p = FACTOR_MODELS[name]
+            model = build_dtmc(p)
             sweeps.clear()
             list(solve_queries(model, FOUR_QUERIES))
             assert sweeps == want, name
@@ -402,12 +402,12 @@ class TestFactorReuse:
 # orders, and in the last two every system is empty
 RATIONAL_MODELS = {
     "partial": FACTOR_MODELS["partial"],
-    "trapped3": (ModelParams(n=3, t=4, r=1, epsilon=0.1, mu=0.2), "full"),
-    "n3t6mu02": (ModelParams(n=3, t=6, r=1, epsilon=0.1, mu=0.2), "full"),
-    "n3t6mu99": (ModelParams(n=3, t=6, r=1, epsilon=0.1, mu=0.99), "full"),
-    "n4t5": (ModelParams(n=4, t=5, r=1, epsilon=0.1, mu=0.2), "full"),
-    "n2t2r0": (ModelParams(n=2, t=2, r=0, epsilon=0.1, mu=0.2), "full"),
-    "n1": (ModelParams(n=1, t=10, r=2, epsilon=0.1, mu=0.2), "full"),
+    "trapped3": ModelParams(n=3, t=4, r=1, epsilon=0.1, mu=0.2),
+    "n3t6mu02": ModelParams(n=3, t=6, r=1, epsilon=0.1, mu=0.2),
+    "n3t6mu99": ModelParams(n=3, t=6, r=1, epsilon=0.1, mu=0.99),
+    "n4t5": ModelParams(n=4, t=5, r=1, epsilon=0.1, mu=0.2),
+    "n2t2r0": ModelParams(n=2, t=2, r=0, epsilon=0.1, mu=0.2),
+    "n1": ModelParams(n=1, t=10, r=2, epsilon=0.1, mu=0.2),
 }
 
 
@@ -416,8 +416,8 @@ class TestRationalOracle:
     @pytest.mark.parametrize("lam", [1.0, 0.6])
     def test_matches_rational_solve(self, name, lam):
         # the exact solution of the float system the library solves
-        p, mode = RATIONAL_MODELS[name]
-        model = build_dtmc(p, MICAZ, mode)
+        p = RATIONAL_MODELS[name]
+        model = build_dtmc(p)
         targets = target_set(model, lam)
         for kind in ("time", "power"):
             want_reach, want_values = loop_reference(model, targets, kind, exact=True)
@@ -432,23 +432,23 @@ class TestRationalOracle:
 # are empty: no broadcast ever arrives, or every state is synchronised.
 SOLVE_MODELS = {
     **FACTOR_MODELS,
-    "mu0": (ModelParams(n=6, t=8, r=2, epsilon=0.1, mu=0.0), "full"),
-    "mu99": (ModelParams(n=6, t=8, r=2, epsilon=0.1, mu=0.99), "full"),
-    "mu1": (ModelParams(n=6, t=8, r=2, epsilon=0.1, mu=1.0), "full"),
-    "r0": (ModelParams(n=5, t=8, r=0, epsilon=0.1, mu=0.2), "full"),
-    "t2": (ModelParams(n=6, t=2, r=0, epsilon=0.1, mu=0.2), "full"),
-    "n1": (ModelParams(n=1, t=10, r=2, epsilon=0.1, mu=0.2), "full"),
-    "eps05": (ModelParams(n=5, t=8, r=2, epsilon=0.5, mu=0.2), "full"),
-    "trapped3": (ModelParams(n=3, t=4, r=1, epsilon=0.1, mu=0.2), "full"),
+    "mu0": ModelParams(n=6, t=8, r=2, epsilon=0.1, mu=0.0),
+    "mu99": ModelParams(n=6, t=8, r=2, epsilon=0.1, mu=0.99),
+    "mu1": ModelParams(n=6, t=8, r=2, epsilon=0.1, mu=1.0),
+    "r0": ModelParams(n=5, t=8, r=0, epsilon=0.1, mu=0.2),
+    "t2": ModelParams(n=6, t=2, r=0, epsilon=0.1, mu=0.2),
+    "n1": ModelParams(n=1, t=10, r=2, epsilon=0.1, mu=0.2),
+    "eps05": ModelParams(n=5, t=8, r=2, epsilon=0.5, mu=0.2),
+    "trapped3": ModelParams(n=3, t=4, r=1, epsilon=0.1, mu=0.2),
 }
 
-LEVEL_MODELS = {**FACTOR_MODELS, "n8r2": (ModelParams(n=8, t=10, r=2, epsilon=0.1, mu=0.2), "full")}
+LEVEL_MODELS = {**FACTOR_MODELS, "n8r2": ModelParams(n=8, t=10, r=2, epsilon=0.1, mu=0.2)}
 
 
-def factored_systems(p, mode):
+def factored_systems(p):
     """The matrix a and the system of the model's reach and reward solves at
     lambda = 1, if it is not empty."""
-    model = build_dtmc(p, MICAZ, mode)
+    model = build_dtmc(p)
     system = analysis._System(model, target_set(model, 1.0))
     return [(model.transitions[system.idx][:, system.idx], system)] if len(system.idx) else []
 
@@ -456,8 +456,8 @@ def factored_systems(p, mode):
 class TestBlockSolve:
     @pytest.mark.parametrize("name", sorted(LEVEL_MODELS))
     def test_levels_order_the_condensation(self, name):
-        p, mode = LEVEL_MODELS[name]
-        for a, _ in factored_systems(p, mode):
+        p = LEVEL_MODELS[name]
+        for a, _ in factored_systems(p):
             level = np.full(a.shape[0], -1)
             for depth, (idx, rows, _) in enumerate(analysis._factor(a)):
                 assert np.all(np.diff(idx) > 0)
@@ -475,7 +475,7 @@ class TestBlockSolve:
 
     @pytest.mark.parametrize("name", sorted(LEVEL_MODELS))
     def test_blocks_are_diagonal_blocks_of_the_system(self, name, monkeypatch):
-        p, mode = LEVEL_MODELS[name]
+        p = LEVEL_MODELS[name]
         blocks = []
         real = analysis.spla.splu
 
@@ -484,7 +484,7 @@ class TestBlockSolve:
             return real(block, **kwargs)
 
         monkeypatch.setattr(analysis.spla, "splu", recording)
-        for a, system in factored_systems(p, mode):
+        for a, system in factored_systems(p):
             system_matrix = sp.identity(len(system.idx), format="csr") - a
             assert len(blocks) == len(system.levels)
             for (idx, _, _), block in zip(system.levels, blocks):
@@ -496,8 +496,8 @@ class TestBlockSolve:
     def test_residual_is_the_whole_systems(self, name):
         # taken level by level, the residual is bit for bit the one of the
         # whole system, each row of a x summed in stored order
-        p, mode = LEVEL_MODELS[name]
-        model = build_dtmc(p, MICAZ, mode)
+        p = LEVEL_MODELS[name]
+        model = build_dtmc(p)
         for kind in ("time", "power"):
             result = solve_query(model, AnalysisQuery(lam=1.0, reward_kind=kind))
             system, want = analysis._System(model, target_set(model, 1.0)), 0.0
@@ -513,7 +513,7 @@ class TestBlockSolve:
     @pytest.mark.parametrize("name", sorted(SOLVE_MODELS))
     @pytest.mark.parametrize("lam", [1.0, 0.6])
     def test_matches_natural_order_factor(self, name, lam, monkeypatch):
-        p, mode = SOLVE_MODELS[name]
+        p = SOLVE_MODELS[name]
 
         def solve(model):
             targets = target_set(model, lam)
@@ -522,9 +522,9 @@ class TestBlockSolve:
                 expected_reward(model, targets, kind) for kind in ("time", "power")
             ]
 
-        got = solve(build_dtmc(p, MICAZ, mode))
+        got = solve(build_dtmc(p))
         monkeypatch.setattr(analysis, "_factor", natural_factor)
-        want = solve(build_dtmc(p, MICAZ, mode))
+        want = solve(build_dtmc(p))
         for g, w in zip(got, want):
             np.testing.assert_array_equal(np.isinf(g), np.isinf(w))
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
@@ -590,16 +590,16 @@ class TestMonteCarlo:
     @pytest.mark.parametrize(
         "p",
         [
-            params(n=5, t=3, r=1, epsilon=0.5, mu=0.2),
+            params(n=5, t=3, r=1, epsilon=0.5, mu=0.2, u=1),
             # |Gamma| >= 2**63: the sampler finds rows by Python-int ranks
-            params(n=30, t=40, r=1, epsilon=0.1, mu=0.2),
+            params(n=30, t=40, r=1, epsilon=0.1, mu=0.2, u=1),
         ],
         ids=["n5t3", "huge-gamma"],
     )
     def test_restabilisation_mode(self, p):
-        model = build_dtmc(p, MICAZ, RestabilisationSpec(1))
+        model = build_dtmc(p)
         exact = solve_query(model, AnalysisQuery(lam=1.0, reward_kind="time", aggregate="avg"))
-        mc = monte_carlo(p, mode=RestabilisationSpec(1), samples=50_000, seed=3)
+        mc = monte_carlo(p, samples=50_000, seed=3)
         assert abs(mc.mean - exact.value) <= 3.0 * mc.std_error
 
     def test_censoring_counts_trapped_runs(self):
@@ -753,23 +753,23 @@ class TestMonteCarlo:
             assert chain_sum == closed_sum
 
     @pytest.mark.parametrize(
-        "p, mode, kind, samples, want",
+        "p, kind, samples, want",
         [
-            (ModelParams(n=8, t=10, r=1, epsilon=0.1, mu=0.2), "full", "time", 5000,
+            (ModelParams(n=8, t=10, r=1, epsilon=0.1, mu=0.2), "time", 5000,
              (4.44158, 0.06355737037185952, 100.39999999999937, 0, False)),
-            (ModelParams(n=3, t=4, r=1, epsilon=0.1, mu=0.2), "full", "power", 50,
+            (ModelParams(n=3, t=4, r=1, epsilon=0.1, mu=0.2), "power", 50,
              (0.06228694575000054, 0.006790758256904738, 0.12331166250001938, 32, True)),
-            (ModelParams(n=200, t=10, r=4, epsilon=0.1, mu=0.2), RestabilisationSpec(3), "time", 2000,
+            (ModelParams(n=200, t=10, r=4, epsilon=0.1, mu=0.2, u=3), "time", 2000,
              (2.53575, 0.03558379648148884, 9.999999999999995, 0, False)),
             # firing groups of 1,599 and 1,600: log-space masses
-            (ModelParams(n=1600, t=10, r=4, epsilon=0.1, mu=0.2), RestabilisationSpec(1), "time", 200,
+            (ModelParams(n=1600, t=10, r=4, epsilon=0.1, mu=0.2, u=1), "time", 200,
              (1.605, 0.11508517710786975, 7.499999999999997, 0, False)),
         ],
         ids=["n8", "trapped-power", "restab200", "restab1600"],
     )
-    def test_pinned_per_seed_values(self, p, mode, kind, samples, want):
+    def test_pinned_per_seed_values(self, p, kind, samples, want):
         # the draws and steps of one seed, pinned to the last bit
-        mc = monte_carlo(p, MICAZ, mode, reward_kind=kind, samples=samples, seed=7)
+        mc = monte_carlo(p, MICAZ, reward_kind=kind, samples=samples, seed=7)
         assert (mc.mean, mc.std_error, mc.max_observed, mc.censored, mc.trapped) == want
 
     def test_zero_step_cap_accumulates_nothing(self):

@@ -6,7 +6,7 @@ import pytest
 from pcosync import analysis
 from pcosync.analysis import AnalysisQuery, monte_carlo, solve_query
 from pcosync.core import ModelParams
-from pcosync.dtmc import MICAZ, RestabilisationSpec, build_dtmc
+from pcosync.dtmc import MICAZ, build_dtmc
 from pcosync.cli import (
     CSV_COLUMNS,
     build_parser,
@@ -364,9 +364,7 @@ class TestExport:
             "export", "--n", "4", "--t", "5", "--r", "1", "--eps", "0.1",
             "--mu", "0.2", "--u", "1", "--out", str(tmp_path / "model"),
         ]) == 0
-        model = build_dtmc(
-            ModelParams(n=4, t=5, r=1, epsilon=0.1, mu=0.2), MICAZ, RestabilisationSpec(1)
-        )
+        model = build_dtmc(ModelParams(n=4, t=5, r=1, epsilon=0.1, mu=0.2, u=1))
         full = build_dtmc(ModelParams(n=4, t=5, r=1, epsilon=0.1, mu=0.2), MICAZ)
         assert model.n_states < full.n_states
         lines = (tmp_path / "model.sta").read_text().splitlines()
@@ -525,13 +523,10 @@ class TestSimulate:
         ]) == 0
         rows, status = read_csv(out)
         assert status == "# status: ok"
-        params = ModelParams(n=4, t=6, r=1, epsilon=0.1, mu=0.2)
+        params = ModelParams(n=4, t=6, r=1, epsilon=0.1, mu=0.2, u=1)
         expected = []
         for metric, agg in (("time", "avg"), ("power", "max")):
-            res = monte_carlo(
-                params, MICAZ, RestabilisationSpec(1), lam=1.0, reward_kind=metric,
-                samples=300, seed=5,
-            )
+            res = monte_carlo(params, MICAZ, lam=1.0, reward_kind=metric, samples=300, seed=5)
             value = res.mean if agg == "avg" else res.max_observed
             expected.append([
                 "4", "6", "1", "0.1", "0.2", "1", "1", "micaz", metric, agg, fmt(value),
@@ -539,6 +534,39 @@ class TestSimulate:
                 fmt(1.0 - res.censored / res.samples), "", "",
             ])
         assert [row[:-1] for row in rows] == expected
+
+    def test_one_simulation_per_lambda_and_metric(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append((kwargs["lam"], kwargs["reward_kind"]))
+            return monte_carlo(*args, **kwargs)
+
+        base = ["simulate", "--n", "4", "--t", "6", "--r", "1", "--eps", "0.1", "--mu", "0.2",
+                "--samples", "300", "--seed", "5", "--lambda", "1.0,0.9"]
+        queries = ["time:avg", "time:max", "power:avg"]
+        out = tmp_path / "o.csv"
+        monkeypatch.setattr("pcosync.cli.monte_carlo", counting)
+        assert main([*base, *(f for q in queries for f in ("--query", q)), "--output", str(out)]) == 0
+        rows, status = read_csv(out)
+        assert status == "# status: ok"
+        assert calls == [(1.0, "time"), (1.0, "power"), (0.9, "time"), (0.9, "power")]
+        expected = {}
+        for query in queries:
+            assert main([*base, "--query", query, "--output", str(out)]) == 0
+            singles, _ = read_csv(out)
+            for row in singles:
+                expected[row[5], row[8], row[9]] = row[:-1]  # lambda, metric, aggregate
+        assert [row[:-1] for row in rows] == [expected[row[5], row[8], row[9]] for row in rows]
+        assert len(rows) == len(expected) == 6
+
+    def test_censoring_noted_once_per_simulation(self, tmp_path, capsys):
+        assert main([
+            "simulate", "--n", "3", "--t", "4", "--r", "1", "--eps", "0.1", "--mu", "0.2",
+            "--samples", "50", "--query", "time:avg", "--query", "time:max", "--seed", "7",
+            "--output", str(tmp_path / "o.csv"),
+        ]) == 0
+        assert capsys.readouterr().err.count("note: ") == 1
 
 
 class TestProfiles:

@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import deque
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import compositions, csr_rows, materialized_skip_power, reference_build
 from pcosync import dtmc
-from pcosync.core import ModelParams, is_firing
+from pcosync.analysis import monte_carlo
+from pcosync.core import ModelParams, is_firing, validate_params
 from pcosync.dtmc import (
     MICAZ,
+    DtmcModel,
     HardwareProfile,
-    RestabilisationSpec,
     StateSpace,
     StateSpaceLimitExceeded,
     build_dtmc,
@@ -92,7 +94,7 @@ class TestRestabilisationSupport:
     def test_matches_brute_force_filter(self):
         p = params(n=10, t=10, r=4)
         for u in (1, 2, 3):
-            support = restabilisation_support(p, u)
+            support = restabilisation_support(replace(p, u=u))
             brute = [
                 s for s in enumerate_states(p) if any(k >= p.n - u for k in s)
             ]
@@ -101,29 +103,32 @@ class TestRestabilisationSupport:
     def test_u_bounds(self):
         p = params(n=5, t=4)
         with pytest.raises(ValueError):
-            restabilisation_support(p, 0)
+            restabilisation_support(replace(p, u=0))
         with pytest.raises(ValueError):
-            restabilisation_support(p, 5)  # u must stay below n
+            restabilisation_support(replace(p, u=5))  # u must stay below n
 
 
 class TestInitialDistribution:
     def test_full_mode_weights(self):
         p = params(n=2, t=3)
-        support, weights = initial_weights(p, "full")
+        support, weights = initial_weights(p)
         dist = dict(zip(map(tuple, support.tolist()), weights.tolist()))
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
         assert dist[(2, 0, 0)] == pytest.approx(1 / 9)
         assert dist[(1, 1, 0)] == pytest.approx(2 / 9)
 
     def test_restabilisation_mode_weights(self):
-        p = params(n=5, t=3)
-        support, weights = initial_weights(p, RestabilisationSpec(1))
+        p = params(n=5, t=3, u=1)
+        support, weights = initial_weights(p)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert all(any(k >= 4 for k in s) for s in support.tolist())
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            initial_weights(params(), "partial")
+    def test_u_out_of_range(self):
+        for u in (0, 3, -1):  # N = 3
+            p = params(u=u)
+            for call in (validate_params, initial_weights, build_dtmc, monte_carlo):
+                with pytest.raises(ValueError, match=r"U must satisfy 1 <= U < N"):
+                    call(p)
 
 
 class TestPowerRewards:
@@ -205,25 +210,25 @@ class TestBuildDtmc:
         assert power_reward == pytest.approx(2 * MICAZ.w_idle(2))
 
     def test_restabilisation_mode_is_smaller_and_closed(self):
-        p = params(n=10, t=10, r=4)
-        model = build_dtmc(p, MICAZ, RestabilisationSpec(1))
+        p = params(n=10, t=10, r=4, u=1)
+        model = build_dtmc(p)
         assert model.n_states < state_count(p)
         for row in csr_rows(model):
             for target, *_ in row:
                 assert 0 <= target < model.n_states
 
     @pytest.mark.parametrize(
-        "p, mode",
+        "p",
         [
-            (params(n=4, t=5, r=1), "full"),
-            (params(n=2, t=2, r=1, mu=0.0), "full"),
-            (params(n=6, t=8, r=2, mu=0.99), "full"),
-            (params(n=35, t=10, r=4), RestabilisationSpec(3)),
+            params(n=4, t=5, r=1),
+            params(n=2, t=2, r=1, mu=0.0),
+            params(n=6, t=8, r=2, mu=0.99),
+            params(n=35, t=10, r=4, u=3),
         ],
         ids=["n4t5", "n2t2mu0", "n6t8mu99", "restab35"],
     )
-    def test_chain_is_canonical_csr_with_aligned_rewards(self, p, mode):
-        model = build_dtmc(p, MICAZ, mode)
+    def test_chain_is_canonical_csr_with_aligned_rewards(self, p):
+        model = build_dtmc(p)
         assert model.transitions.has_canonical_format
         assert model.transitions.shape == (model.n_states, model.n_states)
         assert set(model.rewards) == {"time", "power"}
@@ -234,9 +239,15 @@ class TestBuildDtmc:
         assert build_dtmc(params()) == build_dtmc(params())
         assert build_dtmc(params()) != build_dtmc(params(mu=0.3))
 
+    def test_u_is_a_model_parameter(self):
+        assert "mode" not in {f.name for f in fields(DtmcModel)}
+        assert ModelParams(n=8, t=10, r=2, epsilon=0.1, mu=0.2, u=3) != ModelParams(
+            n=8, t=10, r=2, epsilon=0.1, mu=0.2
+        )
+        assert build_dtmc(params(u=1)).params.u == 1
+
     def test_equal_builds_hash_alike(self):
-        mode = RestabilisationSpec(1)
-        a, b = build_dtmc(params(), MICAZ, mode), build_dtmc(params(), MICAZ, mode)
+        a, b = build_dtmc(params(u=1)), build_dtmc(params(u=1))
         assert a == b and hash(a) == hash(b)
         assert len({a, b, build_dtmc(params())}) == 2
 
@@ -317,8 +328,7 @@ class TestFiringTable:
         assert_firing_rows_match_oracle(build_dtmc(p))
 
     def test_restabilisation_rows_equal_oracle(self):
-        p = params(n=35, t=10, r=4)
-        assert_firing_rows_match_oracle(build_dtmc(p, MICAZ, RestabilisationSpec(3)))
+        assert_firing_rows_match_oracle(build_dtmc(params(n=35, t=10, r=4, u=3)))
 
     @pytest.mark.parametrize("eps", [1e200, 1e308])
     @pytest.mark.parametrize("kw", [dict(n=3, t=4, r=1), dict(n=5, t=4, r=0), dict(n=6, t=8, r=2)])
@@ -336,11 +346,11 @@ class TestFiringTable:
         assert arrays(build_dtmc(params(**kw, epsilon=eps))) == want
 
 
-def assert_same_as_reference_build(p, mode="full"):
+def assert_same_as_reference_build(p):
     """States, CSR arrays, rewards and initial weights equal the
     breadth-first reference build, compared by repr."""
-    model = build_dtmc(p, MICAZ, mode)
-    states, transitions, rewards, initial = reference_build(p, MICAZ, mode)
+    model = build_dtmc(p)
+    states, transitions, rewards, initial = reference_build(p)
     assert list(model.states) == list(states)
     for attr in ("data", "indices", "indptr"):
         got, want = getattr(model.transitions, attr), getattr(transitions, attr)
@@ -357,43 +367,43 @@ class TestArrayBuild:
         assert_same_as_reference_build(p)
         if p.n > 1:
             u = data.draw(st.integers(min_value=1, max_value=p.n - 1), label="u")
-            assert_same_as_reference_build(p, RestabilisationSpec(u))
+            assert_same_as_reference_build(replace(p, u=u))
 
     @pytest.mark.parametrize(
-        "p, mode",
+        "p",
         [
-            (params(n=8, t=10, r=2), "full"),
+            params(n=8, t=10, r=2),
             # masses of 8 or more oscillators: (1 - mu)**8 differs in the
             # last bit when the exponent is a NumPy integer
-            (params(n=10, t=4, r=1), "full"),
-            (params(n=35, t=10, r=4), RestabilisationSpec(3)),
+            params(n=10, t=4, r=1),
+            params(n=35, t=10, r=4, u=3),
             # |Gamma| >= 2**63: ranks are Python ints
-            (params(n=30, t=40, r=1), RestabilisationSpec(1)),
+            params(n=30, t=40, r=1, u=1),
             # |Gamma| < 2**63, but C(N + T - 1, b) is not for some b < T
-            (params(n=25, t=45, r=2, epsilon=0.2), RestabilisationSpec(1)),
+            params(n=25, t=45, r=2, epsilon=0.2, u=1),
             # five absorbed groups, (N + 1)**7 >= 2**63: pair keys are Python ints
-            (params(n=1000, t=6, r=1), RestabilisationSpec(5)),
+            params(n=1000, t=6, r=1, u=5),
             # T**N on both sides of 2**53
-            (params(n=52, t=2, r=0), "full"),
-            (params(n=53, t=2, r=0), "full"),
-            (params(n=33, t=3, r=0), "full"),
-            (params(n=34, t=3, r=0), "full"),
+            params(n=52, t=2, r=0),
+            params(n=53, t=2, r=0),
+            params(n=33, t=3, r=0),
+            params(n=34, t=3, r=0),
             # k_T up to 200: the longest key sums 396 products, the longest
             # continuation of a branch 1,544 more
-            (params(n=200, t=10, r=4), RestabilisationSpec(3)),
+            params(n=200, t=10, r=4, u=3),
             # every broadcast succeeds, or every one fails: most products are 0.0
-            (params(n=6, t=8, r=2, mu=0.0), "full"),
-            (params(n=6, t=8, r=2, mu=1.0), "full"),
+            params(n=6, t=8, r=2, mu=0.0),
+            params(n=6, t=8, r=2, mu=1.0),
             # a lone oscillator, so no group is ever absorbed
-            (params(n=1, t=10, r=2), "full"),
+            params(n=1, t=10, r=2),
         ],
         ids=[
             "n8t10", "n10t4", "restab35", "huge-gamma", "wide-binomials", "huge-keys",
             "n52t2", "n53t2", "n33t3", "n34t3", "restab200", "mu0", "mu1", "n1",
         ],
     )
-    def test_matches_reference_build_explicit(self, p, mode):
-        assert_same_as_reference_build(p, mode)
+    def test_matches_reference_build_explicit(self, p):
+        assert_same_as_reference_build(p)
 
     def test_rank_is_enumeration_position(self):
         for n in range(1, 10):
@@ -409,8 +419,8 @@ class TestArrayBuild:
                 assert part.rows(want[1:]).tolist() == list(range(len(want) - 1)), (n, t)
 
     def test_index_finds_only_model_states(self):
-        p = params(n=10, t=10, r=4)
-        model = build_dtmc(p, MICAZ, RestabilisationSpec(1))
+        p = params(n=10, t=10, r=4, u=1)
+        model = build_dtmc(p)
         assert all(model.states.index(sigma) == i for i, sigma in enumerate(model.states))
         assert all(sigma in model.states for sigma in model.states)
         outside = min(set(enumerate_states(p)) - set(model.states))

@@ -5,13 +5,12 @@ import pytest
 
 from oracles import csr_rows, reference_export
 from pcosync.core import ModelParams
-from pcosync.dtmc import MICAZ, RestabilisationSpec, build_dtmc
+from pcosync.dtmc import build_dtmc
 from pcosync.export import (
     CHUNK,
     export_model,
     read_states,
     read_transitions,
-    write_transition_rewards,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -57,15 +56,15 @@ N8_R2_SHA256 = {
 
 
 class TestSameBytesAsReference:
-    @pytest.mark.parametrize("p, mode", [
-        (ModelParams(n=4, t=5, r=1, epsilon=0.1, mu=0.2), "full"),
-        (ModelParams(n=4, t=5, r=1, epsilon=0.1, mu=0.2), RestabilisationSpec(1)),
-        (ModelParams(n=3, t=4, r=1, epsilon=0.5, mu=0.2), "full"),
-        (ModelParams(n=6, t=8, r=1, epsilon=0.1, mu=0.99), "full"),
-        (ModelParams(n=1, t=5, r=1, epsilon=0.1, mu=0.2), "full"),
+    @pytest.mark.parametrize("p", [
+        ModelParams(n=4, t=5, r=1, epsilon=0.1, mu=0.2),
+        ModelParams(n=4, t=5, r=1, epsilon=0.1, mu=0.2, u=1),
+        ModelParams(n=3, t=4, r=1, epsilon=0.5, mu=0.2),
+        ModelParams(n=6, t=8, r=1, epsilon=0.1, mu=0.99),
+        ModelParams(n=1, t=5, r=1, epsilon=0.1, mu=0.2),
     ], ids=["n4t5", "n4t5restab", "n3t4", "n6t8mu99", "n1"])
-    def test_small_models(self, p, mode, tmp_path):
-        assert_same_bytes_as_reference(build_dtmc(p, MICAZ, mode), tmp_path)
+    def test_small_models(self, p, tmp_path):
+        assert_same_bytes_as_reference(build_dtmc(p), tmp_path)
 
     def test_golden_model_has_fewer_entries_than_a_chunk(self, tiny_model, tmp_path):
         assert tiny_model.n_transitions < CHUNK
@@ -128,10 +127,6 @@ class TestRoundTrip:
 
 
 class TestRewardFiles:
-    def test_unknown_kind_rejected(self, tiny_model, tmp_path):
-        with pytest.raises(ValueError):
-            write_transition_rewards(tiny_model, tmp_path / "x.trew", "entropy")
-
     def test_reward_lines_align_with_transitions(self, medium_model, tmp_path):
         paths = export_model(medium_model, tmp_path / "m")
         _, triples = read_transitions(paths["transitions"])
