@@ -10,7 +10,7 @@ reactions by hand.
 import argparse
 import sys
 
-from pcosync.core import ModelParams, format_failure_vector, is_firing, validate_state
+from pcosync.core import ModelParams, format_failure_vector, is_firing, validate_params, validate_state
 from pcosync.dynamics import skip_successor, successor_distribution
 from pcosync.metrics import phase_coherence
 
@@ -30,9 +30,13 @@ def main() -> int:
     ap.add_argument("--steps", type=int, default=1, help="follow the likeliest branch")
     args = ap.parse_args()
 
-    sigma = tuple(int(x) for x in args.state.split(","))
-    p = ModelParams(n=sum(sigma), t=len(sigma), r=args.r, epsilon=args.eps, mu=args.mu)
-    validate_state(sigma, p)
+    try:
+        sigma = tuple(int(x) for x in args.state.split(","))
+        p = ModelParams(n=sum(sigma), t=len(sigma), r=args.r, epsilon=args.eps, mu=args.mu)
+        validate_state(sigma, validate_params(p))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     for step in range(args.steps):
         show_state(sigma, p)

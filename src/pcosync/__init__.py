@@ -42,10 +42,9 @@ from .export import export_model
 from .analysis import (
     AnalysisQuery,
     AnalysisResult,
+    TargetSystem,
     aggregate,
-    expected_reward,
     monte_carlo,
-    reach_probability,
     solve_queries,
     solve_query,
     target_set,
@@ -63,11 +62,11 @@ __all__ = [
     "ModelParams",
     "State",
     "SuccessorDistribution",
+    "TargetSystem",
     "aggregate",
     "build_dtmc",
     "enumerate_failure_vectors",
     "enumerate_states",
-    "expected_reward",
     "export_model",
     "firing_successor",
     "initial_weights",
@@ -81,7 +80,6 @@ __all__ = [
     "phase_coherence",
     "phase_position",
     "r_min",
-    "reach_probability",
     "refractory",
     "resolve_chain",
     "skip_successor",

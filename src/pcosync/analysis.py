@@ -4,19 +4,21 @@ Queries target the set of states whose phase coherence meets a threshold.
 Expected accumulated rewards (time in cycles, energy in Watt-hours) are
 solved from the linear fixed-point equations by direct elimination; states
 that fail to reach the target with probability one, as decided on the graph,
-get an infinite expected reward.  Within one ``solve_queries`` call, the
-reachability and the rewards of one target set share one system, factored
-once, one level of its SCC condensation at a time, and each right-hand side
-is solved once; nothing is kept on the model between calls.  The
-reachability of a state that reaches the target with probability one, as
-decided on the graph, is 1, and it is solved only when some state reaches
-the target with a lower probability.
+get an infinite expected reward.  A ``TargetSystem`` holds one target set:
+it is factored once, one level of its SCC condensation at a time, and its
+per-state reachability and each of its rewards are solved once, on first
+read.  The reachability of a state that reaches the target with probability
+one, as decided on the graph, is 1, and it is solved only when some state
+reaches the target with a lower probability.  ``solve_queries`` builds one
+``TargetSystem`` per run of queries with the same lambda and aggregates
+from it; nothing is kept on the model between calls.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -62,48 +64,69 @@ class AnalysisResult:
     residual: float = 0.0
 
 
-class _System:
+class TargetSystem:
     """The fixed-point system x = a x + b of one target set of a model, on
-    which the reachability and every reward solve.  Its unknowns ``idx`` are
-    the states that reach the target but are not in it; ``certain`` marks
-    the states that reach it with probability one (Prob1), decided on the
-    graph.  A non-target Prob1 state only steps into Prob1 or the target, so
-    its rows reference no unknown outside Prob1, and a reward is the
-    solution on ``idx`` within Prob1.  The system is factored when built and
-    keeps only the level blocks of ``_factor``, not a itself; every solve
-    back-substitutes through them, and each solution is kept under its
-    right-hand side's name."""
+    which its reachability and every reward solve.  ``targets`` is a boolean
+    mask over the model's rows, as ``target_set`` gives it; the system
+    answers for the mask as it is when built.  Its unknowns ``idx`` are the
+    states that reach the target but are not in it; ``certain`` marks the
+    states that reach it with probability one (Prob1), decided on the graph.
+    A non-target Prob1 state only steps into Prob1 or the target, so its
+    rows reference no unknown outside Prob1, and a reward is the solution on
+    ``idx`` within Prob1.  The system is factored when built and keeps only
+    the level blocks of ``_factor``, not a itself; every solve
+    back-substitutes through them.  ``pred`` is the transition matrix as
+    CSC, if the caller already has it."""
 
-    def __init__(self, model: DtmcModel, mask: np.ndarray, pred: sp.csc_matrix | None = None) -> None:
+    def __init__(self, model: DtmcModel, targets: np.ndarray, pred: sp.csc_matrix | None = None) -> None:
         self.p, self.rewards, n = model.transitions, model.rewards, model.n_states
-        if getattr(mask, "dtype", None) != bool or mask.shape != (n,):
+        if getattr(targets, "dtype", None) != bool or targets.shape != (n,):
             raise ValueError(f"targets must be a boolean array of length {n}, one entry per state")
         pred = self.p.tocsc() if pred is None else pred  # column j: the predecessors of state j
-        reaching = _backward(pred, mask, np.ones_like(mask))
-        self.mask, self.certain = mask, ~_backward(pred, ~reaching, ~mask)
-        self.idx = idx = np.flatnonzero(reaching & ~mask)
+        reaching = _backward(pred, targets, np.ones_like(targets))
+        self.certain = ~_backward(pred, ~reaching, ~targets)
+        self.idx = idx = np.flatnonzero(reaching & ~targets)
         self.levels = _factor(self.p[idx][:, idx])
-        self.solutions: dict[str, tuple[np.ndarray, float]] = {}
+        self.targets = targets.copy()  # the mask as built, whatever the caller does to theirs
+        self._rewards: dict[str, tuple[np.ndarray, float]] = {}
 
-    def rhs(self, name: str) -> np.ndarray:
-        """b of the right-hand side ``name``, one entry per state: the
-        one-step probability of entering the target ("reach"), or the
-        expected one-step reward of a reward kind."""
-        p = self.p
-        if name == "reach":
-            return p @ self.mask
-        # a matvec adds each row in stored order, np.add.reduceat would pair terms up
-        weighted = sp.csr_matrix((p.data * self.rewards[name], p.indices, p.indptr), shape=p.shape)
-        return weighted @ np.ones(p.shape[1])
+    @cached_property
+    def reach(self) -> tuple[np.ndarray, float]:
+        """Per-state probability of eventually entering the target, exactly
+        1 wherever the graph shows it is entered with probability one, and
+        the residual of its solve.  The right-hand side is solved on first
+        read, and only if some unknown lies outside Prob1."""
+        x = self.certain.astype(float)  # Prob1, the targets among it, reach with probability one
+        unsure = ~self.certain[self.idx]
+        if not unsure.any():
+            return x, 0.0
+        # b is the one-step probability of entering the target
+        sol, residual = self._solve((self.p @ self.targets)[self.idx])
+        x[self.idx[unsure]] = np.clip(sol[unsure], 0.0, 1.0)
+        return x, residual
 
-    def solve(self, name: str) -> tuple[np.ndarray, float]:
-        """Solution and residual ||(I - a) x - b[idx]||_inf of the
-        right-hand side ``name``, solved the first time it is asked for."""
-        if name not in self.solutions:
-            self.solutions[name] = self._solve(self.rhs(name)[self.idx])
-        return self.solutions[name]
+    def reward(self, kind: str) -> tuple[np.ndarray, float]:
+        """Per-state expected reward of ``kind`` accumulated until the target
+        is entered, infinite wherever it is not entered with probability
+        one, and the residual of its solve; solved the first time the kind
+        is asked for."""
+        if kind not in self._rewards:
+            if kind not in self.rewards:
+                raise ValueError(f"unknown reward kind {kind!r}")
+            # b is the expected one-step reward; a matvec adds each row in
+            # stored order, np.add.reduceat would pair terms up
+            p = self.p
+            weighted = sp.csr_matrix((p.data * self.rewards[kind], p.indices, p.indptr), shape=p.shape)
+            sol, residual = self._solve((weighted @ np.ones(p.shape[1]))[self.idx])
+            values = np.where(self.certain, 0.0, np.inf)
+            certain = self.certain[self.idx]
+            values[self.idx[certain]] = np.maximum(sol[certain], 0.0)
+            self._rewards[kind] = values, residual
+        return self._rewards[kind]
 
     def _solve(self, b: np.ndarray) -> tuple[np.ndarray, float]:
+        """Solution on ``idx`` and residual ||(I - a) x - b||_inf of one
+        right-hand side b, one entry per unknown."""
         # a level's rows reference no unknown above it, so once the level is
         # solved they give its part of the residual, each row summed in the
         # stored order of a's entries
@@ -187,43 +210,6 @@ def _backward(pred: sp.csc_matrix, seed: np.ndarray, allowed: np.ndarray) -> np.
     return mask
 
 
-def _reach(system: _System) -> tuple[np.ndarray, float]:
-    x = system.certain.astype(float)  # Prob1, the targets among it, reach with probability one
-    unsure = ~system.certain[system.idx]
-    if not unsure.any():
-        return x, 0.0
-    sol, residual = system.solve("reach")
-    x[system.idx[unsure]] = np.clip(sol[unsure], 0.0, 1.0)
-    return x, residual
-
-
-def _reward(system: _System, reward_kind: str) -> tuple[np.ndarray, float]:
-    sol, residual = system.solve(reward_kind)
-    values = np.where(system.certain, 0.0, np.inf)
-    certain = system.certain[system.idx]
-    values[system.idx[certain]] = np.maximum(sol[certain], 0.0)
-    return values, residual
-
-
-def reach_probability(model: DtmcModel, targets: np.ndarray) -> np.ndarray:
-    """Per-state probability of eventually reaching the states of the
-    target mask (``target_set``): exactly 1 wherever the graph shows the
-    target is reached with probability one."""
-    return _reach(_System(model, targets))[0]
-
-
-def expected_reward(model: DtmcModel, targets: np.ndarray, reward_kind: str) -> np.ndarray:
-    """Per-state expected accumulated reward until a state of the target
-    mask (``target_set``) is entered.
-
-    Infinite wherever the target is not reached with probability one, as
-    decided on the graph.
-    """
-    if reward_kind not in model.rewards:
-        raise ValueError(f"unknown reward kind {reward_kind!r}")
-    return _reward(_System(model, targets), reward_kind)[0]
-
-
 def aggregate(
     model: DtmcModel,
     values: np.ndarray,
@@ -269,9 +255,9 @@ def solve_queries(model: DtmcModel, queries: Iterable[AnalysisQuery]) -> Iterato
     for query in queries:
         if query.lam != lam:
             system = None  # the previous factor is freed before the next is built
-            lam, system = query.lam, _System(model, target_set(model, query.lam), pred)
-        reach, res1 = _reach(system)
-        values, res2 = _reward(system, query.reward_kind)
+            lam, system = query.lam, TargetSystem(model, target_set(model, query.lam), pred)
+        reach, res1 = system.reach
+        values, res2 = system.reward(query.reward_kind)
         yield aggregate(
             model, values, reach, query.aggregate, query.reward_kind,
             wall_time=time.perf_counter() - start, residual=max(res1, res2),

@@ -14,10 +14,9 @@ from pcosync import analysis
 from pcosync.analysis import (
     AnalysisQuery,
     FailureDraw,
+    TargetSystem,
     aggregate,
-    expected_reward,
     monte_carlo,
-    reach_probability,
     solve_queries,
     solve_query,
     target_set,
@@ -58,57 +57,58 @@ class TestTargetSet:
 class TestReachProbability:
     def test_targets_are_one(self, hand_model):
         targets = target_set(hand_model, 1.0)
-        reach = reach_probability(hand_model, targets)
+        reach, _ = TargetSystem(hand_model, targets).reach
         for i in np.flatnonzero(targets):
             assert reach[i] == 1.0
 
     def test_all_states_synchronise(self, hand_model):
-        reach = reach_probability(hand_model, target_set(hand_model, 1.0))
+        reach, _ = TargetSystem(hand_model, target_set(hand_model, 1.0)).reach
         assert np.allclose(reach, 1.0)
 
     def test_trapped_state_scores_zero(self):
         # with 2 phases and a refractory first phase, a split pair loops forever
         model = build_dtmc(params(n=2, t=2, r=1, mu=0.2))
-        reach = reach_probability(model, target_set(model, 1.0))
+        reach, _ = TargetSystem(model, target_set(model, 1.0)).reach
         assert reach[model.states.index((1, 1))] == 0.0
 
 
 class TestExpectedReward:
     def test_targets_are_zero(self, hand_model):
         targets = target_set(hand_model, 1.0)
-        values = expected_reward(hand_model, targets, "time")
+        values, _ = TargetSystem(hand_model, targets).reward("time")
         for i in np.flatnonzero(targets):
             assert values[i] == 0.0
 
     def test_single_step_identity(self):
         # (1,1) with no refractory fires both oscillators in one step
         model = build_dtmc(params(n=2, t=2, r=0))
-        values = expected_reward(model, target_set(model, 1.0), "time")
+        values, _ = TargetSystem(model, target_set(model, 1.0)).reward("time")
         assert values[model.states.index((1, 1))] == pytest.approx(0.5)
 
     def test_hand_solved_chain(self, hand_model):
         # (1,0,1) -> (1,1,0) -> (0,1,1) -> synchronised, one third of a
         # cycle per step
-        values = expected_reward(hand_model, target_set(hand_model, 1.0), "time")
+        values, _ = TargetSystem(hand_model, target_set(hand_model, 1.0)).reward("time")
         assert values[hand_model.states.index((0, 1, 1))] == pytest.approx(1 / 3)
         assert values[hand_model.states.index((1, 1, 0))] == pytest.approx(2 / 3)
         assert values[hand_model.states.index((1, 0, 1))] == pytest.approx(1.0)
 
     def test_infinite_where_not_certain(self):
         model = build_dtmc(params(n=2, t=2, r=1, mu=0.2))
-        values = expected_reward(model, target_set(model, 1.0), "time")
+        values, _ = TargetSystem(model, target_set(model, 1.0)).reward("time")
         assert math.isinf(values[model.states.index((1, 1))])
 
     def test_power_reward_hand_value(self, hand_model):
         # (0,1,1): one firing step; the phase-2 node listens, the firing
         # node listens too, then both transmit after resetting
-        values = expected_reward(hand_model, target_set(hand_model, 1.0), "power")
+        values, _ = TargetSystem(hand_model, target_set(hand_model, 1.0)).reward("power")
         expected = 2 * MICAZ.w_receive(3) + 2 * MICAZ.w_transmit()
         assert values[hand_model.states.index((0, 1, 1))] == pytest.approx(expected)
 
     def test_rejects_unknown_kind(self, hand_model):
-        with pytest.raises(ValueError):
-            expected_reward(hand_model, np.zeros(hand_model.n_states, dtype=bool), "fuel")
+        system = TargetSystem(hand_model, np.zeros(hand_model.n_states, dtype=bool))
+        with pytest.raises(ValueError, match="unknown reward kind 'fuel'"):
+            system.reward("fuel")
 
 
 @pytest.mark.parametrize(
@@ -121,9 +121,7 @@ def test_target_argument_must_be_a_mask(hand_model, targets):
     assert hand_model.n_states == 6
     message = "targets must be a boolean array of length 6, one entry per state"
     with pytest.raises(ValueError, match=message):
-        reach_probability(hand_model, targets)
-    with pytest.raises(ValueError, match=message):
-        expected_reward(hand_model, targets, "time")
+        TargetSystem(hand_model, targets)
 
 
 class TestGraphFiniteness:
@@ -133,9 +131,8 @@ class TestGraphFiniteness:
         # (1,0,1,1) enters (1,1,0,1) with probability 1e-12, and from there
         # the trap (2,0,1,0) almost surely: its reach value is 1 - 1e-12
         model = build_dtmc(ModelParams(n=3, t=4, r=2, epsilon=0.5, mu=1e-12))
-        targets = target_set(model, 1.0)
-        values = expected_reward(model, targets, "time")
-        reach = reach_probability(model, targets)
+        system = TargetSystem(model, target_set(model, 1.0))
+        (reach, _), (values, _) = system.reach, system.reward("time")
         assert reach[model.states.index((2, 0, 1, 0))] == 0.0
         assert reach[model.states.index((1, 1, 0, 1))] < 1e-11
         assert reach[model.states.index((1, 0, 1, 1))] > 1.0 - 1e-11
@@ -146,7 +143,7 @@ class TestGraphFiniteness:
         # value comes out near 0.99987, yet it synchronises for certain
         mu = 1e-12
         model = build_dtmc(ModelParams(n=2, t=3, r=0, epsilon=0.5, mu=mu))
-        values = expected_reward(model, target_set(model, 1.0), "time")
+        values, _ = TargetSystem(model, target_set(model, 1.0)).reward("time")
         want = (1 + 2 * mu) / (3 * mu * (1 - mu))
         assert values[model.states.index((1, 0, 1))] == pytest.approx(want, rel=1e-3)
 
@@ -155,7 +152,7 @@ class TestGraphFiniteness:
         # target for certain, though a path from it ends in the trap
         p = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]))
         chain = SimpleNamespace(transitions=p, rewards={}, n_states=3)
-        system = analysis._System(chain, np.array([False, True, False]))
+        system = TargetSystem(chain, np.array([False, True, False]))
         assert system.certain.tolist() == [True, True, False]
         assert system.idx.tolist() == [0]
 
@@ -190,9 +187,8 @@ class TestAggregate:
         assert result.reach_probability < 1.0
 
     def test_per_node_conversion(self, hand_model):
-        targets = target_set(hand_model, 1.0)
-        reach = reach_probability(hand_model, targets)
-        values = expected_reward(hand_model, targets, "power")
+        system = TargetSystem(hand_model, target_set(hand_model, 1.0))
+        (reach, _), (values, _) = system.reach, system.reward("power")
         result = aggregate(hand_model, values, reach, "avg", "power")
         assert result.per_node_mWh == pytest.approx(result.value / 2 * 1000.0)
 
@@ -289,6 +285,22 @@ def splu_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The unknowns, right-hand side and solution of each solve made while
+    the test runs."""
+    calls = []
+    real = TargetSystem._solve
+
+    def recording(system, b):
+        x, residual = real(system, b)
+        calls.append((system.idx, b, x))
+        return x, residual
+
+    monkeypatch.setattr(TargetSystem, "_solve", recording)
+    return calls
+
+
 class TestFactorReuse:
     @pytest.mark.parametrize("name", sorted(FACTOR_MODELS))
     def test_cached_factor_matches_fresh_factor(self, name):
@@ -302,8 +314,8 @@ class TestFactorReuse:
                 assert got.value == pytest.approx(want.value, rel=1e-12)
                 assert got.reach_probability == pytest.approx(want.reach_probability, rel=1e-12)
                 fresh = build_dtmc(p)
-                want_values = expected_reward(fresh, target_set(fresh, 1.0), kind)
-                got_values = expected_reward(cached, target_set(cached, 1.0), kind)
+                want_values, _ = TargetSystem(fresh, target_set(fresh, 1.0)).reward(kind)
+                got_values, _ = TargetSystem(cached, target_set(cached, 1.0)).reward(kind)
                 np.testing.assert_allclose(got_values, want_values, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("name", sorted(FACTOR_MODELS))
@@ -312,10 +324,10 @@ class TestFactorReuse:
         p = FACTOR_MODELS[name]
         model = build_dtmc(p)
         targets = target_set(model, lam)
+        system = TargetSystem(model, targets)
         for kind in ("time", "power"):
             want_reach, want_values = loop_reference(model, targets, kind)
-            reach = reach_probability(model, targets)
-            values = expected_reward(model, targets, kind)
+            (reach, _), (values, _) = system.reach, system.reward(kind)
             np.testing.assert_allclose(reach, want_reach, rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(values, want_values, rtol=1e-10, atol=0.0)
 
@@ -364,15 +376,37 @@ class TestFactorReuse:
         assert values == pytest.approx(fresh + fresh[:1], rel=1e-12)
 
     def test_mask_changed_in_place_is_a_new_target_set(self, splu_calls):
-        # the system keeps its own copy of the mask it was built for
+        # a system built on the changed mask answers for the new target set
         p = FACTOR_MODELS["full"]
         model, fresh = build_dtmc(p), build_dtmc(p)
         targets = target_set(model, 1.0)
-        expected_reward(model, targets, "time")
+        TargetSystem(model, targets).reward("time")
         targets[:] = target_set(model, 0.6)
-        got = expected_reward(model, targets, "time")
+        got, _ = TargetSystem(model, targets).reward("time")
         assert len(splu_calls) == 2
-        assert np.array_equal(got, expected_reward(fresh, target_set(fresh, 0.6), "time"))
+        assert np.array_equal(got, TargetSystem(fresh, target_set(fresh, 0.6)).reward("time")[0])
+
+    def test_system_answers_the_mask_it_was_built_with(self):
+        # the system keeps a copy of the mask, so changing the caller's
+        # array afterwards changes nothing; in "partial" the reach of some
+        # unknowns is solved, not read off the graph
+        model = build_dtmc(FACTOR_MODELS["partial"])
+        targets = target_set(model, 1.0)
+        system = TargetSystem(model, targets)
+        targets[:] = target_set(model, 0.6)
+        want = TargetSystem(model, target_set(model, 1.0))
+        assert not want.certain[want.idx].all()
+        for got, expected in ((system.reach, want.reach), (system.reward("time"), want.reward("time"))):
+            assert np.array_equal(got[0], expected[0]) and got[1] == expected[1]
+
+    def test_reach_and_rewards_of_one_system_factor_once(self, splu_calls, solves):
+        model = build_dtmc(FACTOR_MODELS["partial"])
+        system = TargetSystem(model, target_set(model, 1.0))
+        first = [system.reach, system.reward("time"), system.reward("power")]
+        assert splu_calls == [12] and len(solves) == 3
+        again = [system.reach, system.reward("time"), system.reward("power")]
+        assert splu_calls == [12] and len(solves) == 3
+        assert all(a is b for a, b in zip(first, again))
 
     def test_residual_is_reported(self):
         model = build_dtmc(FACTOR_MODELS["full"])
@@ -380,22 +414,14 @@ class TestFactorReuse:
         # reach values are of order one, power values of order 1e-4 Wh
         assert 0.0 < result.residual < 1e-14
 
-    def test_four_queries_solve_each_right_hand_side_once(self, monkeypatch):
-        sweeps = []
-        real = analysis._System._solve
-
-        def counting(system, b):
-            sweeps.append(len(system.idx))
-            return real(system, b)
-
-        monkeypatch.setattr(analysis._System, "_solve", counting)
+    def test_four_queries_solve_each_right_hand_side_once(self, solves):
         # in "full" every unknown is in Prob1, so its reach is not solved
         for name, want in (("full", [784] * 2), ("partial", [12] * 3)):
             p = FACTOR_MODELS[name]
             model = build_dtmc(p)
-            sweeps.clear()
+            solves.clear()
             list(solve_queries(model, FOUR_QUERIES))
-            assert sweeps == want, name
+            assert [len(idx) for idx, _, _ in solves] == want, name
 
 
 # systems of at most 40 unknowns; at mu = 0.99 the masses span many binary
@@ -419,10 +445,10 @@ class TestRationalOracle:
         p = RATIONAL_MODELS[name]
         model = build_dtmc(p)
         targets = target_set(model, lam)
+        system = TargetSystem(model, targets)
         for kind in ("time", "power"):
             want_reach, want_values = loop_reference(model, targets, kind, exact=True)
-            reach = reach_probability(model, targets)
-            values = expected_reward(model, targets, kind)
+            (reach, _), (values, _) = system.reach, system.reward(kind)
             np.testing.assert_allclose(reach, want_reach, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=0.0)
 
@@ -449,7 +475,7 @@ def factored_systems(p):
     """The matrix a and the system of the model's reach and reward solves at
     lambda = 1, if it is not empty."""
     model = build_dtmc(p)
-    system = analysis._System(model, target_set(model, 1.0))
+    system = TargetSystem(model, target_set(model, 1.0))
     return [(model.transitions[system.idx][:, system.idx], system)] if len(system.idx) else []
 
 
@@ -493,22 +519,21 @@ class TestBlockSolve:
                 assert (block != want).nnz == 0
 
     @pytest.mark.parametrize("name", sorted(LEVEL_MODELS))
-    def test_residual_is_the_whole_systems(self, name):
+    def test_residual_is_the_whole_systems(self, name, solves):
         # taken level by level, the residual is bit for bit the one of the
         # whole system, each row of a x summed in stored order
         p = LEVEL_MODELS[name]
         model = build_dtmc(p)
         for kind in ("time", "power"):
+            solves.clear()
             result = solve_query(model, AnalysisQuery(lam=1.0, reward_kind=kind))
-            system, want = analysis._System(model, target_set(model, 1.0)), 0.0
-            analysis._reach(system), analysis._reward(system, kind)  # the solves the query makes
-            a = model.transitions[system.idx][:, system.idx]
-            for solved in ("reach", kind):
-                if solved in system.solutions and len(system.idx):
-                    x, b = system.solutions[solved][0], system.rhs(solved)[system.idx]
+            want = 0.0
+            for idx, b, x in solves:  # the solves the query made
+                if len(idx):
+                    a = model.transitions[idx][:, idx]
                     want = max(want, float(np.max(np.abs(x - a @ x - b))))
             assert result.residual == want
-            assert want > 0.0 or not len(system.idx)
+            assert want > 0.0 or not len(solves[0][0])
 
     @pytest.mark.parametrize("name", sorted(SOLVE_MODELS))
     @pytest.mark.parametrize("lam", [1.0, 0.6])
@@ -516,11 +541,8 @@ class TestBlockSolve:
         p = SOLVE_MODELS[name]
 
         def solve(model):
-            targets = target_set(model, lam)
-            reach = reach_probability(model, targets)
-            return [reach] + [
-                expected_reward(model, targets, kind) for kind in ("time", "power")
-            ]
+            system = TargetSystem(model, target_set(model, lam))
+            return [system.reach[0]] + [system.reward(kind)[0] for kind in ("time", "power")]
 
         got = solve(build_dtmc(p))
         monkeypatch.setattr(analysis, "_factor", natural_factor)
@@ -613,7 +635,7 @@ class TestMonteCarlo:
         # costliest run costs exactly the expected reward of its start state
         p = params(n=4, t=3, r=1, epsilon=0.5, mu=0.0)
         model = build_dtmc(p)
-        values = expected_reward(model, target_set(model, 1.0), kind)
+        values, _ = TargetSystem(model, target_set(model, 1.0)).reward(kind)
         per_start = values[model.initial > 0]
         mc = monte_carlo(p, lam=1.0, reward_kind=kind, samples=2000, seed=0)
         assert mc.censored == 0

@@ -1,4 +1,5 @@
 import csv
+import runpy
 from pathlib import Path
 
 import pytest
@@ -614,3 +615,32 @@ class TestProfiles:
         val_b = float(dict(zip(CSV_COLUMNS, row_b))["value"])
         # listening energy scales with the cycle, transmissions do not
         assert val_a < val_b < 10.0 * val_a
+
+
+class TestTrajectoryExplorer:
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "trajectory_explorer.py"
+
+    def run(self, monkeypatch, *argv):
+        monkeypatch.setattr("sys.argv", [str(self.SCRIPT), *argv])
+        return runpy.run_path(str(self.SCRIPT))["main"]()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["0,0,1,2", "--mu", "1.5"], "mu must be in [0, 1], got 1.5"),
+            (["0,0,1,2", "--r", "7"], "R must satisfy 0 <= R < T, got R=7 with T=4"),
+            (["0,0,0"], "N must satisfy 1 <= N, got 0"),
+            (["0,-1,2,1"], "state has negative counts: (0, -1, 2, 1)"),
+        ],
+        ids=["mu", "refractory", "empty", "negative"],
+    )
+    def test_bad_model_is_a_clear_error(self, monkeypatch, capsys, argv, message):
+        assert self.run(monkeypatch, *argv) == 1
+        out = capsys.readouterr()
+        assert out.err == f"error: {message}\n" and out.out == ""
+
+    def test_follows_the_likeliest_branch(self, monkeypatch, capsys):
+        assert self.run(monkeypatch, "0,0,1,2", "--r", "1", "--steps", "2") == 0
+        out = capsys.readouterr().out
+        assert "p=0.640000 -> (3, 0, 0, 0)" in out
+        assert out.splitlines()[-1].startswith("state (0, 0, 0, 3)")
