@@ -156,11 +156,15 @@ def _factor(a: sp.csr_matrix) -> list[tuple[np.ndarray, sp.csr_matrix, spla.Supe
     src, dst = np.repeat(label, np.diff(a.indptr)), label[a.indices]
     src, dst = src[src != dst], dst[src != dst]  # the edges between SCCs
     out = np.bincount(src, minlength=n_scc)
-    level, frontier, depth = np.full(n_scc, -1), out == 0, 0
-    while frontier.any():  # the SCCs whose edges all lead to lower levels
+    # the sources of the edges into SCC j are src[into[j]:into[j + 1]]
+    src, into = src[np.argsort(dst)], np.r_[0, np.cumsum(np.bincount(dst, minlength=n_scc))]
+    level, frontier, depth = np.full(n_scc, -1), np.flatnonzero(out == 0), 0
+    while frontier.size:  # the SCCs whose edges all lead to lower levels
         level[frontier], depth = depth, depth + 1
-        out -= np.bincount(src[frontier[dst]], minlength=n_scc)
-        frontier = (out == 0) & (level < 0)
+        start = into[frontier]
+        pred, count = np.unique(src[_ranges(start, into[frontier + 1] - start)], return_counts=True)
+        out[pred] -= count
+        frontier = pred[out[pred] == 0]
     # the unknowns by level, in lexicographic order within one
     order = np.argsort(level[label], kind="stable")
     position = np.empty_like(order)
@@ -286,16 +290,16 @@ class FailureDraw:
     """Inverse-CDF draws of firing-group failure counts from the build's masses.
 
     Row i stands for a group of ``sizes[i]``.  The cumulative masses P(F <= f)
-    of each distinct size are the running float sums of ``FiringTable.masses``
-    (log-space terms above ``FiringTable.MAX_GROUP``), and a uniform u draws
-    the number of them at or below u.  All sizes share one sorted table: the
-    g-th size (from 0) keeps its sums below one as thresholds 2g + P(F <= f),
-    and a row's key is 2g + u.  Keys and thresholds stay below 2G for G
-    distinct sizes, so rounding them lets a key meet a threshold at most one
-    ulp of 2G (2G * 2**-52) before u does, never after; each count's
-    probability is therefore within 2G * 2**-52 of the difference of the two
-    running sums around it.  A single size (G = 1, key u) is exact up to the
-    2**-53 grid of u.  A last threshold of inf bounds the last size's counts.
+    of each distinct size are the running float sums of ``FiringTable.masses``,
+    and a uniform u draws the number of them at or below u.  All sizes share
+    one sorted table: the g-th size (from 0) keeps its sums below one as
+    thresholds 2g + P(F <= f), and a row's key is 2g + u.  Keys and
+    thresholds stay below 2G for G distinct sizes, so rounding them lets a
+    key meet a threshold at most one ulp of 2G (2G * 2**-52) before u does,
+    never after; each count's probability is therefore within 2G * 2**-52
+    of the difference of the two running sums around it.  A single size
+    (G = 1, key u) is exact up to the 2**-53 grid of u.  A last threshold of
+    inf bounds the last size's counts.
     """
 
     def __init__(self, table: FiringTable, sizes: np.ndarray) -> None:

@@ -295,21 +295,14 @@ def build_dtmc(
     phase move together, so the largest group never shrinks and both Gamma
     and a restabilisation support are closed under the dynamics.  States
     are numbered in lexicographic order, which is rank order, and each
-    target's row is found by its rank.  A group larger than
-    ``FiringTable.MAX_GROUP`` is refused before any branch is formed, and
-    without U before Gamma is built.
-    """
+    target's row is found by its rank.  Without U, ``max_states`` is
+    checked before Gamma is built."""
     full = validate_params(p).u is None
     if max_states is not None and full and state_count(p) > max_states:
         raise StateSpaceLimitExceeded(state_count(p), max_states)  # before building Gamma
-    limit = FiringTable.MAX_GROUP
-    if full and p.n > limit:  # Gamma holds a group of every size up to N
-        raise ValueError(f"a group of {limit + 1} oscillators exceeds the limit of {limit}")
     support, weights = initial_weights(p)
     if max_states is not None and len(support) > max_states:
         raise StateSpaceLimitExceeded(len(support), max_states)
-    if (big := support[support > limit]).size:
-        raise ValueError(f"a group of {big.min()} oscillators exceeds the limit of {limit}")
     space = StateSpace(p, support)
     rows, probs, cols = FiringTable(p).branches(support, space.rows)
     time_r, power_r = step_rewards(support[rows], support[cols], p, profile)

@@ -9,12 +9,14 @@ order, kept so that the array build can be compared with it bit for bit.
 whole system that the level-by-level block factor replaced, and
 ``reference_export`` the line-at-a-time writer that the chunked exporter
 replaced.  ``rational_solve`` solves a linear system in exact rational
-arithmetic.
+arithmetic, and ``exact_masses`` gives a group's failure masses as exact
+fractions.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -234,6 +236,31 @@ def reference_build(p: ModelParams, profile: HardwareProfile = MICAZ):
     transitions = sp.csr_matrix((prob, cols, indptr), shape=(len(states), len(states)))
     initial = {index[sigma]: weight for sigma, weight in init.items()}
     return states, transitions, {"time": time_r, "power": power_r}, initial
+
+
+def exact_masses(k: int, mu: float) -> list[Fraction]:
+    """The failure-count masses C(k, f) mu**f (1 - mu)**(k - f) of a group
+    of k, f = 0..k, as exact fractions of the float mu.  Fraction reduces
+    each term by a gcd of numbers of k log2(d) bits, d the denominator of
+    mu, at a cost quadratic in that length, so a mu with a short binary
+    expansion (0.25, not 0.2) keeps groups of a thousand or more fast."""
+    a, d = mu.as_integer_ratio()
+    return [Fraction(math.comb(k, f) * a**f * (d - a) ** (k - f), d**k) for f in range(k + 1)]
+
+
+def log_mass_bound(k: int) -> float:
+    """The relative error ``FiringTable.masses`` states for a log-space
+    term of a group of k in the normal float range."""
+    return (2 * k * math.log(2) + 709) * 2.0**-52
+
+
+def row_sum_bound(n: int) -> float:
+    """How far from 1 a row may sum in a model of n oscillators with at
+    most 3 outside the largest group.  That group's terms are within
+    ``log_mass_bound(n)``; a row folds at most 8(n + 1) failure-pattern
+    products, and the check sums them again, each term adding at most
+    2**-53 of the sum."""
+    return log_mass_bound(n) + 16 * (n + 1) * 2.0**-53
 
 
 def natural_factor(a: sp.csr_matrix) -> list[tuple[np.ndarray, sp.csr_matrix, spla.SuperLU]]:

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from oracles import csr_rows, natural_factor, rational_solve
+from oracles import csr_rows, exact_masses, natural_factor, rational_solve, row_sum_bound
 from pcosync import analysis
 from pcosync.analysis import (
     AnalysisQuery,
@@ -624,6 +624,18 @@ class TestMonteCarlo:
         mc = monte_carlo(p, samples=50_000, seed=3)
         assert abs(mc.mean - exact.value) <= 3.0 * mc.std_error
 
+    @pytest.mark.parametrize("u", [1, 3])
+    @pytest.mark.parametrize("n", [1100, 2000, 5000])
+    def test_restabilisation_beyond_max_group(self, n, u):
+        # every state holds a group of n - u or more, above FiringTable.MAX_GROUP
+        p = params(n=n, t=10, r=4, epsilon=0.1, mu=0.2, u=u)
+        model = build_dtmc(p)
+        assert np.abs(model.transitions.sum(axis=1).A1 - 1.0).max() <= row_sum_bound(n)
+        exact = solve_query(model, AnalysisQuery(lam=1.0, reward_kind="time", aggregate="avg"))
+        mc = monte_carlo(p, samples=2000, seed=7)
+        assert mc.censored == 0
+        assert abs(mc.mean - exact.value) <= 5.0 * mc.std_error
+
     def test_censoring_counts_trapped_runs(self):
         p = params(n=2, t=2, r=1, mu=0.2)
         result = monte_carlo(p, samples=200, seed=5, step_cap=50)
@@ -873,14 +885,12 @@ class TestFailureDraw:
             assert np.all(draw.failures(np.full(len(u), row), u) == (k if mu else 0))
 
     def test_group_beyond_the_build_limit_matches_the_exact_law(self):
-        k, mu = 1600, 0.2
+        k, mu = 1600, 0.25  # a short mu keeps the exact fractions fast
         assert k > FiringTable.MAX_GROUP
         table = FiringTable(params(n=k, t=4, r=1, mu=mu))
         draw = FailureDraw(table, np.array([k]))
-        # P(F <= f) = sum_j C(k, j) a**j b**(k - j) / d**k for mu = a / d, b = d - a
-        a, d = Fraction(mu).as_integer_ratio()
-        terms = [math.comb(k, j) * a**j * (d - a) ** (k - j) for j in range(401)]
-        for f in [250, 300, 320, 340, 400]:
-            exact = float(Fraction(sum(terms[: f + 1]), d**k))
+        cdf = list(accumulate(exact_masses(k, mu)))  # P(F <= f)
+        for f in [330, 380, 400, 420, 480]:
+            exact = float(cdf[f])
             rows = np.zeros(2, np.int64)
             assert list(draw.failures(rows, np.array([exact - 1e-12, exact + 1e-12]))) == [f, f + 1]

@@ -319,16 +319,19 @@ class TestRestab:
         ])
         assert code == 1
 
-    def test_group_too_large_for_float_masses(self, tmp_path, capsys):
+    def test_group_beyond_max_group_matches_simulate(self, tmp_path):
+        # every state holds a group of 1,099 or more, above FiringTable.MAX_GROUP
         out = tmp_path / "o.csv"
-        code = main([
+        assert main([
             "restab", "--n", "1100", "--t", "10", "--r", "4", "--eps", "0.1",
             "--mu", "0.2", "--u", "1", "--output", str(out),
-        ])
-        assert code == 1
-        rows, status = read_csv(out)
-        assert rows == [] and status.startswith("# status: error: a group of 1099")
-        assert "error: a group of 1099 oscillators exceeds the limit of 1029" in capsys.readouterr().err
+        ]) == 0
+        (row,), status = read_csv(out)
+        assert status == "# status: ok"
+        value = float(dict(zip(CSV_COLUMNS, row))["value"])
+        params = ModelParams(n=1100, t=10, r=4, epsilon=0.1, mu=0.2, u=1)
+        mc = monte_carlo(params, samples=2000, seed=7)  # as simulate --seed 7 runs it
+        assert abs(mc.mean - value) <= 5.0 * mc.std_error
 
 
 class TestExport:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import compositions, csr_rows, materialized_skip_power, reference_build
+from oracles import compositions, csr_rows, materialized_skip_power, reference_build, row_sum_bound
 from pcosync import dtmc
 from pcosync.analysis import monte_carlo
 from pcosync.core import ModelParams, is_firing, validate_params
@@ -260,13 +260,14 @@ class TestBuildDtmc:
         with pytest.raises(StateSpaceLimitExceeded):
             build_dtmc(params(n=30, t=10, r=1), max_states=10)  # 211,915,132 states
 
-    def test_group_limit_is_checked_before_the_states_are_built(self, monkeypatch):
-        # Gamma holds a group of every size up to N, so the smallest one above
-        # the limit is named without building it
-        monkeypatch.setattr(dtmc, "initial_weights", lambda *a: pytest.fail("built the states"))
-        limit = FiringTable.MAX_GROUP
-        with pytest.raises(ValueError, match=f"a group of {limit + 1} oscillators exceeds the limit of {limit}"):
-            build_dtmc(params(n=1030, t=3, r=1))
+    def test_full_mode_beyond_max_group(self):
+        # Gamma holds a group of every size up to N; at T = 2, R = 1 no group
+        # is absorbed, so each row folds the masses of its firing group alone
+        n = 1100
+        assert n > FiringTable.MAX_GROUP
+        model = build_dtmc(params(n=n, t=2, r=1))
+        assert model.n_states == n + 1
+        assert np.abs(model.transitions.sum(axis=1).A1 - 1.0).max() <= row_sum_bound(n)
 
     def test_indexing_is_lexicographic(self):
         model = build_dtmc(params(n=3, t=3, r=1))

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+from fractions import Fraction
 from functools import reduce
 from operator import add
 
@@ -10,9 +12,11 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     brute_force_failure_vector_count,
     brute_force_successors,
+    exact_masses,
+    log_mass_bound,
 )
 from pcosync.core import ModelParams, is_firing, is_synchronised
-from pcosync.dtmc import build_dtmc, enumerate_states
+from pcosync.dtmc import enumerate_states
 from pcosync.dynamics import (
     FiringTable,
     InconsistentFailureVector,
@@ -262,10 +266,18 @@ class TestFiringTableMasses:
         k, log_mu, log_nu = limit + 1, math.log(0.2), math.log1p(-0.2)
         want = [math.exp(math.log(math.comb(k, f)) + f * log_mu + (k - f) * log_nu) for f in range(k + 1)]
         assert repr(table.masses(k)) == repr(want)
-        # and the build refuses such a group, naming the smallest: (1, 1030)
-        # and (0, 1031) hold groups of 1030 and 1031
-        with pytest.raises(ValueError, match=f"a group of {k} oscillators exceeds the limit of {limit}"):
-            build_dtmc(ModelParams(n=k + 1, t=2, r=0, epsilon=0.1, mu=0.2))
+
+    @pytest.mark.parametrize("k", [1030, 1100])
+    @pytest.mark.parametrize("mu", [0.125, 0.25, 0.75])
+    def test_log_space_masses_match_the_exact_law(self, k, mu):
+        # every term in the normal float range lies within the bound the
+        # masses docstring states; a short mu keeps the fractions fast
+        masses = FiringTable(ModelParams(n=2, t=3, r=1, epsilon=0.1, mu=mu)).masses(k)
+        exact = exact_masses(k, mu)
+        normal = [f for f, e in enumerate(exact) if e >= Fraction(sys.float_info.min)]
+        assert len(normal) > k // 2
+        worst = max(abs(Fraction(masses[f]) - exact[f]) / exact[f] for f in normal)
+        assert worst <= log_mass_bound(k)
 
 
 class TestSuccessorDistribution:
