@@ -226,7 +226,7 @@ def aggregate(
     """Aggregate per-state expected values over the initial distribution."""
     reach_p = float(np.min(reach))
     if agg == "avg":
-        value = float(np.dot(model.initial, values))
+        value = float(np.dot(model.initial, np.where(model.initial > 0, values, 0.0)))  # 0.0 * inf is nan
         if np.any(np.isinf(values) & (model.initial > 0)):
             value = np.inf
     elif agg == "max":

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 State = tuple[int, ...]
 FailureVector = tuple[int | None, ...]
 
@@ -18,17 +20,19 @@ FailureVector = tuple[int | None, ...]
 STAR = "*"
 
 
-def round_half_up(x: float) -> int:
-    """Round to the nearest integer, ties away from zero.
+def round_half_up(x: float | np.ndarray) -> int | np.ndarray:
+    """Round to the nearest integer, ties away from zero: an int for a
+    float, an int64 array for a float array.
 
     All rounded quantities in the model are non-negative, so ties-away-from-zero
     coincides with ties-up.  Centralized so an alternate tie rule is a one-line
     change.
     """
-    return math.floor(x + 0.5)
+    up = np.floor(x + 0.5)
+    return up.astype(np.int64) if isinstance(up, np.ndarray) else int(up)
 
 
-def perturbation(phi: int, alpha: int, epsilon: float) -> int:
+def perturbation(phi: int, alpha: int | np.ndarray, epsilon: float) -> int | np.ndarray:
     """Linear phase response: nearest integer to phi * alpha * epsilon."""
     return round_half_up(phi * alpha * epsilon)
 

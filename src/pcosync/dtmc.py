@@ -49,8 +49,9 @@ class HardwareProfile:
 
     def __post_init__(self) -> None:
         for attr in ("idle_a", "receive_a", "transmit_a", "voltage", "cycle_s", "message_s"):
-            if getattr(self, attr) <= 0:
-                raise ValueError(f"hardware profile field {attr} must be positive")
+            value = getattr(self, attr)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"hardware profile field {attr} must be finite and positive, got {value}")
 
     def w_idle(self, t: int) -> float:
         """Watt-hours per node per discrete step in idle mode."""

@@ -74,9 +74,11 @@ def skip_successor(sigma: State) -> tuple[State, int]:
     return tuple(new), shift
 
 
-def chain_updates(successes: int, p: ModelParams) -> tuple[list[bool], list[int]]:
+def chain_updates(successes: int | np.ndarray, p: ModelParams) -> tuple[list, list]:
     """Fire flags and updated phases for all phase groups, given the number
-    of successful broadcasts from the firing group at phase T."""
+    of successful broadcasts from the firing group at phase T.  For an
+    array of counts, a phase's entry is an array over them, or a constant
+    where it does not depend on the count."""
     epsilon = min(p.epsilon, p.t)  # T already absorbs all perturbed groups; more can overflow
     updated = [
         phi + 1 + refractory(phi, perturbation(phi, successes, epsilon), p.r)
@@ -211,13 +213,15 @@ def successor_distribution(sigma: State, p: ModelParams) -> SuccessorDistributio
 
 
 class FiringTable:
-    """Firing successors of one model, read from a per-success chain table.
+    """Firing successors of one model, read from per-success tables.
 
     The fired set and the updated phases depend only on the number s of
-    successful broadcasts, so ``chain[s]`` is ``chain_updates(s, p)`` for
-    s = 0..N.  The build and the sampler both step with ``successors`` and
-    weigh failures with ``masses``; ``successor_distribution`` stays the
-    reference the table is tested against.
+    successful broadcasts, so row s of ``fired`` is the fire flags of
+    ``chain_updates(s, p)`` for s = 0..N, and row s of ``dest`` the phase
+    each group lands on.  The build and the sampler both step with
+    ``successors`` and weigh failures with ``masses``;
+    ``successor_distribution`` stays the reference the table is tested
+    against.
     """
 
     #: C(k, f) of a larger group leaves the float range, so ``masses`` forms
@@ -226,10 +230,10 @@ class FiringTable:
 
     def __init__(self, p: ModelParams):
         self.mu = p.mu
-        self.chain = [chain_updates(s, p) for s in range(p.n + 1)]
-        self.fired = np.array([fired for fired, _ in self.chain])
-        # per success count, the phase each group lands on
-        self.dest = np.where(self.fired, 1, np.array([updated for _, updated in self.chain]))
+        s = np.arange(p.n + 1)
+        # every count at once: a phase's entry is an array over s, or a constant
+        self.fired, updated = (np.stack(np.broadcast_arrays(s, *x)[1:], axis=1) for x in chain_updates(s, p))
+        self.dest = np.where(self.fired, 1, updated)
         self._masses: dict[int, list[float]] = {}
 
     def successors(self, states: np.ndarray, successes: np.ndarray) -> np.ndarray:
@@ -270,34 +274,6 @@ class FiringTable:
             self._masses[k] = masses
         return self._masses[k]
 
-    def products(
-        self, absorbed: np.ndarray, k_t: np.ndarray, f_t: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The nonzero failure-pattern products of each key, as segments of
-        one flat array in key order, and each segment's start and length.
-        Key i runs over the failure counts of its absorbed group sizes
-        ``absorbed[i]`` (0 for none: radix 1, mass 1.0) by mixed radix,
-        lowest phase fastest, as ``successor_distribution`` enumerates them;
-        each product is ((1.0 * m_1) * m_2) * ... * m_T, with the mass of
-        ``f_t[i]`` failures in the firing group of ``k_t[i]`` last."""
-        sizes = np.unique(np.r_[absorbed.ravel(), k_t])
-        mass = np.concatenate([self.masses(k) for k in sizes.tolist()])
-        first = np.zeros(sizes[-1] + 1, np.int64)  # masses(k) starts at mass[first[k]]
-        first[sizes] = np.cumsum(sizes + 1) - sizes - 1
-        radix = absorbed.astype(np.int64) + 1
-        count = radix.prod(axis=1)
-        key = np.repeat(np.arange(len(count)), count)
-        place = _ranges(0, count)
-        products = np.ones(len(key))
-        for i in range(radix.shape[1]):
-            digit = radix[key, i]
-            products *= mass[first[digit - 1] + place % digit]
-            place //= digit
-        products *= mass[first[k_t] + f_t][key]
-        nonzero = products != 0.0
-        count = np.bincount(key[nonzero], minlength=len(count))
-        return products[nonzero], np.cumsum(count) - count, count
-
     def branches(
         self, states: np.ndarray, rows: Callable[[np.ndarray], np.ndarray]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -308,55 +284,73 @@ class FiringTable:
         (k_T = 0) gets its one branch, the skip, of probability 1.0.
 
         A row's probability for a target is the left fold, from 0.0, of the
-        ``products`` of its (row, f_T) pairs in f_T order; a target that none
-        reaches is left out.  The products depend only on the pair's key
-        (the absorbed sizes, k_T and f_T), so ``fold_segments`` sums them
-        once per key, and a target's sum is its first pair's key sum folded
-        on through the products of the pairs that continue it.  The target
-        depends on the success count only through its ``dest`` row, so the
-        successor is formed once per run of a row's pairs that share one.
+        failure-pattern products of the f_T that reach it, in f_T order; a
+        target whose sum is 0.0 is left out.  The f_T of one target form an
+        interval [lo, hi].  As the success count s grows, each group's
+        updated phase phi + 1 + delta_phi(s) grows or stays, so a group that
+        fires at s fires at every larger s, and the groups that do not fire
+        land on distinct phases >= 2 in phase order.  Two counts with one
+        target thus have the same fired groups and landings, and so has
+        every count between them.  Along the interval the absorbed groups
+        stay the same, so the probability depends only on the key (the
+        absorbed sizes, k_T, lo, hi), and ``fold_keys`` forms it once per
+        key.  The target changes only where the ``dest`` row does, so the
+        successor is formed once per run of counts that share one.
         """
-        base = len(self.chain)
         k_t = states[:, -1].astype(np.int64)
-        row = np.repeat(np.arange(len(states)), k_t + 1)
-        f_t = _ranges(0, k_t + 1)
-        successes = k_t[row] - f_t
-        # a run: consecutive pairs of a row whose success counts share a dest
-        # row, and so the absorbed groups and the target
-        dest_of = np.r_[0, np.cumsum(np.any(self.dest[1:] != self.dest[:-1], axis=1))]
-        lead = np.r_[True, (row[1:] != row[:-1]) | (dest_of[successes[1:]] != dest_of[successes[:-1]])]
-        run, run_of = np.flatnonzero(lead), np.cumsum(lead) - 1
-        absorbed = states[row[run], :-1] * self.fired[successes[run], :-1]
-        # the key as base N + 1 digits: the nonzero absorbed sizes, k_T, f_T
-        digits = int(np.count_nonzero(states[:, :-1], axis=1).max(initial=0)) + 2
-        key = np.zeros(len(run), np.int64 if base**digits < 2**63 else object)
+        # the counts where the dest row changes; a run lies between two
+        bounds = np.r_[0, np.flatnonzero(np.any(self.dest[1:] != self.dest[:-1], axis=1)) + 1, len(self.dest)]
+        runs = np.searchsorted(bounds, k_t, side="right")
+        row = np.repeat(np.arange(len(states)), runs)
+        run = runs[row] - 1 - _ranges(0, runs)  # f_T ascends, so s descends
+        # the run's s from bounds[run] to bounds[run + 1] - 1 or k_T: f_T from lo to hi
+        k_t, successes = k_t[row], bounds[run]
+        lo, hi = k_t - np.minimum(bounds[run + 1] - 1, k_t), k_t - successes
+        target = rows(self.successors(states[row], successes))
+        # consecutive runs of a row with one target make one branch
+        new = np.r_[True, (row[1:] != row[:-1]) | (target[1:] != target[:-1])]
+        hi = hi[np.r_[new[1:], True]]
+        row, successes, k_t, lo, target = row[new], successes[new], k_t[new], lo[new], target[new]
+        absorbed = states[row, :-1] * self.fired[successes, :-1]
+        # the key as base N + 1 digits: the nonzero absorbed sizes, k_T, lo, hi
+        base = len(self.dest)
+        digits = int(np.count_nonzero(states[:, :-1], axis=1).max(initial=0)) + 3
+        key = np.zeros(len(row), np.int64 if base**digits < 2**63 else object)
         for size in absorbed.T:
             key = np.where(size > 0, key * base + size, key)
-        key = (key * base + k_t[row[run]])[run_of] * base + f_t
-        _, pair, key_of = np.unique(key, return_index=True, return_inverse=True)
-        terms, start, count = self.products(absorbed[run_of[pair]], k_t[row[pair]], f_t[pair])
-        sums = fold_segments(terms, start, count, np.zeros(len(count)))
-        # a pair without a nonzero product reaches no target
-        keep = np.flatnonzero(count[key_of])
-        row, successes, key_of, run_of = row[keep], successes[keep], key_of[keep], run_of[keep]
-        # one successor per run that keeps a pair
-        lead = np.r_[True, run_of[1:] != run_of[:-1]]
-        run, run_of = np.flatnonzero(lead), np.cumsum(lead) - 1
-        target = rows(self.successors(states[row[run]], successes[run]))
-        order = np.lexsort((target[run_of], row))  # stable: f_T ascends within a target
-        row, key_of, run_of = row[order], key_of[order], run_of[order]
-        new = np.r_[True, (row[1:] != row[:-1]) | (target[run_of[1:]] != target[run_of[:-1]])]
-        probs = sums[key_of[new]]  # the key sum of a branch's first pair
-        # then the products of the pairs that continue the sum, in order
-        cont = np.flatnonzero(~new)
-        length = count[key_of[cont]]
-        branch = np.cumsum(new)[cont] - 1
-        end = np.flatnonzero(np.diff(branch, append=-1))  # a branch's last continuing pair
-        span = np.diff(np.cumsum(length)[end], prepend=0)
-        gather = _ranges(start[key_of[cont]], length)
-        probs[branch[end]] = fold_segments(terms[gather], np.cumsum(span) - span, span, probs[branch[end]])
-        last = np.r_[new[1:], True]
-        return row[last], probs, target[run_of[last]]
+        for digit in (k_t, lo, hi):
+            key = key * base + digit
+        _, first, key_of = np.unique(key, return_index=True, return_inverse=True)
+        probs = self.fold_keys(absorbed[first], k_t[first], lo[first], hi[first])[key_of]
+        order = np.lexsort((target, row))
+        order = order[probs[order] != 0.0]
+        return row[order], probs[order], target[order]
+
+    def fold_keys(
+        self, absorbed: np.ndarray, k_t: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    ) -> np.ndarray:
+        """Per key i, the left fold from 0.0 of its failure-pattern
+        products: f_T from ``lo[i]`` to ``hi[i]``, and within each the
+        failure counts of the absorbed group sizes ``absorbed[i]`` (0 for
+        none: radix 1, mass 1.0) by mixed radix, lowest phase fastest, as
+        ``successor_distribution`` enumerates them.  Each product is
+        ((1.0 * m_1) * m_2) * ... * m_T, with the mass of f_T failures in
+        the firing group of ``k_t[i]`` last."""
+        sizes = np.unique(np.r_[absorbed.ravel(), k_t])
+        mass = np.concatenate([self.masses(k) for k in sizes.tolist()])
+        first = np.zeros(sizes[-1] + 1, np.int64)  # masses(k) starts at mass[first[k]]
+        first[sizes] = np.cumsum(sizes + 1) - sizes - 1
+        radix = absorbed.astype(np.int64) + 1
+        count = radix.prod(axis=1) * (hi - lo + 1)
+        key = np.repeat(np.arange(len(count)), count)
+        place = _ranges(0, count)
+        products = np.ones(len(key))
+        for i in range(radix.shape[1]):
+            digit = radix[key, i]
+            products *= mass[first[digit - 1] + place % digit]
+            place //= digit
+        products *= mass[(first[k_t] + lo)[key] + place]  # place is now f_T - lo
+        return fold_segments(products, np.cumsum(count) - count, count, np.zeros(len(count)))
 
 
 def _ranges(start: np.ndarray | int, length: np.ndarray) -> np.ndarray:

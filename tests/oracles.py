@@ -162,14 +162,14 @@ def firing_row(table: FiringTable, sigma: State) -> list[tuple[State, float]]:
     for f_t, m_t in enumerate(table.masses(k_t)):
         if not m_t:
             continue
-        fired, updated = table.chain[k_t - f_t]
+        fired, dest = table.fired[k_t - f_t], table.dest[k_t - f_t]
         products = [1.0]
         for i in range(t - 1):
             if fired[i] and sigma[i]:
                 products = [q * m for m in table.masses(sigma[i]) for q in products]
         target = [0] * t
-        for k, f, u in zip(sigma, fired, updated):
-            target[(1 if f else u) - 1] += k
+        for k, d in zip(sigma, dest.tolist()):
+            target[d - 1] += k
         target = tuple(target)
         acc = merged.get(target, 0.0)
         for q in products:

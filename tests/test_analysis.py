@@ -186,6 +186,18 @@ class TestAggregate:
         assert math.isinf(result.value)
         assert result.reach_probability < 1.0
 
+    def test_average_ignores_infinity_without_weight(self):
+        # at full N=1,100, T=2 some initial weights underflow to 0.0; an inf
+        # value there must not turn the average into nan (0.0 * inf)
+        model = build_dtmc(params(n=3, t=4, r=1, epsilon=0.1, mu=0.2))
+        system = TargetSystem(model, target_set(model, 1.0))
+        (reach, _), (values, _) = system.reach, system.reward("time")
+        trapped = np.isinf(values)
+        assert trapped.any() and model.initial[~trapped].any()
+        moved = dataclasses.replace(model, initial=np.where(trapped, 0.0, model.initial))
+        result = aggregate(moved, values, reach, "avg", "time")
+        assert result.value == pytest.approx(np.dot(moved.initial[~trapped], values[~trapped]), rel=1e-12)
+
     def test_per_node_conversion(self, hand_model):
         system = TargetSystem(hand_model, target_set(hand_model, 1.0))
         (reach, _), (values, _) = system.reach, system.reward("power")

@@ -603,6 +603,23 @@ class TestProfiles:
         for field in ("transmit_a", "voltage", "cycle_s", "message_s"):
             assert field in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_profile_is_an_error(self, tmp_path, monkeypatch, capsys, value):
+        (tmp_path / "odd.profile").write_text(
+            f"idle_a = {value}\nreceive_a = 19.7e-3\ntransmit_a = 17.4e-3\n"
+            "voltage = 3.0\ncycle_s = 1.0\nmessage_s = 1e-3\n"
+        )
+        monkeypatch.setenv("PCOSYNC_PROFILE_DIR", str(tmp_path))
+        base = ["analyze", "--n", "3", "--t", "4", "--r", "1", "--eps", "0.1", "--mu", "0.2",
+                "--query", "power:avg"]
+        for flags, field in ((["--cycle", value], "cycle_s"), (["--profile", "odd"], "idle_a")):
+            out = tmp_path / "o.csv"
+            assert main([*base, *flags, "--output", str(out)]) == 1
+            message = f"hardware profile field {field} must be finite and positive, got {value}"
+            rows, status = read_csv(out)
+            assert rows == [] and status == f"# status: error: {message}"
+            assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_cycle_override_scales_energy(self, tmp_path):
         base = [
             "analyze", "--n", "2", "--t", "3", "--r", "1", "--eps", "0.5",

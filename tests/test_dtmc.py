@@ -47,6 +47,12 @@ class TestHardwareProfile:
         with pytest.raises(ValueError):
             HardwareProfile("bad", 0.0, 1.0, 1.0, 3.0, 1.0, 1e-3)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["idle_a", "voltage", "cycle_s", "message_s"])
+    def test_rejects_non_finite_fields(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            replace(MICAZ, **{field: value})
+
     def test_energy_scales_with_cycle_length(self):
         slow = HardwareProfile("slow", 20e-6, 19.7e-3, 17.4e-3, 3.0, 10.0, 1e-3)
         assert slow.w_receive(10) == pytest.approx(10.0 * MICAZ.w_receive(10))
@@ -315,9 +321,26 @@ class TestFiringTable:
     @pytest.mark.parametrize("p", [params(n=8, t=10, r=2), params(n=5, t=6, r=0, epsilon=2.5)])
     def test_chain_entries_equal_chain_updates(self, p):
         table = FiringTable(p)
-        assert len(table.chain) == p.n + 1
+        assert table.fired.shape == table.dest.shape == (p.n + 1, p.t)
         for s in range(p.n + 1):
-            assert table.chain[s] == chain_updates(s, p)
+            fired, updated = chain_updates(s, p)
+            assert table.fired[s].tolist() == fired
+            assert table.dest[s].tolist() == [1 if f else u for f, u in zip(fired, updated)]
+
+    @given(small_models())
+    @example(ModelParams(n=6, t=8, r=1, epsilon=3.0, mu=0.2))
+    @settings(max_examples=100, deadline=None)
+    def test_each_target_is_one_f_t_interval(self, p):
+        # what ``branches`` rests on: the f_T values that reach one target
+        # form an interval, and all of them fire the same occupied phases
+        for sigma in enumerate_states(p):
+            if not is_firing(sigma):
+                continue
+            for branch in successor_distribution(sigma, p).branches:
+                f_t = sorted({fv[-1] for fv in branch.witnesses})
+                assert f_t == list(range(f_t[0], f_t[-1] + 1)), (sigma, branch.target, p)
+                fired = {tuple(f is not None and k > 0 for k, f in zip(sigma, fv)) for fv in branch.witnesses}
+                assert len(fired) == 1, (sigma, branch.target, p)
 
     # the examples sum products over two or more absorbed groups in rows
     # whose last bits depend on the summation order
@@ -382,16 +405,17 @@ class TestArrayBuild:
             params(n=30, t=40, r=1, u=1),
             # |Gamma| < 2**63, but C(N + T - 1, b) is not for some b < T
             params(n=25, t=45, r=2, epsilon=0.2, u=1),
-            # five absorbed groups, (N + 1)**7 >= 2**63: pair keys are Python ints
+            # five absorbed groups, (N + 1)**8 >= 2**63: keys are Python ints
             params(n=1000, t=6, r=1, u=5),
             # T**N on both sides of 2**53
             params(n=52, t=2, r=0),
             params(n=53, t=2, r=0),
             params(n=33, t=3, r=0),
             params(n=34, t=3, r=0),
-            # k_T up to 200: the longest key sums 396 products, the longest
-            # continuation of a branch 1,544 more
+            # k_T up to 200: 145 keys fold 40,347 products, the longest 1,552
             params(n=200, t=10, r=4, u=3),
+            # up to 121 absorbed failure patterns per f_T, 448 products in a key
+            params(n=24, t=4, r=0, epsilon=0.2),
             # every broadcast succeeds, or every one fails: most products are 0.0
             params(n=6, t=8, r=2, mu=0.0),
             params(n=6, t=8, r=2, mu=1.0),
@@ -400,7 +424,7 @@ class TestArrayBuild:
         ],
         ids=[
             "n8t10", "n10t4", "restab35", "huge-gamma", "wide-binomials", "huge-keys",
-            "n52t2", "n53t2", "n33t3", "n34t3", "restab200", "mu0", "mu1", "n1",
+            "n52t2", "n53t2", "n33t3", "n34t3", "restab200", "n24t4", "mu0", "mu1", "n1",
         ],
     )
     def test_matches_reference_build_explicit(self, p):
