@@ -10,7 +10,7 @@ reactions by hand.
 import argparse
 import sys
 
-from pcosync.core import ModelParams, format_failure_vector, is_firing, validate_params, validate_state
+from pcosync.core import ModelParams, format_failure_vector, is_firing, validate_state
 from pcosync.dynamics import skip_successor, successor_distribution
 from pcosync.metrics import phase_coherence
 
@@ -33,7 +33,7 @@ def main() -> int:
     try:
         sigma = tuple(int(x) for x in args.state.split(","))
         p = ModelParams(n=sum(sigma), t=len(sigma), r=args.r, epsilon=args.eps, mu=args.mu)
-        validate_state(sigma, validate_params(p))
+        validate_state(sigma, p)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,7 +9,6 @@ from .core import (
     is_synchronised,
     perturbation,
     refractory,
-    validate_params,
 )
 from .dynamics import (
     ChainOutcome,
@@ -88,7 +87,6 @@ __all__ = [
     "state_count",
     "successor_distribution",
     "target_set",
-    "validate_params",
 ]
 
 __version__ = "0.1.0"

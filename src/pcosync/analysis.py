@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core import ModelParams, validate_params
+from .core import ModelParams
 from .dtmc import DtmcModel, HardwareProfile, MICAZ, StateSpace, initial_weights, step_rewards
 from .dynamics import FiringTable, _ranges
 from .metrics import phase_coherences
@@ -374,7 +374,6 @@ def monte_carlo(
     so per seed the result is the same; ``trapped`` is set.  A state with
     two outcomes keeps the runs stepping.
     """
-    validate_params(p)
     AnalysisQuery(lam, reward_kind)  # the same lambda and reward kind checks
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")

@@ -19,7 +19,7 @@ import sys
 import time
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .analysis import (
     STEP_CAP,
@@ -28,7 +28,7 @@ from .analysis import (
     monte_carlo,
     solve_queries,
 )
-from .core import ModelParams, validate_params
+from .core import ModelParams
 from .dtmc import (
     MICAZ,
     PROFILES,
@@ -108,7 +108,12 @@ def load_profile(name: str) -> HardwareProfile:
             missing = [key for key in needed if key not in values]
             if missing:
                 raise ValueError(f"profile {path} lacks {', '.join(missing)}")
-            return HardwareProfile(name=name, **{key: float(values[key]) for key in needed})
+            for key in needed:
+                try:
+                    values[key] = float(values[key])
+                except ValueError:
+                    raise ValueError(f"bad profile value {key} = {values[key]} in {path}") from None
+            return HardwareProfile(name=name, **{key: values[key] for key in needed})
     raise ValueError(f"unknown hardware profile {name!r}")
 
 
@@ -196,17 +201,16 @@ def _resolve_profile(args: argparse.Namespace) -> HardwareProfile:
     return replace(profile, **overrides)
 
 
-def _grid(args: argparse.Namespace) -> Iterator[ModelParams]:
-    """Every combination of the grid flags, in ``GRID_FLAGS`` order, as
-    validated parameters."""
+def _grid(args: argparse.Namespace) -> list[ModelParams]:
+    """Every combination of the grid flags, in ``GRID_FLAGS`` order; a bad
+    value fails here, before any model is built."""
     axes = []
     for flag, cast in GRID_FLAGS:
         raw = getattr(args, flag, None)
         if raw is None and flag in args.required:
             raise ValueError(f"missing required parameter --{flag}")
         axes.append([None] if raw is None else parse_range(str(raw), cast))
-    for values in itertools.product(*axes):
-        yield validate_params(ModelParams(*values))
+    return [ModelParams(*values) for values in itertools.product(*axes)]
 
 
 class CsvSink:
@@ -240,24 +244,25 @@ def _fmt(x: float | None) -> str:
 def _sweep(args: argparse.Namespace, answer) -> int:
     """Write one CSV row per grid point, lambda and query, in that nesting.
 
-    ``answer(params, profile, points)`` yields, for each (lambda,
-    metric, aggregate) point in turn, the value, the per-node mWh, the reach
-    probability, the state and transition counts and the wall time in ms.
+    The grid and queries are all made, and so checked, before the first
+    ``answer(params, profile, queries)``, which yields for each query the
+    value, per-node mWh, reach probability, state and transition counts and
+    wall time in ms.
     """
     sink = CsvSink(args.output)
     try:
         profile = _resolve_profile(args)
-        queries = parse_queries(args.query or ["time:avg"])
+        kinds = parse_queries(args.query or ["time:avg"])
         lams = parse_range(str(args.lam), float) if args.lam is not None else [1.0]
-        points = [(lam, metric, agg) for lam in lams for metric, agg in queries]
-        for params in _grid(args):
-            for cells, (lam, metric, agg) in zip(answer(params, profile, points), points):
+        queries = [AnalysisQuery(lam, metric, agg) for lam in lams for metric, agg in kinds]
+        for params in _grid(args):  # a list: every grid point is made first
+            for cells, q in zip(answer(params, profile, queries), queries):
                 value, per_node, reach, states, transitions, wall_ms = cells
                 sink.row([
                     params.n, params.t, params.r, _fmt(params.epsilon), _fmt(params.mu),
-                    _fmt(lam), "" if params.u is None else params.u, profile.name, metric, agg,
-                    _fmt(value), _fmt(per_node), _fmt(reach), states, transitions,
-                    _fmt(wall_ms),
+                    _fmt(q.lam), "" if params.u is None else params.u, profile.name,
+                    q.reward_kind, q.aggregate, _fmt(value), _fmt(per_node), _fmt(reach),
+                    states, transitions, _fmt(wall_ms),
                 ])
         sink.status("ok")
         return 0
@@ -274,11 +279,10 @@ def _sweep(args: argparse.Namespace, answer) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     """analyze and restab: build each grid point once and solve every query on it."""
 
-    def answer(params, profile, points):
+    def answer(params, profile, queries):
         start = time.perf_counter()
         model = build_dtmc(params, profile, max_states=args.max_states)
         build_ms = (time.perf_counter() - start) * 1000.0
-        queries = (AnalysisQuery(lam=lam, reward_kind=metric, aggregate=agg) for lam, metric, agg in points)
         for result in solve_queries(model, queries):
             yield (
                 result.value, result.per_node_mWh, result.reach_probability,
@@ -292,28 +296,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     """Monte Carlo estimates of every query, one simulation per (lambda,
     metric) of a grid point, shared by its aggregates; no model is built."""
 
-    def answer(params, profile, points):
+    def answer(params, profile, queries):
         if args.seed is None:
             raise ValueError("--seed is required for reproducible simulation")
+        if any(q.aggregate == "min" for q in queries):
+            raise ValueError("simulate supports avg and max aggregates only")
         samples = int(args.samples) if args.samples is not None else 10_000
         seed = int(args.seed)
         runs = {}  # (lambda, metric) -> the result and its wall time in ms
-        for lam, metric, agg in points:
-            if agg == "min":
-                raise ValueError("simulate supports avg and max aggregates only")
-            if (lam, metric) not in runs:
+        for q in queries:
+            if (q.lam, q.reward_kind) not in runs:
                 start = time.perf_counter()
-                result = monte_carlo(
-                    params, profile, lam=lam, reward_kind=metric, samples=samples, seed=seed,
-                )
-                runs[lam, metric] = result, (time.perf_counter() - start) * 1000.0
+                result = monte_carlo(params, profile, lam=q.lam, reward_kind=q.reward_kind,
+                                     samples=samples, seed=seed)
+                runs[q.lam, q.reward_kind] = result, (time.perf_counter() - start) * 1000.0
                 if result.censored:
                     never = "; they never reach the target" if result.trapped else ""
                     note = f"{result.censored} of {samples} runs censored at step_cap {STEP_CAP}{never}"
                     print(f"note: {note}", file=sys.stderr)
-            result, wall_ms = runs[lam, metric]
-            value = result.mean if agg == "avg" else result.max_observed
-            per_node = value / params.n * 1000.0 if metric == "power" else None
+            result, wall_ms = runs[q.lam, q.reward_kind]
+            value = result.mean if q.aggregate == "avg" else result.max_observed
+            per_node = value / params.n * 1000.0 if q.reward_kind == "power" else None
             yield value, per_node, 1.0 - result.censored / result.samples, "", "", wall_ms
 
     return _sweep(args, answer)
@@ -321,7 +324,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     profile = _resolve_profile(args)
-    grid = list(_grid(args))
+    grid = _grid(args)
     if len(grid) != 1:
         raise ValueError("export expects exactly one parameter tuple")
     (params,) = grid

@@ -49,7 +49,9 @@ def refractory(phi: int, delta: int, r: int) -> int:
 class ModelParams:
     """One population model: (N, T, R, epsilon, mu) and U.  With U set, the
     initial states are those where at least N - U oscillators share a phase
-    (restabilisation); with U None, every state of Gamma is initial."""
+    (restabilisation); with U None, every state of Gamma is initial.  Made
+    or ``replace``d, it checks 1 <= N, 2 <= T, 0 <= R < T, 0 < epsilon < inf,
+    0 <= mu <= 1 and 1 <= U < N, and raises ``ValueError`` if one fails."""
 
     n: int
     t: int
@@ -58,24 +60,21 @@ class ModelParams:
     mu: float
     u: int | None = None
 
-
-def validate_params(p: ModelParams) -> ModelParams:
-    """Check parameter bounds; returns p unchanged or raises ValueError."""
-    if p.n < 1:
-        raise ValueError(f"N must satisfy 1 <= N, got {p.n}")
-    if p.t < 2:
-        raise ValueError(f"T must satisfy 2 <= T, got {p.t}")
-    if not 0 <= p.r < p.t:
-        raise ValueError(f"R must satisfy 0 <= R < T, got R={p.r} with T={p.t}")
-    if not p.epsilon > 0:
-        raise ValueError(f"epsilon must be > 0, got {p.epsilon}")
-    if not math.isfinite(p.epsilon):
-        raise ValueError(f"epsilon must be finite, got {p.epsilon}")
-    if not 0 <= p.mu <= 1:
-        raise ValueError(f"mu must be in [0, 1], got {p.mu}")
-    if p.u is not None and not 1 <= p.u < p.n:
-        raise ValueError(f"U must satisfy 1 <= U < N, got U={p.u} with N={p.n}")
-    return p
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"N must satisfy 1 <= N, got {self.n}")
+        if self.t < 2:
+            raise ValueError(f"T must satisfy 2 <= T, got {self.t}")
+        if not 0 <= self.r < self.t:
+            raise ValueError(f"R must satisfy 0 <= R < T, got R={self.r} with T={self.t}")
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
+        if not 0 <= self.mu <= 1:
+            raise ValueError(f"mu must be in [0, 1], got {self.mu}")
+        if self.u is not None and not 1 <= self.u < self.n:
+            raise ValueError(f"U must satisfy 1 <= U < N, got U={self.u} with N={self.n}")
 
 
 def validate_state(sigma: State, p: ModelParams) -> State:

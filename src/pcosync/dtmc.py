@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from .core import ModelParams, State, validate_params
+from .core import ModelParams, State
 from .dynamics import FiringTable, _ranges
 
 
@@ -213,12 +213,15 @@ def multinomial(counts: State) -> int:
     return math.prod(map(math.comb, itertools.accumulate(counts), counts))
 
 
-def restabilisation_support(p: ModelParams) -> list[State]:
-    """Gamma_U: states where some phase holds at least N - U oscillators."""
-    u = validate_params(p).u
-    loose = state_array(replace(p, n=u))
-    lifted = (loose + (p.n - u) * (np.arange(p.t) == i) for i in range(p.t))
-    return sorted({sigma for states in lifted for sigma in map(tuple, states.tolist())})
+def restabilisation_support(p: ModelParams) -> np.ndarray:
+    """Gamma_U, the states where some phase holds at least N - U
+    oscillators, as a count array in lexicographic order: each state of the
+    U loose oscillators with N - U added to each phase in turn, the repeats
+    (when N <= 2U) dropped."""
+    loose = state_array(replace(p, n=p.u, u=None)).astype(np.min_scalar_type(p.n))
+    lifted = (loose + (p.n - p.u) * np.eye(p.t, dtype=loose.dtype)[:, None]).reshape(-1, p.t)
+    lifted = lifted[np.lexsort(lifted.T[::-1])]
+    return lifted[np.r_[True, (lifted[1:] != lifted[:-1]).any(axis=1)]]
 
 
 def initial_weights(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -231,10 +234,7 @@ def initial_weights(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     None), and each weight is multinomial / total divided in Python ints,
     correctly rounded.
     """
-    if validate_params(p).u is None:
-        support = state_array(p)
-    else:
-        support = np.array(restabilisation_support(p), np.min_scalar_type(p.n))
+    support = state_array(p) if p.u is None else restabilisation_support(p)
     key = np.zeros(len(support), np.int64 if (p.n + 1) ** p.t < 2**63 else object)
     for column in np.sort(support, axis=1).T:
         key = key * (p.n + 1) + column.astype(key.dtype)
@@ -298,7 +298,7 @@ def build_dtmc(
     are numbered in lexicographic order, which is rank order, and each
     target's row is found by its rank.  Without U, ``max_states`` is
     checked before Gamma is built."""
-    full = validate_params(p).u is None
+    full = p.u is None
     if max_states is not None and full and state_count(p) > max_states:
         raise StateSpaceLimitExceeded(state_count(p), max_states)  # before building Gamma
     support, weights = initial_weights(p)

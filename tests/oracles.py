@@ -202,7 +202,7 @@ def reference_build(p: ModelParams, profile: HardwareProfile = MICAZ):
     if p.u is None:
         support, total = list(compositions(p.n, p.t)), p.t**p.n
     else:
-        support = restabilisation_support(p)
+        support = list(map(tuple, restabilisation_support(p).tolist()))
         total = sum(multinomial(sigma) for sigma in support)
     init = {sigma: multinomial(sigma) / total for sigma in support}
     table = FiringTable(p)

@@ -27,6 +27,10 @@ def read_csv(path: Path):
     return rows[1:-1], rows[-1][0]
 
 
+def never_called(*args, **kwargs):
+    pytest.fail("the work began before every input was checked")
+
+
 def fmt(x):
     """A CSV cell as the CLI writes it: '' for None, 10 significant digits."""
     if x is None:
@@ -454,8 +458,12 @@ class TestSimulate:
         (["--lambda", ","], "no value in ','"),
         (["--query", "time"], "bad query 'time', expected metric:aggregate"),
         (["--profile", "nosuch"], "unknown hardware profile 'nosuch'"),
-    ], ids=["lambda", "query", "profile"])
-    def test_bad_query_flag_leaves_error_status(self, tmp_path, capsys, flag, message):
+        (["--lambda", "1.5"], "lambda must be in [0, 1], got 1.5"),
+        (["--n", "3,0"], "N must satisfy 1 <= N, got 0"),
+    ], ids=["lambda", "query", "profile", "lambda-bound", "grid"])
+    def test_bad_query_flag_leaves_error_status(self, tmp_path, capsys, monkeypatch, flag, message):
+        # every flag is checked before the first model is built
+        monkeypatch.setattr("pcosync.cli.build_dtmc", never_called)
         out = tmp_path / "o.csv"
         assert main([
             "analyze", "--n", "3", "--t", "4", "--r", "1", "--eps", "0.1", "--mu", "0.2",
@@ -509,14 +517,17 @@ class TestSimulate:
         assert status == "# status: ok"
         assert dict(zip(CSV_COLUMNS, row))["reach_probability"] == "1"
 
-    def test_min_aggregate_leaves_error_status(self, tmp_path):
+    def test_min_aggregate_leaves_error_status(self, tmp_path, monkeypatch):
+        # min is rejected before the first simulation, also after an avg query
+        monkeypatch.setattr("pcosync.cli.monte_carlo", never_called)
         out = tmp_path / "o.csv"
-        assert main([
-            "simulate", "--n", "2", "--t", "3", "--r", "1", "--eps", "0.5",
-            "--mu", "0.2", "--seed", "1", "--query", "time:min", "--output", str(out),
-        ]) == 1
-        rows, status = read_csv(out)
-        assert rows == [] and status.startswith("# status: error")
+        for queries in (["--query", "time:min"], ["--query", "time:avg", "--query", "time:min"]):
+            assert main([
+                "simulate", "--n", "2", "--t", "3", "--r", "1", "--eps", "0.5",
+                "--mu", "0.2", "--seed", "1", *queries, "--output", str(out),
+            ]) == 1
+            rows, status = read_csv(out)
+            assert rows == [] and status.startswith("# status: error")
 
     def test_restab_rows_equal_monte_carlo(self, tmp_path):
         out = tmp_path / "o.csv"
@@ -602,6 +613,23 @@ class TestProfiles:
         assert err.startswith("error: ") and "Traceback" not in err
         for field in ("transmit_a", "voltage", "cycle_s", "message_s"):
             assert field in err
+
+    def test_non_numeric_profile_value_names_file_and_field(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "typo.profile"
+        path.write_text(
+            "idle_a = abc\nreceive_a = 19.7e-3\ntransmit_a = 17.4e-3\n"
+            "voltage = 3.0\ncycle_s = 1.0\nmessage_s = 1e-3\n"
+        )
+        monkeypatch.setenv("PCOSYNC_PROFILE_DIR", str(tmp_path))
+        out = tmp_path / "o.csv"
+        assert main([
+            "analyze", "--n", "2", "--t", "3", "--r", "1", "--eps", "0.5", "--mu", "0.2",
+            "--profile", "typo", "--output", str(out),
+        ]) == 1
+        message = f"bad profile value idle_a = abc in {path}"
+        rows, status = read_csv(out)
+        assert rows == [] and status == f"# status: error: {message}"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_profile_is_an_error(self, tmp_path, monkeypatch, capsys, value):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +12,6 @@ from pcosync.core import (
     perturbation,
     refractory,
     round_half_up,
-    validate_params,
     validate_state,
 )
 
@@ -89,10 +89,6 @@ class TestRefractory:
 
 
 class TestValidation:
-    def test_valid_params_pass_through(self):
-        p = params()
-        assert validate_params(p) is p
-
     @pytest.mark.parametrize(
         "kw",
         [
@@ -106,11 +102,17 @@ class TestValidation:
             dict(mu=1.01),
             dict(epsilon=math.inf),
             dict(epsilon=math.nan),
+            dict(u=0),
+            dict(u=4),  # U must stay below N = 4
         ],
     )
     def test_bad_params_rejected(self, kw):
-        with pytest.raises(ValueError):
-            validate_params(params(**kw))
+        (name,) = kw
+        message = {"n": "N", "t": "T", "r": "R", "u": "U"}.get(name, name) + " must"
+        with pytest.raises(ValueError, match=message):
+            params(**kw)
+        with pytest.raises(ValueError, match=message):  # replace checks again
+            replace(params(), **kw)
 
     def test_state_validation(self):
         p = params(n=3, t=4)
