@@ -47,15 +47,26 @@ CSV_COLUMNS = [
 PROFILE_DIR_ENV = "PCOSYNC_PROFILE_DIR"
 
 
-def parse_range(text: str, cast=float) -> list:
-    """Parse '3', '1,2,3' or an inclusive 'start:step:stop' range; text that
-    gives no value, such as a descending range or a lone comma, is an error."""
+def parse_number(text: str, cast, flag: str | None = None):
+    """``cast(text)``; text it cannot convert is an error that names the
+    flag, if given, and the text."""
+    try:
+        return cast(text)
+    except ValueError:
+        name, kind = f"--{flag} value" if flag else "value", "an integer" if cast is int else "a number"
+        raise ValueError(f"bad {name} {text.strip()!r}, expected {kind}") from None
+
+
+def parse_range(text: str, cast=float, flag: str | None = None) -> list:
+    """Parse '3', '1,2,3' or an inclusive 'start:step:stop' range of the
+    given flag; text that gives no value, such as a descending range or a
+    lone comma, is an error."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"bad range {text!r}, expected start:step:stop")
-        start, step, stop = map(cast, parts)
+        start, step, stop = (parse_number(part, cast, flag) for part in parts)
         if step <= 0:
             raise ValueError(f"range step must be positive in {text!r}")
         values = []
@@ -65,7 +76,7 @@ def parse_range(text: str, cast=float) -> list:
             values.append(cast(round(v, 12)) if cast is float else v)
             v += step
     else:
-        values = [cast(part) for part in text.split(",") if part.strip()]
+        values = [parse_number(part, cast, flag) for part in text.split(",") if part.strip()]
     if not values:
         raise ValueError(f"no value in {text!r}")
     return values
@@ -209,7 +220,7 @@ def _grid(args: argparse.Namespace) -> list[ModelParams]:
         raw = getattr(args, flag, None)
         if raw is None and flag in args.required:
             raise ValueError(f"missing required parameter --{flag}")
-        axes.append([None] if raw is None else parse_range(str(raw), cast))
+        axes.append([None] if raw is None else parse_range(str(raw), cast, flag))
     return [ModelParams(*values) for values in itertools.product(*axes)]
 
 
@@ -241,22 +252,24 @@ def _fmt(x: float | None) -> str:
     return f"{x:.10g}"
 
 
-def _sweep(args: argparse.Namespace, answer) -> int:
+def _sweep(args: argparse.Namespace, prepare) -> int:
     """Write one CSV row per grid point, lambda and query, in that nesting.
 
-    The grid and queries are all made, and so checked, before the first
-    ``answer(params, profile, queries)``, which yields for each query the
-    value, per-node mWh, reach probability, state and transition counts and
-    wall time in ms.
+    Every input is made, and so checked, before any work: the profile,
+    queries and lambdas, then the subcommand's own inputs in
+    ``prepare(profile, queries)``, then the grid.  ``prepare`` returns
+    ``answer(params)``, which yields for each query the value, per-node mWh,
+    reach probability, state and transition counts and wall time in ms.
     """
     sink = CsvSink(args.output)
     try:
         profile = _resolve_profile(args)
         kinds = parse_queries(args.query or ["time:avg"])
-        lams = parse_range(str(args.lam), float) if args.lam is not None else [1.0]
+        lams = parse_range(str(args.lam), float, "lambda") if args.lam is not None else [1.0]
         queries = [AnalysisQuery(lam, metric, agg) for lam in lams for metric, agg in kinds]
+        answer = prepare(profile, queries)
         for params in _grid(args):  # a list: every grid point is made first
-            for cells, q in zip(answer(params, profile, queries), queries):
+            for cells, q in zip(answer(params), queries):
                 value, per_node, reach, states, transitions, wall_ms = cells
                 sink.row([
                     params.n, params.t, params.r, _fmt(params.epsilon), _fmt(params.mu),
@@ -279,47 +292,54 @@ def _sweep(args: argparse.Namespace, answer) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     """analyze and restab: build each grid point once and solve every query on it."""
 
-    def answer(params, profile, queries):
-        start = time.perf_counter()
-        model = build_dtmc(params, profile, max_states=args.max_states)
-        build_ms = (time.perf_counter() - start) * 1000.0
-        for result in solve_queries(model, queries):
-            yield (
-                result.value, result.per_node_mWh, result.reach_probability,
-                model.n_states, model.n_transitions, build_ms + result.wall_time * 1000.0,
-            )
+    def prepare(profile, queries):
+        def answer(params):
+            start = time.perf_counter()
+            model = build_dtmc(params, profile, max_states=args.max_states)
+            build_ms = (time.perf_counter() - start) * 1000.0
+            for result in solve_queries(model, queries):
+                yield (
+                    result.value, result.per_node_mWh, result.reach_probability,
+                    model.n_states, model.n_transitions, build_ms + result.wall_time * 1000.0,
+                )
 
-    return _sweep(args, answer)
+        return answer
+
+    return _sweep(args, prepare)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Monte Carlo estimates of every query, one simulation per (lambda,
     metric) of a grid point, shared by its aggregates; no model is built."""
 
-    def answer(params, profile, queries):
+    def prepare(profile, queries):
         if args.seed is None:
             raise ValueError("--seed is required for reproducible simulation")
         if any(q.aggregate == "min" for q in queries):
             raise ValueError("simulate supports avg and max aggregates only")
-        samples = int(args.samples) if args.samples is not None else 10_000
-        seed = int(args.seed)
-        runs = {}  # (lambda, metric) -> the result and its wall time in ms
-        for q in queries:
-            if (q.lam, q.reward_kind) not in runs:
-                start = time.perf_counter()
-                result = monte_carlo(params, profile, lam=q.lam, reward_kind=q.reward_kind,
-                                     samples=samples, seed=seed)
-                runs[q.lam, q.reward_kind] = result, (time.perf_counter() - start) * 1000.0
-                if result.censored:
-                    never = "; they never reach the target" if result.trapped else ""
-                    note = f"{result.censored} of {samples} runs censored at step_cap {STEP_CAP}{never}"
-                    print(f"note: {note}", file=sys.stderr)
-            result, wall_ms = runs[q.lam, q.reward_kind]
-            value = result.mean if q.aggregate == "avg" else result.max_observed
-            per_node = value / params.n * 1000.0 if q.reward_kind == "power" else None
-            yield value, per_node, 1.0 - result.censored / result.samples, "", "", wall_ms
+        samples = parse_number(args.samples, int, "samples") if args.samples is not None else 10_000
+        seed = parse_number(args.seed, int, "seed")
 
-    return _sweep(args, answer)
+        def answer(params):
+            runs = {}  # (lambda, metric) -> the result and its wall time in ms
+            for q in queries:
+                if (q.lam, q.reward_kind) not in runs:
+                    start = time.perf_counter()
+                    result = monte_carlo(params, profile, lam=q.lam, reward_kind=q.reward_kind,
+                                         samples=samples, seed=seed)
+                    runs[q.lam, q.reward_kind] = result, (time.perf_counter() - start) * 1000.0
+                    if result.censored:
+                        never = "; they never reach the target" if result.trapped else ""
+                        note = f"{result.censored} of {samples} runs censored at step_cap {STEP_CAP}{never}"
+                        print(f"note: {note}", file=sys.stderr)
+                result, wall_ms = runs[q.lam, q.reward_kind]
+                value = result.mean if q.aggregate == "avg" else result.max_observed
+                per_node = value / params.n * 1000.0 if q.reward_kind == "power" else None
+                yield value, per_node, 1.0 - result.censored / result.samples, "", "", wall_ms
+
+        return answer
+
+    return _sweep(args, prepare)
 
 
 def cmd_export(args: argparse.Namespace) -> int:

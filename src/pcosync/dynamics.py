@@ -279,9 +279,10 @@ class FiringTable:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The branches of every row of ``states``, bit for bit as
         ``successor_distribution`` gives them: per branch its row, its
-        probability and its target's row, which ``rows`` finds, with rows in
-        order and each row's targets by ascending row.  A non-firing row
-        (k_T = 0) gets its one branch, the skip, of probability 1.0.
+        probability and its target's row in ``states``, which ``rows``
+        finds, with rows in order and each row's targets by ascending row.
+        A non-firing row (k_T = 0) gets its one branch, the skip, of
+        probability 1.0.
 
         A row's probability for a target is the left fold, from 0.0, of the
         failure-pattern products of the f_T that reach it, in f_T order; a
@@ -322,7 +323,8 @@ class FiringTable:
             key = key * base + digit
         _, first, key_of = np.unique(key, return_index=True, return_inverse=True)
         probs = self.fold_keys(absorbed[first], k_t[first], lo[first], hi[first])[key_of]
-        order = np.lexsort((target, row))
+        # rows ascend already, so a stable sort of one key orders each row's targets
+        order = np.argsort(row * len(states) + target, kind="stable")
         order = order[probs[order] != 0.0]
         return row[order], probs[order], target[order]
 
@@ -335,21 +337,29 @@ class FiringTable:
         none: radix 1, mass 1.0) by mixed radix, lowest phase fastest, as
         ``successor_distribution`` enumerates them.  Each product is
         ((1.0 * m_1) * m_2) * ... * m_T, with the mass of f_T failures in
-        the firing group of ``k_t[i]`` last."""
+        the firing group of ``k_t[i]`` last.  So the absorbed part q of a
+        pattern is formed once per key, and its product for f_T is
+        ``q * m_T(f_T)``, the same two operands as the last multiply of
+        the whole chain; a phase where every key has radix 1 multiplies by
+        1.0 and is skipped."""
         sizes = np.unique(np.r_[absorbed.ravel(), k_t])
         mass = np.concatenate([self.masses(k) for k in sizes.tolist()])
         first = np.zeros(sizes[-1] + 1, np.int64)  # masses(k) starts at mass[first[k]]
         first[sizes] = np.cumsum(sizes + 1) - sizes - 1
         radix = absorbed.astype(np.int64) + 1
-        count = radix.prod(axis=1) * (hi - lo + 1)
-        key = np.repeat(np.arange(len(count)), count)
-        place = _ranges(0, count)
-        products = np.ones(len(key))
-        for i in range(radix.shape[1]):
-            digit = radix[key, i]
-            products *= mass[first[digit - 1] + place % digit]
+        patterns = radix.prod(axis=1)
+        place = _ranges(0, patterns)
+        q = np.ones(len(place))
+        for column in radix[:, np.any(radix > 1, axis=0)].T:
+            digit = np.repeat(column, patterns)
+            q *= mass[first[digit - 1] + place % digit]
             place //= digit
-        products *= mass[(first[k_t] + lo)[key] + place]  # place is now f_T - lo
+        # per (key, f_T): the key's patterns, each times the mass of f_T
+        spans = hi - lo + 1
+        runs = np.repeat(patterns, spans)
+        q_first = np.repeat(np.cumsum(patterns) - patterns, spans)
+        products = q[_ranges(q_first, runs)] * np.repeat(mass[_ranges(first[k_t] + lo, spans)], runs)
+        count = patterns * spans
         return fold_segments(products, np.cumsum(count) - count, count, np.zeros(len(count)))
 
 
@@ -358,19 +368,28 @@ def _ranges(start: np.ndarray | int, length: np.ndarray) -> np.ndarray:
     return np.repeat(start - np.cumsum(length) + length, length) + np.arange(length.sum())
 
 
+#: Values of one block of ``fold_segments``, beyond the one row per segment.
+FOLD_BLOCK = 1 << 16
+
+
 def fold_segments(
     values: np.ndarray, start: np.ndarray, length: np.ndarray, acc: np.ndarray
 ) -> np.ndarray:
     """``acc[i] + values[start[i]] + ... + values[start[i] + length[i] - 1]``
     for every segment i, each added left to right as ``functools.reduce``
-    adds: step j adds the j-th value of every segment longer than j, with
-    the segments sorted by length so that those come first.  ``np.sum``
-    and ``np.add.reduceat`` add pairwise, which rounds differently."""
-    order = np.argsort(-length, kind="stable")
-    start, acc = start[order], acc[order]
-    longer = np.searchsorted(-length[order], -np.arange(length.max(initial=0)))
-    for j, a in enumerate(longer.tolist()):  # a: the segments longer than j
-        acc[:a] += values[start[:a] + j]
-    out = np.empty_like(acc)
-    out[order] = acc
+    adds.  The segments of one length fold together in blocks: row 0 of a
+    block holds their sums so far and each further row their next values,
+    one column per segment, and ``np.add.accumulate`` down the rows adds
+    strictly in order, so Python steps once per distinct length and per
+    ``FOLD_BLOCK`` values.  ``np.sum`` and ``np.add.reduceat`` add
+    pairwise, which rounds differently."""
+    out = np.array(acc, dtype=float)
+    for size in np.unique(length).tolist():
+        segs = np.flatnonzero(length == size)
+        steps = max(1, FOLD_BLOCK // len(segs))
+        for j in range(0, size, steps):
+            block = np.empty((min(steps, size - j) + 1, len(segs)))
+            block[0] = out[segs]
+            block[1:] = values[start[segs] + np.arange(j, j + len(block) - 1)[:, None]]
+            out[segs] = np.add.accumulate(block, axis=0)[-1]
     return out

@@ -31,13 +31,29 @@ def _create(path: str | Path) -> TextIO:
 
 
 def write_states(model: DtmcModel, path: str | Path) -> None:
+    """One ``<i>:(<k_1>,...,<k_T>)`` line per state.  A chunk's lines are
+    cut from one ``uint8`` array: each integer has a fixed-width slot of
+    digits, wide enough for the largest index or count, and a mask drops
+    its leading zeros."""
     counts = model.states.array
-    line = "%d:(" + ",".join(["%d"] * counts.shape[1]) + ")\n"
+    n, t = counts.shape
+    widths = [len(str(n))] + [len(str(int(counts.max(initial=0))))] * t
+    line, slots, field, place = b"", [], [], []
+    for i, (width, sep) in enumerate(zip(widths, [b":("] + [b","] * (t - 1) + [b")\n"])):
+        slots += range(len(line), len(line) + width)
+        field += [i] * width
+        place += [10**k for k in range(width - 1, -1, -1)]
+        line += b"0" * width + sep
+    template, place = np.frombuffer(line, np.uint8), np.array(place)
     with _create(path) as fh:
-        for start in range(0, len(counts), CHUNK):
+        for start in range(0, n, CHUNK):
             block = counts[start:start + CHUNK]
-            rows = np.column_stack((np.arange(start, start + len(block)), block))
-            fh.write(line * len(block) % tuple(rows.ravel().tolist()))
+            values = np.column_stack((np.arange(start, start + len(block)), block))[:, field]
+            text = np.tile(template, (len(block), 1))
+            text[:, slots] = values // place % 10 + ord("0")
+            keep = np.ones(text.shape, bool)
+            keep[:, slots] = (values >= place) | (place == 1)
+            fh.write(text[keep].tobytes().decode("ascii"))
 
 
 def _formatted(values: np.ndarray) -> tuple[list[str], np.ndarray]:

@@ -496,6 +496,23 @@ class TestSimulate:
                      "--seed", "7", "--samples", "50", "--output", str(out)]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("flag, message", [
+        (["--seed", "abc"], "bad --seed value 'abc', expected an integer"),
+        (["--seed", "1", "--samples", "1e3"], "bad --samples value '1e3', expected an integer"),
+        (["--seed", "1", "--n", "abc"], "bad --n value 'abc', expected an integer"),
+    ], ids=["seed", "samples", "n"])
+    def test_bad_number_names_its_flag(self, tmp_path, capsys, monkeypatch, flag, message):
+        # converted once, before the grid and before any run
+        monkeypatch.setattr("pcosync.cli.monte_carlo", never_called)
+        out = tmp_path / "o.csv"
+        assert main([
+            "simulate", "--n", "3", "--t", "4", "--r", "1", "--eps", "0.5", "--mu", "0.2",
+            *flag, "--output", str(out),
+        ]) == 1
+        rows, status = read_csv(out)
+        assert rows == [] and status == f"# status: error: {message}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_zero_samples_is_a_clear_error(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         assert main([

@@ -348,8 +348,11 @@ class TestFiringTable:
     def test_build_rows_equal_oracle(self, p):
         assert_firing_rows_match_oracle(build_dtmc(p))
 
-    def test_restabilisation_rows_equal_oracle(self):
-        assert_firing_rows_match_oracle(build_dtmc(params(n=35, t=10, r=4, u=3)))
+    # at N = 200 a key folds up to 1,552 products, among 45 distinct
+    # segment lengths
+    @pytest.mark.parametrize("n", [35, 200])
+    def test_restabilisation_rows_equal_oracle(self, n):
+        assert_firing_rows_match_oracle(build_dtmc(params(n=n, t=10, r=4, u=3)))
 
     @pytest.mark.parametrize("eps", [1e200, 1e308])
     @pytest.mark.parametrize("kw", [dict(n=3, t=4, r=1), dict(n=5, t=4, r=0), dict(n=6, t=8, r=2)])

@@ -15,9 +15,11 @@ from oracles import (
     exact_masses,
     log_mass_bound,
 )
+from pcosync import dynamics
 from pcosync.core import ModelParams, is_firing, is_synchronised
 from pcosync.dtmc import enumerate_states
 from pcosync.dynamics import (
+    FOLD_BLOCK,
     FiringTable,
     InconsistentFailureVector,
     chain_updates,
@@ -247,6 +249,23 @@ class TestFoldSegments:
         want = [reduce(add, seg, a) for seg, a in zip(segments, acc)]
         assert repr(got.tolist()) == repr(want)
         assert got[0] == 1.0
+
+    @pytest.mark.parametrize("block", [FOLD_BLOCK, 7])
+    def test_segments_of_one_length_fold_in_blocks(self, monkeypatch, block):
+        # 30 segments of length 5, empty ones between them and one of 600:
+        # a small block splits both the group of 30 and the long segment
+        monkeypatch.setattr(dynamics, "FOLD_BLOCK", block)
+        rng = np.random.default_rng(11)
+        segments = [rng.random(5).tolist() for _ in range(30)]
+        segments[3:3] = [[], []]
+        segments.insert(17, (rng.random(600) * 10.0 ** rng.integers(-9, 3, 600)).tolist())
+        segments.append([])
+        acc = rng.random(len(segments)) * 1e-3
+        length = np.array([len(seg) for seg in segments])
+        start = np.cumsum(length) - length
+        got = fold_segments(np.concatenate([np.array(seg) for seg in segments]), start, length, acc)
+        want = [reduce(add, seg, a) for seg, a in zip(segments, acc.tolist())]
+        assert repr(got.tolist()) == repr(want)
 
 
 class TestFiringTableMasses:

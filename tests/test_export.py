@@ -62,7 +62,9 @@ class TestSameBytesAsReference:
         ModelParams(n=3, t=4, r=1, epsilon=0.5, mu=0.2),
         ModelParams(n=6, t=8, r=1, epsilon=0.1, mu=0.99),
         ModelParams(n=1, t=5, r=1, epsilon=0.1, mu=0.2),
-    ], ids=["n4t5", "n4t5restab", "n3t4", "n6t8mu99", "n1"])
+        # counts of one, two and three digits in one states file
+        ModelParams(n=100, t=4, r=1, epsilon=0.1, mu=0.2, u=2),
+    ], ids=["n4t5", "n4t5restab", "n3t4", "n6t8mu99", "n1", "n100u2"])
     def test_small_models(self, p, tmp_path):
         assert_same_bytes_as_reference(build_dtmc(p), tmp_path)
 
