@@ -41,11 +41,11 @@ from .export import export_model
 from .analysis import (
     AnalysisQuery,
     AnalysisResult,
-    TargetSystem,
     aggregate,
     monte_carlo,
     solve_queries,
     solve_query,
+    solve_target,
     target_set,
 )
 
@@ -61,7 +61,6 @@ __all__ = [
     "ModelParams",
     "State",
     "SuccessorDistribution",
-    "TargetSystem",
     "aggregate",
     "build_dtmc",
     "enumerate_failure_vectors",
@@ -84,6 +83,7 @@ __all__ = [
     "skip_successor",
     "solve_queries",
     "solve_query",
+    "solve_target",
     "state_count",
     "successor_distribution",
     "target_set",

@@ -4,22 +4,22 @@ Queries target the set of states whose phase coherence meets a threshold.
 Expected accumulated rewards (time in cycles, energy in Watt-hours) are
 solved from the linear fixed-point equations by direct elimination; states
 that fail to reach the target with probability one, as decided on the graph,
-get an infinite expected reward.  A ``TargetSystem`` holds one target set:
-it is factored once, one level of its SCC condensation at a time, and its
-per-state reachability and each of its rewards are solved once, on first
-read.  The reachability of a state that reaches the target with probability
-one, as decided on the graph, is 1, and it is solved only when some state
-reaches the target with a lower probability.  ``solve_queries`` builds one
-``TargetSystem`` per run of queries with the same lambda and aggregates
-from it; nothing is kept on the model between calls.
+get an infinite expected reward, and those that reach it with probability
+one a reachability of 1.  ``solve_target`` solves one target set's
+reachability, where the graph leaves it open, and each reward asked for as
+right-hand sides of one system, in one bottom-up sweep of its SCC levels
+that holds one level's factor at a time.  ``solve_queries`` makes one call
+per run of queries with the same lambda, and the first result of a run
+carries the factor and all of its solves in ``wall_time``; nothing is kept
+on the model.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,91 +58,84 @@ class AnalysisResult:
     value: float
     reach_probability: float
     per_node_mWh: float | None
+    #: Seconds spent on this query; the first query of a run with one
+    #: lambda also carries the run's target set, factor and every solve.
     wall_time: float
     #: Largest ||(I - A) x - b||_inf over the solves the query made: the
     #: reward, and the reachability where it is not read off the graph.
     residual: float = 0.0
 
 
-class TargetSystem:
-    """The fixed-point system x = a x + b of one target set of a model, on
-    which its reachability and every reward solve.  ``targets`` is a boolean
-    mask over the model's rows, as ``target_set`` gives it; the system
-    answers for the mask as it is when built.  Its unknowns ``idx`` are the
-    states that reach the target but are not in it; ``certain`` marks the
-    states that reach it with probability one (Prob1), decided on the graph.
-    A non-target Prob1 state only steps into Prob1 or the target, so its
-    rows reference no unknown outside Prob1, and a reward is the solution on
-    ``idx`` within Prob1.  The system is factored when built and keeps only
-    the level blocks of ``_factor``, not a itself; every solve
-    back-substitutes through them.  ``pred`` is the transition matrix as
-    CSC, if the caller already has it."""
+def solve_target(
+    model: DtmcModel, targets: np.ndarray, kinds: Sequence[str]
+) -> tuple[tuple[np.ndarray, float], dict[str, tuple[np.ndarray, float]]]:
+    """Per-state reachability of one target set and expected reward of each
+    of ``kinds``, each with the residual of its solve.
 
-    def __init__(self, model: DtmcModel, targets: np.ndarray, pred: sp.csc_matrix | None = None) -> None:
-        self.p, self.rewards, n = model.transitions, model.rewards, model.n_states
-        if getattr(targets, "dtype", None) != bool or targets.shape != (n,):
-            raise ValueError(f"targets must be a boolean array of length {n}, one entry per state")
-        pred = self.p.tocsc() if pred is None else pred  # column j: the predecessors of state j
-        reaching = _backward(pred, targets, np.ones_like(targets))
-        self.certain = ~_backward(pred, ~reaching, ~targets)
-        self.idx = idx = np.flatnonzero(reaching & ~targets)
-        self.levels = _factor(self.p[idx][:, idx])
-        self.targets = targets.copy()  # the mask as built, whatever the caller does to theirs
-        self._rewards: dict[str, tuple[np.ndarray, float]] = {}
+    ``targets`` is a boolean mask over the model's rows, as ``target_set``
+    gives it.  The unknowns are the states that reach the target but are not
+    in it; Prob1, the states that reach it with probability one, is decided
+    on the graph, and their reachability is exactly 1.  A non-target Prob1
+    state only steps into Prob1 or the target, so its rows reference no
+    unknown outside Prob1: a reward is the solution within Prob1, and
+    infinite elsewhere.  Every answer is one right-hand side of the same
+    x = a x + b, the reachability only when some unknown lies outside
+    Prob1, and ``_solve`` sweeps them all at once."""
+    p, rewards, n = model.transitions, model.rewards, model.n_states
+    if getattr(targets, "dtype", None) != bool or targets.shape != (n,):
+        raise ValueError(f"targets must be a boolean array of length {n}, one entry per state")
+    if unknown := [kind for kind in kinds if kind not in rewards]:
+        raise ValueError(f"unknown reward kind {unknown[0]!r}")
+    pred = p.tocsc()  # column j: the predecessors of state j
+    reaching = _backward(pred, targets, np.ones_like(targets))
+    certain = ~_backward(pred, ~reaching, ~targets)
+    del pred  # a copy of p, not kept through the solve
+    idx = np.flatnonzero(reaching & ~targets)
+    unsure = ~certain[idx]
+    # b is the one-step probability of entering the target, or the expected
+    # one-step reward; a matvec adds each row in stored order, np.add.reduceat
+    # would pair terms up
+    columns = [(p @ targets)[idx]] if unsure.any() else []
+    for kind in kinds:
+        weighted = sp.csr_matrix((p.data * rewards[kind], p.indices, p.indptr), shape=p.shape)
+        columns.append((weighted @ np.ones(n))[idx])
+        del weighted  # a copy of p's values, not kept through the solve
+    solutions = _solve(p[idx][:, idx], columns)
+    reach, residual = certain.astype(float), 0.0  # Prob1, the targets among it, reaches for certain
+    if unsure.any():
+        (sol, residual), *solutions = solutions
+        reach[idx[unsure]] = np.clip(sol[unsure], 0.0, 1.0)
+    values = {}
+    for kind, (sol, res) in zip(kinds, solutions):
+        x = np.where(certain, 0.0, np.inf)
+        x[idx[~unsure]] = np.maximum(sol[~unsure], 0.0)
+        values[kind] = x, res
+    return (reach, residual), values
 
-    @cached_property
-    def reach(self) -> tuple[np.ndarray, float]:
-        """Per-state probability of eventually entering the target, exactly
-        1 wherever the graph shows it is entered with probability one, and
-        the residual of its solve.  The right-hand side is solved on first
-        read, and only if some unknown lies outside Prob1."""
-        x = self.certain.astype(float)  # Prob1, the targets among it, reach with probability one
-        unsure = ~self.certain[self.idx]
-        if not unsure.any():
-            return x, 0.0
-        # b is the one-step probability of entering the target
-        sol, residual = self._solve((self.p @ self.targets)[self.idx])
-        x[self.idx[unsure]] = np.clip(sol[unsure], 0.0, 1.0)
-        return x, residual
 
-    def reward(self, kind: str) -> tuple[np.ndarray, float]:
-        """Per-state expected reward of ``kind`` accumulated until the target
-        is entered, infinite wherever it is not entered with probability
-        one, and the residual of its solve; solved the first time the kind
-        is asked for."""
-        if kind not in self._rewards:
-            if kind not in self.rewards:
-                raise ValueError(f"unknown reward kind {kind!r}")
-            # b is the expected one-step reward; a matvec adds each row in
-            # stored order, np.add.reduceat would pair terms up
-            p = self.p
-            weighted = sp.csr_matrix((p.data * self.rewards[kind], p.indices, p.indptr), shape=p.shape)
-            sol, residual = self._solve((weighted @ np.ones(p.shape[1]))[self.idx])
-            values = np.where(self.certain, 0.0, np.inf)
-            certain = self.certain[self.idx]
-            values[self.idx[certain]] = np.maximum(sol[certain], 0.0)
-            self._rewards[kind] = values, residual
-        return self._rewards[kind]
-
-    def _solve(self, b: np.ndarray) -> tuple[np.ndarray, float]:
-        """Solution on ``idx`` and residual ||(I - a) x - b||_inf of one
-        right-hand side b, one entry per unknown."""
-        # a level's rows reference no unknown above it, so once the level is
-        # solved they give its part of the residual, each row summed in the
-        # stored order of a's entries
-        x, residual = np.zeros(len(self.idx)), 0.0
-        for idx, rows, lu in self.levels:  # unsolved entries of x are still 0
+def _solve(a: sp.csr_matrix, columns: list[np.ndarray]) -> list[tuple[np.ndarray, float]]:
+    """Solution and residual ||(I - a) x - b||_inf of each right-hand side b
+    in ``columns`` (one entry per unknown), from one bottom-up sweep of the
+    levels of ``_factor(a)``, each level's factor freed once it is used."""
+    # a level's rows reference no unknown above it, so once the level is
+    # solved they give its part of the residual, each row summed in the
+    # stored order of a's entries
+    xs, residuals = [np.zeros(a.shape[0]) for _ in columns], [0.0] * len(columns)
+    for idx, rows, lu in _factor(a):  # unsolved entries of x are still 0
+        for j, (x, b) in enumerate(zip(xs, columns)):
             x[idx] = lu.solve(b[idx] + rows @ x)
-            residual = max(residual, float(np.max(np.abs(x[idx] - rows @ x - b[idx]))))
-        return x, residual
+            residuals[j] = max(residuals[j], float(np.max(np.abs(x[idx] - rows @ x - b[idx]))))
+        del lu  # freed before the next level is factored
+    return list(zip(xs, residuals))
 
 
-def _factor(a: sp.csr_matrix) -> list[tuple[np.ndarray, sp.csr_matrix, spla.SuperLU]]:
-    """I - a in block-triangular form (Duff and Reid, ACM TOMS 4, 1978): per
-    level of the SCC condensation, bottom first, its unknowns in lexicographic
-    order, their rows of a and the natural-order LU factor of its diagonal
-    block.  A level is an SCC's longest path to a bottom SCC, so edges between
-    SCCs lead down and a diagonal block has no fill between its SCCs.
+def _factor(a: sp.csr_matrix) -> Iterator[tuple[np.ndarray, sp.csr_matrix, spla.SuperLU]]:
+    """I - a in block-triangular form (Duff and Reid, ACM TOMS 4, 1978),
+    yielded one level of the SCC condensation at a time, bottom first: its
+    unknowns in lexicographic order, their rows of a and the natural-order
+    LU factor of its diagonal block.  A level is an SCC's longest path to a
+    bottom SCC, so edges between SCCs lead down and a diagonal block has no
+    fill between its SCCs.
 
     The rows of a are permuted once into level order.  A level's rows are one
     ``indptr`` range of the permuted arrays, and its diagonal block holds the
@@ -175,7 +168,7 @@ def _factor(a: sp.csr_matrix) -> list[tuple[np.ndarray, sp.csr_matrix, spla.Supe
     take = _ranges(a.indptr[order], length)
     cols, vals = a.indices[take], a.data[take]
     del take
-    n, blocks = len(order), []
+    n = len(order)
     for l, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         span, m = slice(indptr[lo], indptr[hi]), hi - lo
         rows = sp.csr_matrix((vals[span], cols[span], indptr[lo : hi + 1] - indptr[lo]), shape=(m, n))
@@ -190,8 +183,8 @@ def _factor(a: sp.csr_matrix) -> list[tuple[np.ndarray, sp.csr_matrix, spla.Supe
             lu = spla.splu(block, permc_spec="NATURAL", panel_size=1)
         except RuntimeError as exc:  # a float cycle of probability one
             raise SolverError(f"level {l} of the block factor ({m} unknowns): {exc}") from None
-        blocks.append((order[lo:hi], rows, lu))
-    return blocks
+        yield order[lo:hi], rows, lu
+        del lu  # the caller holds the only reference while it solves
 
 
 def target_set(model: DtmcModel, lam: float) -> np.ndarray:
@@ -249,24 +242,24 @@ def aggregate(
 
 
 def solve_queries(model: DtmcModel, queries: Iterable[AnalysisQuery]) -> Iterator[AnalysisResult]:
-    """Answer the queries in order, each end to end: target set,
-    reachability, expected reward, aggregation.  Consecutive queries with
-    the same lambda share one system, factored once, and each right-hand
-    side is solved once; the factor is dropped when lambda changes or the
-    generator ends."""
+    """Answer the queries in order: target set, reachability, expected
+    reward, aggregation.  Each run of consecutive queries with the same
+    lambda is one ``solve_target`` call for the reward kinds it asks for,
+    so the run's system is factored once and each right-hand side solved
+    once; its first result carries that work in ``wall_time``."""
     start = time.perf_counter()
-    pred, system, lam = model.transitions.tocsc(), None, None
-    for query in queries:
-        if query.lam != lam:
-            system = None  # the previous factor is freed before the next is built
-            lam, system = query.lam, TargetSystem(model, target_set(model, query.lam), pred)
-        reach, res1 = system.reach
-        values, res2 = system.reward(query.reward_kind)
-        yield aggregate(
-            model, values, reach, query.aggregate, query.reward_kind,
-            wall_time=time.perf_counter() - start, residual=max(res1, res2),
-        )
-        start = time.perf_counter()
+    for lam, run in itertools.groupby(queries, key=lambda query: query.lam):
+        run = list(run)
+        kinds = tuple(dict.fromkeys(query.reward_kind for query in run))
+        (reach, res1), rewards = solve_target(model, target_set(model, lam), kinds)
+        for query in run:
+            values, res2 = rewards[query.reward_kind]
+            yield aggregate(
+                model, values, reach, query.aggregate, query.reward_kind,
+                wall_time=time.perf_counter() - start, residual=max(res1, res2),
+            )
+            start = time.perf_counter()
+        del reach, rewards  # freed before the next run is solved
 
 
 def solve_query(model: DtmcModel, query: AnalysisQuery) -> AnalysisResult:
@@ -379,6 +372,8 @@ def monte_carlo(
         raise ValueError(f"samples must be at least 1, got {samples}")
     if step_cap < 0:
         raise ValueError(f"step_cap must be at least 0, got {step_cap}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     rng = np.random.default_rng(seed)
     support, weights = initial_weights(p)
     space, table = StateSpace(p, support), FiringTable(p)

@@ -319,6 +319,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise ValueError("simulate supports avg and max aggregates only")
         samples = parse_number(args.samples, int, "samples") if args.samples is not None else 10_000
         seed = parse_number(args.seed, int, "seed")
+        if seed < 0:
+            raise ValueError(f"bad --seed value {args.seed.strip()!r}, expected a non-negative integer")
 
         def answer(params):
             runs = {}  # (lambda, metric) -> the result and its wall time in ms

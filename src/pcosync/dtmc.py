@@ -298,6 +298,8 @@ def build_dtmc(
     are numbered in lexicographic order, which is rank order, and each
     target's row is found by its rank.  Without U, ``max_states`` is
     checked before Gamma is built."""
+    if max_states is not None and max_states < 1:
+        raise ValueError(f"max_states must be at least 1, got {max_states}")
     full = p.u is None
     if max_states is not None and full and state_count(p) > max_states:
         raise StateSpaceLimitExceeded(state_count(p), max_states)  # before building Gamma

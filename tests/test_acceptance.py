@@ -18,10 +18,10 @@ import pytest
 from oracles import brute_force_successors, materialized_skip_power
 from pcosync.analysis import (
     AnalysisQuery,
-    TargetSystem,
     monte_carlo,
     solve_queries,
     solve_query,
+    solve_target,
     target_set,
 )
 from pcosync.core import ModelParams, is_firing, is_synchronised, perturbation
@@ -113,7 +113,7 @@ def test_criterion_3_perturbation_and_absorption():
     ok_absorbed = len(dist.branches) == 1 and is_synchronised(dist.branches[0].target)
     # and the full restabilisation model reaches synchrony from everywhere
     model = build_dtmc(p)
-    reach, _ = TargetSystem(model, target_set(model, 1.0)).reach
+    reach, _ = solve_target(model, target_set(model, 1.0), ())[0]
     ok_model = reach[model.initial > 0].min() >= 1.0 - 1e-6
     ok = ok_arith and ok_absorbed and ok_model
     report(
@@ -126,7 +126,7 @@ def test_criterion_3_perturbation_and_absorption():
 def test_criterion_4_synchrony_guarantee_vs_refractory(headline_models):
     mins = {}
     for r, model in headline_models.items():
-        reach, _ = TargetSystem(model, target_set(model, 1.0)).reach
+        reach, _ = solve_target(model, target_set(model, 1.0), ())[0]
         mins[r] = reach[model.initial > 0].min()
     ok_guaranteed = all(abs(mins[r] - 1.0) <= 1e-6 for r in (1, 2, 3, 4))
     ok_lost = mins[5] < 1.0

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 from fractions import Fraction
 from itertools import accumulate
 from types import SimpleNamespace
@@ -14,11 +15,11 @@ from pcosync import analysis
 from pcosync.analysis import (
     AnalysisQuery,
     FailureDraw,
-    TargetSystem,
     aggregate,
     monte_carlo,
     solve_queries,
     solve_query,
+    solve_target,
     target_set,
 )
 from pcosync.core import ModelParams, is_synchronised
@@ -57,58 +58,58 @@ class TestTargetSet:
 class TestReachProbability:
     def test_targets_are_one(self, hand_model):
         targets = target_set(hand_model, 1.0)
-        reach, _ = TargetSystem(hand_model, targets).reach
+        reach, _ = solve_target(hand_model, targets, ())[0]
         for i in np.flatnonzero(targets):
             assert reach[i] == 1.0
 
     def test_all_states_synchronise(self, hand_model):
-        reach, _ = TargetSystem(hand_model, target_set(hand_model, 1.0)).reach
+        reach, _ = solve_target(hand_model, target_set(hand_model, 1.0), ())[0]
         assert np.allclose(reach, 1.0)
 
     def test_trapped_state_scores_zero(self):
         # with 2 phases and a refractory first phase, a split pair loops forever
         model = build_dtmc(params(n=2, t=2, r=1, mu=0.2))
-        reach, _ = TargetSystem(model, target_set(model, 1.0)).reach
+        reach, _ = solve_target(model, target_set(model, 1.0), ())[0]
         assert reach[model.states.index((1, 1))] == 0.0
 
 
 class TestExpectedReward:
     def test_targets_are_zero(self, hand_model):
         targets = target_set(hand_model, 1.0)
-        values, _ = TargetSystem(hand_model, targets).reward("time")
+        values, _ = solve_target(hand_model, targets, ("time",))[1]["time"]
         for i in np.flatnonzero(targets):
             assert values[i] == 0.0
 
     def test_single_step_identity(self):
         # (1,1) with no refractory fires both oscillators in one step
         model = build_dtmc(params(n=2, t=2, r=0))
-        values, _ = TargetSystem(model, target_set(model, 1.0)).reward("time")
+        values, _ = solve_target(model, target_set(model, 1.0), ("time",))[1]["time"]
         assert values[model.states.index((1, 1))] == pytest.approx(0.5)
 
     def test_hand_solved_chain(self, hand_model):
         # (1,0,1) -> (1,1,0) -> (0,1,1) -> synchronised, one third of a
         # cycle per step
-        values, _ = TargetSystem(hand_model, target_set(hand_model, 1.0)).reward("time")
+        values, _ = solve_target(hand_model, target_set(hand_model, 1.0), ("time",))[1]["time"]
         assert values[hand_model.states.index((0, 1, 1))] == pytest.approx(1 / 3)
         assert values[hand_model.states.index((1, 1, 0))] == pytest.approx(2 / 3)
         assert values[hand_model.states.index((1, 0, 1))] == pytest.approx(1.0)
 
     def test_infinite_where_not_certain(self):
         model = build_dtmc(params(n=2, t=2, r=1, mu=0.2))
-        values, _ = TargetSystem(model, target_set(model, 1.0)).reward("time")
+        values, _ = solve_target(model, target_set(model, 1.0), ("time",))[1]["time"]
         assert math.isinf(values[model.states.index((1, 1))])
 
     def test_power_reward_hand_value(self, hand_model):
         # (0,1,1): one firing step; the phase-2 node listens, the firing
         # node listens too, then both transmit after resetting
-        values, _ = TargetSystem(hand_model, target_set(hand_model, 1.0)).reward("power")
+        values, _ = solve_target(hand_model, target_set(hand_model, 1.0), ("power",))[1]["power"]
         expected = 2 * MICAZ.w_receive(3) + 2 * MICAZ.w_transmit()
         assert values[hand_model.states.index((0, 1, 1))] == pytest.approx(expected)
 
     def test_rejects_unknown_kind(self, hand_model):
-        system = TargetSystem(hand_model, np.zeros(hand_model.n_states, dtype=bool))
+        targets = np.zeros(hand_model.n_states, dtype=bool)
         with pytest.raises(ValueError, match="unknown reward kind 'fuel'"):
-            system.reward("fuel")
+            solve_target(hand_model, targets, ("time", "fuel"))
 
 
 @pytest.mark.parametrize(
@@ -121,7 +122,7 @@ def test_target_argument_must_be_a_mask(hand_model, targets):
     assert hand_model.n_states == 6
     message = "targets must be a boolean array of length 6, one entry per state"
     with pytest.raises(ValueError, match=message):
-        TargetSystem(hand_model, targets)
+        solve_target(hand_model, targets, ("time",))
 
 
 class TestGraphFiniteness:
@@ -131,8 +132,8 @@ class TestGraphFiniteness:
         # (1,0,1,1) enters (1,1,0,1) with probability 1e-12, and from there
         # the trap (2,0,1,0) almost surely: its reach value is 1 - 1e-12
         model = build_dtmc(ModelParams(n=3, t=4, r=2, epsilon=0.5, mu=1e-12))
-        system = TargetSystem(model, target_set(model, 1.0))
-        (reach, _), (values, _) = system.reach, system.reward("time")
+        (reach, _), rewards = solve_target(model, target_set(model, 1.0), ("time",))
+        values = rewards["time"][0]
         assert reach[model.states.index((2, 0, 1, 0))] == 0.0
         assert reach[model.states.index((1, 1, 0, 1))] < 1e-11
         assert reach[model.states.index((1, 0, 1, 1))] > 1.0 - 1e-11
@@ -143,7 +144,7 @@ class TestGraphFiniteness:
         # value comes out near 0.99987, yet it synchronises for certain
         mu = 1e-12
         model = build_dtmc(ModelParams(n=2, t=3, r=0, epsilon=0.5, mu=mu))
-        values, _ = TargetSystem(model, target_set(model, 1.0)).reward("time")
+        values, _ = solve_target(model, target_set(model, 1.0), ("time",))[1]["time"]
         want = (1 + 2 * mu) / (3 * mu * (1 - mu))
         assert values[model.states.index((1, 0, 1))] == pytest.approx(want, rel=1e-3)
 
@@ -151,10 +152,10 @@ class TestGraphFiniteness:
         # 0 -> 1 -> 2, where 1 is the target and 2 a trap: 0 enters the
         # target for certain, though a path from it ends in the trap
         p = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]))
-        chain = SimpleNamespace(transitions=p, rewards={}, n_states=3)
-        system = TargetSystem(chain, np.array([False, True, False]))
-        assert system.certain.tolist() == [True, True, False]
-        assert system.idx.tolist() == [0]
+        chain = SimpleNamespace(transitions=p, rewards={"time": np.ones(3)}, n_states=3)
+        (reach, _), rewards = solve_target(chain, np.array([False, True, False]), ("time",))
+        assert reach.tolist() == [1.0, 1.0, 0.0]
+        assert rewards["time"][0].tolist() == [1.0, 0.0, math.inf]
 
     def test_slow_certain_synchrony_is_finite(self):
         # every state synchronises for certain, but so slowly that value
@@ -190,8 +191,8 @@ class TestAggregate:
         # at full N=1,100, T=2 some initial weights underflow to 0.0; an inf
         # value there must not turn the average into nan (0.0 * inf)
         model = build_dtmc(params(n=3, t=4, r=1, epsilon=0.1, mu=0.2))
-        system = TargetSystem(model, target_set(model, 1.0))
-        (reach, _), (values, _) = system.reach, system.reward("time")
+        (reach, _), rewards = solve_target(model, target_set(model, 1.0), ("time",))
+        values = rewards["time"][0]
         trapped = np.isinf(values)
         assert trapped.any() and model.initial[~trapped].any()
         moved = dataclasses.replace(model, initial=np.where(trapped, 0.0, model.initial))
@@ -199,9 +200,8 @@ class TestAggregate:
         assert result.value == pytest.approx(np.dot(moved.initial[~trapped], values[~trapped]), rel=1e-12)
 
     def test_per_node_conversion(self, hand_model):
-        system = TargetSystem(hand_model, target_set(hand_model, 1.0))
-        (reach, _), (values, _) = system.reach, system.reward("power")
-        result = aggregate(hand_model, values, reach, "avg", "power")
+        (reach, _), rewards = solve_target(hand_model, target_set(hand_model, 1.0), ("power",))
+        result = aggregate(hand_model, rewards["power"][0], reach, "avg", "power")
         assert result.per_node_mWh == pytest.approx(result.value / 2 * 1000.0)
 
 
@@ -285,7 +285,7 @@ FOUR_QUERIES = [
 @pytest.fixture
 def splu_calls(monkeypatch):
     """Sizes of the systems factored while the test runs, one entry per
-    system however many level blocks its factor has."""
+    system however many levels its factor sweeps."""
     calls = []
     real = analysis._factor
 
@@ -299,17 +299,17 @@ def splu_calls(monkeypatch):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The unknowns, right-hand side and solution of each solve made while
-    the test runs."""
+    """The matrix a, right-hand side and solution of each column solved
+    while the test runs."""
     calls = []
-    real = TargetSystem._solve
+    real = analysis._solve
 
-    def recording(system, b):
-        x, residual = real(system, b)
-        calls.append((system.idx, b, x))
-        return x, residual
+    def recording(a, columns):
+        solutions = real(a, columns)
+        calls.extend((a, b, x) for b, (x, _) in zip(columns, solutions))
+        return solutions
 
-    monkeypatch.setattr(TargetSystem, "_solve", recording)
+    monkeypatch.setattr(analysis, "_solve", recording)
     return calls
 
 
@@ -326,8 +326,8 @@ class TestFactorReuse:
                 assert got.value == pytest.approx(want.value, rel=1e-12)
                 assert got.reach_probability == pytest.approx(want.reach_probability, rel=1e-12)
                 fresh = build_dtmc(p)
-                want_values, _ = TargetSystem(fresh, target_set(fresh, 1.0)).reward(kind)
-                got_values, _ = TargetSystem(cached, target_set(cached, 1.0)).reward(kind)
+                want_values, _ = solve_target(fresh, target_set(fresh, 1.0), (kind,))[1][kind]
+                got_values, _ = solve_target(cached, target_set(cached, 1.0), (kind,))[1][kind]
                 np.testing.assert_allclose(got_values, want_values, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("name", sorted(FACTOR_MODELS))
@@ -336,10 +336,10 @@ class TestFactorReuse:
         p = FACTOR_MODELS[name]
         model = build_dtmc(p)
         targets = target_set(model, lam)
-        system = TargetSystem(model, targets)
+        (reach, _), rewards = solve_target(model, targets, ("time", "power"))
         for kind in ("time", "power"):
             want_reach, want_values = loop_reference(model, targets, kind)
-            (reach, _), (values, _) = system.reach, system.reward(kind)
+            values = rewards[kind][0]
             np.testing.assert_allclose(reach, want_reach, rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(values, want_values, rtol=1e-10, atol=0.0)
 
@@ -388,37 +388,22 @@ class TestFactorReuse:
         assert values == pytest.approx(fresh + fresh[:1], rel=1e-12)
 
     def test_mask_changed_in_place_is_a_new_target_set(self, splu_calls):
-        # a system built on the changed mask answers for the new target set
+        # a solve of the changed mask answers for the new target set
         p = FACTOR_MODELS["full"]
         model, fresh = build_dtmc(p), build_dtmc(p)
         targets = target_set(model, 1.0)
-        TargetSystem(model, targets).reward("time")
+        solve_target(model, targets, ("time",))
         targets[:] = target_set(model, 0.6)
-        got, _ = TargetSystem(model, targets).reward("time")
+        got, _ = solve_target(model, targets, ("time",))[1]["time"]
         assert len(splu_calls) == 2
-        assert np.array_equal(got, TargetSystem(fresh, target_set(fresh, 0.6)).reward("time")[0])
-
-    def test_system_answers_the_mask_it_was_built_with(self):
-        # the system keeps a copy of the mask, so changing the caller's
-        # array afterwards changes nothing; in "partial" the reach of some
-        # unknowns is solved, not read off the graph
-        model = build_dtmc(FACTOR_MODELS["partial"])
-        targets = target_set(model, 1.0)
-        system = TargetSystem(model, targets)
-        targets[:] = target_set(model, 0.6)
-        want = TargetSystem(model, target_set(model, 1.0))
-        assert not want.certain[want.idx].all()
-        for got, expected in ((system.reach, want.reach), (system.reward("time"), want.reward("time"))):
-            assert np.array_equal(got[0], expected[0]) and got[1] == expected[1]
+        assert np.array_equal(got, solve_target(fresh, target_set(fresh, 0.6), ("time",))[1]["time"][0])
 
     def test_reach_and_rewards_of_one_system_factor_once(self, splu_calls, solves):
+        # in "partial" the reach of some unknowns is solved, not read off
+        # the graph: three columns of one sweep
         model = build_dtmc(FACTOR_MODELS["partial"])
-        system = TargetSystem(model, target_set(model, 1.0))
-        first = [system.reach, system.reward("time"), system.reward("power")]
+        solve_target(model, target_set(model, 1.0), ("time", "power"))
         assert splu_calls == [12] and len(solves) == 3
-        again = [system.reach, system.reward("time"), system.reward("power")]
-        assert splu_calls == [12] and len(solves) == 3
-        assert all(a is b for a, b in zip(first, again))
 
     def test_residual_is_reported(self):
         model = build_dtmc(FACTOR_MODELS["full"])
@@ -433,7 +418,7 @@ class TestFactorReuse:
             model = build_dtmc(p)
             solves.clear()
             list(solve_queries(model, FOUR_QUERIES))
-            assert [len(idx) for idx, _, _ in solves] == want, name
+            assert [a.shape[0] for a, _, _ in solves] == want, name
 
 
 # systems of at most 40 unknowns; at mu = 0.99 the masses span many binary
@@ -457,10 +442,10 @@ class TestRationalOracle:
         p = RATIONAL_MODELS[name]
         model = build_dtmc(p)
         targets = target_set(model, lam)
-        system = TargetSystem(model, targets)
+        (reach, _), rewards = solve_target(model, targets, ("time", "power"))
         for kind in ("time", "power"):
             want_reach, want_values = loop_reference(model, targets, kind, exact=True)
-            (reach, _), (values, _) = system.reach, system.reward(kind)
+            values = rewards[kind][0]
             np.testing.assert_allclose(reach, want_reach, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=0.0)
 
@@ -484,18 +469,20 @@ LEVEL_MODELS = {**FACTOR_MODELS, "n8r2": ModelParams(n=8, t=10, r=2, epsilon=0.1
 
 
 def factored_systems(p):
-    """The matrix a and the system of the model's reach and reward solves at
-    lambda = 1, if it is not empty."""
+    """The matrix a of the model's reach and reward solves at lambda = 1, if
+    it is not empty: its unknowns reach the target and are not in it."""
     model = build_dtmc(p)
-    system = TargetSystem(model, target_set(model, 1.0))
-    return [(model.transitions[system.idx][:, system.idx], system)] if len(system.idx) else []
+    targets = target_set(model, 1.0)
+    reaching = analysis._backward(model.transitions.tocsc(), targets, np.ones_like(targets))
+    idx = np.flatnonzero(reaching & ~targets)
+    return [model.transitions[idx][:, idx]] if len(idx) else []
 
 
 class TestBlockSolve:
     @pytest.mark.parametrize("name", sorted(LEVEL_MODELS))
     def test_levels_order_the_condensation(self, name):
         p = LEVEL_MODELS[name]
-        for a, _ in factored_systems(p):
+        for a in factored_systems(p):
             level = np.full(a.shape[0], -1)
             for depth, (idx, rows, _) in enumerate(analysis._factor(a)):
                 assert np.all(np.diff(idx) > 0)
@@ -522,10 +509,11 @@ class TestBlockSolve:
             return real(block, **kwargs)
 
         monkeypatch.setattr(analysis.spla, "splu", recording)
-        for a, system in factored_systems(p):
-            system_matrix = sp.identity(len(system.idx), format="csr") - a
-            assert len(blocks) == len(system.levels)
-            for (idx, _, _), block in zip(system.levels, blocks):
+        for a in factored_systems(p):
+            system_matrix = sp.identity(a.shape[0], format="csr") - a
+            levels = list(analysis._factor(a))
+            assert len(blocks) == len(levels)
+            for (idx, _, _), block in zip(levels, blocks):
                 want = system_matrix[idx][:, idx]
                 assert block.format == "csc" and block.shape == want.shape
                 assert (block != want).nnz == 0
@@ -540,12 +528,31 @@ class TestBlockSolve:
             solves.clear()
             result = solve_query(model, AnalysisQuery(lam=1.0, reward_kind=kind))
             want = 0.0
-            for idx, b, x in solves:  # the solves the query made
-                if len(idx):
-                    a = model.transitions[idx][:, idx]
+            for a, b, x in solves:  # the solves the query made
+                if a.shape[0]:
                     want = max(want, float(np.max(np.abs(x - a @ x - b))))
             assert result.residual == want
-            assert want > 0.0 or not len(solves[0][0])
+            assert want > 0.0 or not solves[0][0].shape[0]
+
+    @pytest.mark.parametrize("name", ["full", "n8r2"])
+    def test_one_level_factor_alive_at_a_time(self, name, monkeypatch):
+        # when a level is factored, the factor of every level below it is
+        # gone; SuperLU takes no weakref, so each factor is wrapped
+        class Factor:
+            def __init__(self, lu):
+                self.solve = lu.solve
+
+        factors, real = [], analysis.spla.splu
+
+        def factoring(block, **kwargs):
+            assert all(ref() is None for ref in factors)
+            lu = Factor(real(block, **kwargs))
+            factors.append(weakref.ref(lu))
+            return lu
+
+        monkeypatch.setattr(analysis.spla, "splu", factoring)
+        list(solve_queries(build_dtmc(LEVEL_MODELS[name]), FOUR_QUERIES))
+        assert len(factors) > 2 and all(ref() is None for ref in factors)
 
     @pytest.mark.parametrize("name", sorted(SOLVE_MODELS))
     @pytest.mark.parametrize("lam", [1.0, 0.6])
@@ -553,8 +560,8 @@ class TestBlockSolve:
         p = SOLVE_MODELS[name]
 
         def solve(model):
-            system = TargetSystem(model, target_set(model, lam))
-            return [system.reach[0]] + [system.reward(kind)[0] for kind in ("time", "power")]
+            (reach, _), rewards = solve_target(model, target_set(model, lam), ("time", "power"))
+            return [reach] + [rewards[kind][0] for kind in ("time", "power")]
 
         got = solve(build_dtmc(p))
         monkeypatch.setattr(analysis, "_factor", natural_factor)
@@ -562,6 +569,64 @@ class TestBlockSolve:
         for g, w in zip(got, want):
             np.testing.assert_array_equal(np.isinf(g), np.isinf(w))
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+
+
+# repr of (value, reach_probability, residual) for each of FOUR_QUERIES,
+# to the last bit: any change to the float operations of a solve shows here
+PINNED_MODELS = {
+    "n8r2": LEVEL_MODELS["n8r2"],
+    "partial": FACTOR_MODELS["partial"],
+    "trapped3": SOLVE_MODELS["trapped3"],
+    "restab200": ModelParams(n=200, t=10, r=4, epsilon=0.1, mu=0.2, u=3),
+}
+PINNED = {
+    ("n8r2", 1.0): [
+        "(3.536889204764268, 1.0, 1.1032841307212493e-14)",
+        "(5.3376992379953085, 1.0, 1.1032841307212493e-14)",
+        "(0.0003688424232524878, 1.0, 6.06475590234079e-19)",
+        "(0.0005479187796206286, 1.0, 6.06475590234079e-19)",
+    ],
+    ("n8r2", 0.6): [
+        "(1.4415410049461368, 1.0, 3.635980405647388e-15)",
+        "(3.297884942246202, 1.0, 3.635980405647388e-15)",
+        "(0.0001484712681236901, 1.0, 2.964615315390051e-19)",
+        "(0.00033366531266695214, 1.0, 2.964615315390051e-19)",
+    ],
+    ("partial", 1.0): [
+        "(inf, 0.0, 1.1102230246251565e-16)",
+        "(inf, 0.0, 1.1102230246251565e-16)",
+        "(inf, 0.0, 2.7755575615628914e-17)",
+        "(inf, 0.0, 2.7755575615628914e-17)",
+    ],
+    ("partial", 0.6): [
+        "(inf, 0.0, 5.551115123125783e-17)",
+        "(inf, 0.0, 5.551115123125783e-17)",
+        "(inf, 0.0, 1.6940658945086007e-21)",
+        "(inf, 0.0, 1.6940658945086007e-21)",
+    ],
+    ("trapped3", 1.0): [
+        "(inf, 0.0, 5.551115123125783e-17)",
+        "(inf, 0.0, 5.551115123125783e-17)",
+        "(inf, 0.0, 6.776263578034403e-21)",
+        "(inf, 0.0, 6.776263578034403e-21)",
+    ],
+    ("trapped3", 0.6): ["(inf, 0.0, 0.0)"] * 4,
+    ("restab200", 1.0): [
+        "(2.5333310503408177, 1.0, 1.0547118733938987e-15)",
+        "(5.000000000000162, 1.0, 1.0547118733938987e-15)",
+        "(0.005019736610175701, 1.0, 2.8269724614612274e-18)",
+        "(0.009874052166666977, 1.0, 2.8269724614612274e-18)",
+    ],
+    ("restab200", 0.6): ["(0.0, 1.0, 0.0)"] * 4,
+}
+
+
+@pytest.mark.parametrize("name, lam", sorted(PINNED))
+def test_pinned_solve_values(name, lam):
+    model = build_dtmc(PINNED_MODELS[name])
+    queries = [dataclasses.replace(query, lam=lam) for query in FOUR_QUERIES]
+    got = [repr((r.value, r.reach_probability, r.residual)) for r in solve_queries(model, queries)]
+    assert got == PINNED[name, lam]
 
 
 class TestQueryValidation:
@@ -659,7 +724,7 @@ class TestMonteCarlo:
         # costliest run costs exactly the expected reward of its start state
         p = params(n=4, t=3, r=1, epsilon=0.5, mu=0.0)
         model = build_dtmc(p)
-        values, _ = TargetSystem(model, target_set(model, 1.0)).reward(kind)
+        values, _ = solve_target(model, target_set(model, 1.0), (kind,))[1][kind]
         per_start = values[model.initial > 0]
         mc = monte_carlo(p, lam=1.0, reward_kind=kind, samples=2000, seed=0)
         assert mc.censored == 0
@@ -826,6 +891,11 @@ class TestMonteCarlo:
     def test_rejects_unknown_reward_kind(self):
         with pytest.raises(ValueError):
             monte_carlo(params(), reward_kind="energy", samples=10)
+
+    def test_rejects_negative_seed(self):
+        p = params(n=3, t=4, r=1, epsilon=0.1, mu=0.2)
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+            monte_carlo(p, samples=20, seed=-1)
 
     def test_rejects_negative_step_cap(self):
         p = params(n=3, t=4, r=1, epsilon=0.1, mu=0.2)

@@ -323,6 +323,16 @@ class TestRestab:
         ])
         assert code == 1
 
+    def test_state_cap_below_one_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main([
+            "restab", "--n", "5", "--t", "4", "--r", "1", "--eps", "0.1", "--mu", "0.2",
+            "--u", "1", "--max-states", "-1", "--output", str(out),
+        ]) == 1
+        rows, status = read_csv(out)
+        assert rows == [] and status == "# status: error: max_states must be at least 1, got -1"
+        assert capsys.readouterr().err == "error: max_states must be at least 1, got -1\n"
+
     def test_group_beyond_max_group_matches_simulate(self, tmp_path):
         # every state holds a group of 1,099 or more, above FiringTable.MAX_GROUP
         out = tmp_path / "o.csv"
@@ -498,9 +508,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flag, message", [
         (["--seed", "abc"], "bad --seed value 'abc', expected an integer"),
+        (["--seed", "-1"], "bad --seed value '-1', expected a non-negative integer"),
         (["--seed", "1", "--samples", "1e3"], "bad --samples value '1e3', expected an integer"),
         (["--seed", "1", "--n", "abc"], "bad --n value 'abc', expected an integer"),
-    ], ids=["seed", "samples", "n"])
+    ], ids=["seed", "negative-seed", "samples", "n"])
     def test_bad_number_names_its_flag(self, tmp_path, capsys, monkeypatch, flag, message):
         # converted once, before the grid and before any run
         monkeypatch.setattr("pcosync.cli.monte_carlo", never_called)

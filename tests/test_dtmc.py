@@ -258,6 +258,12 @@ class TestBuildDtmc:
         with pytest.raises(StateSpaceLimitExceeded):
             build_dtmc(params(n=6, t=6, r=1), max_states=10)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_is_rejected_before_any_work(self, monkeypatch, cap):
+        monkeypatch.setattr(dtmc, "initial_weights", lambda p: pytest.fail("built the support"))
+        with pytest.raises(ValueError, match=f"max_states must be at least 1, got {cap}"):
+            build_dtmc(params(u=1), max_states=cap)
+
     def test_full_cap_is_checked_before_the_states_are_built(self, monkeypatch):
         monkeypatch.setattr(dtmc, "state_array", lambda p: pytest.fail("built the states"))
         with pytest.raises(StateSpaceLimitExceeded):

@@ -16,7 +16,7 @@ def test_library_block_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     worst, time_avg, power_avg, per_state, per_node = lines
     reach_min, time_max, power_max = map(float, per_state.split())
-    # the per-state arrays of one TargetSystem agree with the queries
+    # the per-state arrays of one solve_target call agree with the queries
     assert time_max == float(worst)
     assert reach_min == 1.0
     assert 0.0 < float(time_avg) < time_max
