@@ -90,38 +90,35 @@ def solve_target(
     reaching = _backward(pred, targets, np.ones_like(targets))
     certain = ~_backward(pred, ~reaching, ~targets)
     del pred  # a copy of p, not kept through the solve
-    idx = np.flatnonzero(reaching & ~targets)
-    unsure = ~certain[idx]
+    unknown, unsure = reaching & ~targets, reaching & ~certain
     # b is the one-step probability of entering the target, or the expected
     # one-step reward; a matvec adds each row in stored order, np.add.reduceat
     # would pair terms up
-    columns = [(p @ targets)[idx]] if unsure.any() else []
+    columns = [p @ targets] if unsure.any() else []
     for kind in kinds:
         weighted = sp.csr_matrix((p.data * rewards[kind], p.indices, p.indptr), shape=p.shape)
-        columns.append((weighted @ np.ones(n))[idx])
+        columns.append(weighted @ np.ones(n))
         del weighted  # a copy of p's values, not kept through the solve
-    solutions = _solve(p[idx][:, idx], columns)
+    solutions = _solve(p, unknown, columns) if columns else []
     reach, residual = certain.astype(float), 0.0  # Prob1, the targets among it, reaches for certain
     if unsure.any():
         (sol, residual), *solutions = solutions
-        reach[idx[unsure]] = np.clip(sol[unsure], 0.0, 1.0)
-    values = {}
-    for kind, (sol, res) in zip(kinds, solutions):
-        x = np.where(certain, 0.0, np.inf)
-        x[idx[~unsure]] = np.maximum(sol[~unsure], 0.0)
-        values[kind] = x, res
+        reach[unsure] = np.clip(sol[unsure], 0.0, 1.0)
+    # a reward is finite on Prob1 only; the targets among it are not solved, and x is 0 there
+    values = {kind: (np.where(certain, np.maximum(sol, 0.0), np.inf), res)
+              for kind, (sol, res) in zip(kinds, solutions)}
     return (reach, residual), values
 
 
-def _solve(a: sp.csr_matrix, columns: list[np.ndarray]) -> list[tuple[np.ndarray, float]]:
-    """Solution and residual ||(I - a) x - b||_inf of each right-hand side b
-    in ``columns`` (one entry per unknown), from one bottom-up sweep of the
-    levels of ``_factor(a)``, each level's factor freed once it is used."""
-    # a level's rows reference no unknown above it, so once the level is
-    # solved they give its part of the residual, each row summed in the
-    # stored order of a's entries
-    xs, residuals = [np.zeros(a.shape[0]) for _ in columns], [0.0] * len(columns)
-    for idx, rows, lu in _factor(a):  # unsolved entries of x are still 0
+def _solve(p: sp.csr_matrix, unknown: np.ndarray, columns: list) -> list[tuple[np.ndarray, float]]:
+    """Solution and residual ||(I - a) x - b||_inf of x = a x + b, for a the
+    entries of p among the ``unknown`` states, of each b in ``columns``, from
+    one bottom-up sweep of the levels of ``_factor``, each level's factor
+    freed once used.  Vectors have one entry per state; x is 0 off the unknowns."""
+    # a level's rows reference no unknown above it, and x is 0 off the unknowns, so
+    # once it is solved they give its part of the residual, each row in stored order
+    xs, residuals = [np.zeros(p.shape[0]) for _ in columns], [0.0] * len(columns)
+    for idx, rows, lu in _factor(p, unknown):  # unsolved entries of x are still 0
         for j, (x, b) in enumerate(zip(xs, columns)):
             x[idx] = lu.solve(b[idx] + rows @ x)
             residuals[j] = max(residuals[j], float(np.max(np.abs(x[idx] - rows @ x - b[idx]))))
@@ -129,24 +126,20 @@ def _solve(a: sp.csr_matrix, columns: list[np.ndarray]) -> list[tuple[np.ndarray
     return list(zip(xs, residuals))
 
 
-def _factor(a: sp.csr_matrix) -> Iterator[tuple[np.ndarray, sp.csr_matrix, spla.SuperLU]]:
-    """I - a in block-triangular form (Duff and Reid, ACM TOMS 4, 1978),
-    yielded one level of the SCC condensation at a time, bottom first: its
-    unknowns in lexicographic order, their rows of a and the natural-order
-    LU factor of its diagonal block.  A level is an SCC's longest path to a
-    bottom SCC, so edges between SCCs lead down and a diagonal block has no
-    fill between its SCCs.
-
-    The rows of a are permuted once into level order.  A level's rows are one
-    ``indptr`` range of the permuted arrays, and its diagonal block holds the
-    entries of that range whose column lies in the level, since none lies
-    above it.  SuperLU factors each block with a one-column panel: on blocks
-    of about two nonzeros per row its supernodal panels gain nothing, and the
-    default panel gives the same fill in more time and memory."""
+def _levels(p: sp.csr_matrix, unknown: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The states of p in level order, lexicographic within a level, and the
+    bounds of each level.  The levels are those of the SCC condensation of
+    the unknowns' rows alone, so every other state is a sink of level 0, and
+    an unknown's level is its SCC's longest path to a sink."""
     from scipy.sparse.csgraph import connected_components
 
+    kept = np.repeat(unknown, np.diff(p.indptr))
+    indptr = np.r_[0, np.cumsum(np.diff(p.indptr) * unknown)]
+    a = sp.csr_matrix((p.data[kept], p.indices[kept], indptr), shape=p.shape)
+    del kept
     n_scc, label = connected_components(a, directed=True, connection="strong")
-    src, dst = np.repeat(label, np.diff(a.indptr)), label[a.indices]
+    src, dst = np.repeat(label, np.diff(indptr)), label[a.indices]
+    del a, indptr
     src, dst = src[src != dst], dst[src != dst]  # the edges between SCCs
     out = np.bincount(src, minlength=n_scc)
     # the sources of the edges into SCC j are src[into[j]:into[j + 1]]
@@ -158,26 +151,31 @@ def _factor(a: sp.csr_matrix) -> Iterator[tuple[np.ndarray, sp.csr_matrix, spla.
         pred, count = np.unique(src[_ranges(start, into[frontier + 1] - start)], return_counts=True)
         out[pred] -= count
         frontier = pred[out[pred] == 0]
-    # the unknowns by level, in lexicographic order within one
-    order = np.argsort(level[label], kind="stable")
+    level = level[label]
+    return np.argsort(level, kind="stable"), np.r_[0, np.cumsum(np.bincount(level))].tolist()
+
+
+def _factor(p: sp.csr_matrix, unknown: np.ndarray) -> Iterator[tuple[np.ndarray, sp.csr_matrix, spla.SuperLU]]:
+    """I - a, for a the entries of p among the ``unknown`` states, in
+    block-triangular form (Duff and Reid, ACM TOMS 4, 1978), yielded one
+    level of ``_levels`` at a time, bottom first and level 0 skipped: its
+    states, their rows of p and the natural-order LU factor of its diagonal
+    block, which has no fill between its SCCs.  A level's rows are cut from
+    p when the sweep reaches it; the block holds their entries whose column
+    lies in the level, as none lies above it.  SuperLU's supernodal panels
+    gain nothing on blocks of about two nonzeros per row, and the default
+    panel gives the same fill as one column in more time and memory."""
+    order, bounds = _levels(p, unknown)
     position = np.empty_like(order)
     position[order] = np.arange(len(order))
-    bounds = np.r_[0, np.cumsum(np.bincount(level[label]))].tolist()
-    length = np.diff(a.indptr)[order]
-    indptr = np.r_[0, np.cumsum(length)]
-    take = _ranges(a.indptr[order], length)
-    cols, vals = a.indices[take], a.data[take]
-    del take
-    n = len(order)
-    for l, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        span, m = slice(indptr[lo], indptr[hi]), hi - lo
-        rows = sp.csr_matrix((vals[span], cols[span], indptr[lo : hi + 1] - indptr[lo]), shape=(m, n))
-        # I - a_ll: the range's entries in the level, and a diagonal entry of
+    for l, (lo, hi) in enumerate(zip(bounds[1:], bounds[2:])):  # the unknowns' levels, from 0
+        rows, m = p[order[lo:hi]], hi - lo
+        # I - a_ll: the rows' entries in the level, and a diagonal entry of
         # one per row, which the conversion sums with a self-loop's entry
-        col = position[cols[span]] - lo
+        col = position[rows.indices] - lo
         inside, diag = col >= 0, np.arange(m)
-        entries = np.r_[-vals[span][inside], np.ones(m)]
-        at = (np.r_[np.repeat(diag, length[lo:hi])[inside], diag], np.r_[col[inside], diag])
+        entries = np.r_[-rows.data[inside], np.ones(m)]
+        at = (np.r_[np.repeat(diag, np.diff(rows.indptr))[inside], diag], np.r_[col[inside], diag])
         block = sp.csc_matrix((entries, at), shape=(m, m))
         try:
             lu = spla.splu(block, permc_spec="NATURAL", panel_size=1)

@@ -263,14 +263,18 @@ def row_sum_bound(n: int) -> float:
     return log_mass_bound(n) + 16 * (n + 1) * 2.0**-53
 
 
-def natural_factor(a: sp.csr_matrix) -> list[tuple[np.ndarray, sp.csr_matrix, spla.SuperLU]]:
+def natural_factor(
+    p: sp.csr_matrix, unknown: np.ndarray
+) -> list[tuple[np.ndarray, sp.csr_matrix, spla.SuperLU]]:
     """The factor the level blocks replaced, in their layout: one block
-    holding every unknown, I - a factored whole in natural order; none for
-    a system without unknowns."""
-    if a.shape[0] == 0:
+    holding every unknown, with its rows of p, and I - a factored whole in
+    natural order, for a the entries of p among the ``unknown`` states;
+    none for a system without unknowns."""
+    idx = np.flatnonzero(unknown)
+    if idx.size == 0:
         return []
-    system = (sp.identity(a.shape[0], format="csr") - a).tocsc()
-    return [(np.arange(a.shape[0]), a, spla.splu(system, permc_spec="NATURAL"))]
+    system = (sp.identity(idx.size, format="csr") - p[idx][:, idx]).tocsc()
+    return [(idx, p[idx], spla.splu(system, permc_spec="NATURAL"))]
 
 
 def rational_solve(a: sp.spmatrix, b: Sequence) -> np.ndarray:

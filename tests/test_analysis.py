@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import weakref
 from fractions import Fraction
 from itertools import accumulate
@@ -289,9 +290,9 @@ def splu_calls(monkeypatch):
     calls = []
     real = analysis._factor
 
-    def counting(a):
-        calls.append(a.shape[0])
-        return real(a)
+    def counting(p, unknown):
+        calls.append(int(unknown.sum()))
+        return real(p, unknown)
 
     monkeypatch.setattr(analysis, "_factor", counting)
     return calls
@@ -300,13 +301,19 @@ def splu_calls(monkeypatch):
 @pytest.fixture
 def solves(monkeypatch):
     """The matrix a, right-hand side and solution of each column solved
-    while the test runs."""
+    while the test runs, taken among the unknowns: a is the transitions
+    between them, sliced from the model's matrix as the reference system."""
     calls = []
     real = analysis._solve
 
-    def recording(a, columns):
-        solutions = real(a, columns)
-        calls.extend((a, b, x) for b, (x, _) in zip(columns, solutions))
+    def recording(p, unknown, columns):
+        solutions = real(p, unknown, columns)
+        idx = np.flatnonzero(unknown)
+        a = p[idx][:, idx]
+        for b, (x, _) in zip(columns, solutions):
+            # one entry per state, and nothing written off the unknowns
+            assert len(b) == len(x) == p.shape[0] and not x[~unknown].any()
+            calls.append((a, b[idx], x[idx]))
         return solutions
 
     monkeypatch.setattr(analysis, "_solve", recording)
@@ -405,6 +412,14 @@ class TestFactorReuse:
         solve_target(model, target_set(model, 1.0), ("time", "power"))
         assert splu_calls == [12] and len(solves) == 3
 
+    def test_no_right_hand_side_factors_nothing(self, splu_calls):
+        # every unknown is in Prob1 and no reward is asked for
+        model = build_dtmc(FACTOR_MODELS["full"])
+        targets = target_set(model, 1.0)
+        (reach, residual), rewards = solve_target(model, targets, ())
+        assert splu_calls == [] and rewards == {} and residual == 0.0
+        assert np.array_equal(reach, solve_target(model, targets, ("time",))[0][0])
+
     def test_residual_is_reported(self):
         model = build_dtmc(FACTOR_MODELS["full"])
         result = solve_query(model, AnalysisQuery(lam=1.0, reward_kind="power"))
@@ -469,27 +484,32 @@ LEVEL_MODELS = {**FACTOR_MODELS, "n8r2": ModelParams(n=8, t=10, r=2, epsilon=0.1
 
 
 def factored_systems(p):
-    """The matrix a of the model's reach and reward solves at lambda = 1, if
-    it is not empty: its unknowns reach the target and are not in it."""
+    """The transition matrix and the mask of unknowns of the model's reach
+    and reward solves at lambda = 1, if there is an unknown: the states that
+    reach the target and are not in it."""
     model = build_dtmc(p)
     targets = target_set(model, 1.0)
     reaching = analysis._backward(model.transitions.tocsc(), targets, np.ones_like(targets))
-    idx = np.flatnonzero(reaching & ~targets)
-    return [model.transitions[idx][:, idx]] if len(idx) else []
+    unknown = reaching & ~targets
+    return [(model.transitions, unknown)] if unknown.any() else []
 
 
 class TestBlockSolve:
     @pytest.mark.parametrize("name", sorted(LEVEL_MODELS))
     def test_levels_order_the_condensation(self, name):
         p = LEVEL_MODELS[name]
-        for a in factored_systems(p):
-            level = np.full(a.shape[0], -1)
-            for depth, (idx, rows, _) in enumerate(analysis._factor(a)):
+        for m, unknown in factored_systems(p):
+            level = np.full(m.shape[0], -1)
+            for depth, (idx, rows, _) in enumerate(analysis._factor(m, unknown)):
                 assert np.all(np.diff(idx) > 0)
+                assert unknown[idx].all()  # a block holds unknowns only
                 assert np.all(level[idx] == -1)  # no unknown in two blocks
                 level[idx] = depth
-                assert (rows != a[idx]).nnz == 0
-            assert np.all(level >= 0)
+                assert (rows != m[idx]).nnz == 0
+            assert np.all(level[unknown] >= 0)
+            # the condensation of the system among the unknowns
+            idx = np.flatnonzero(unknown)
+            a, level = m[idx][:, idx], level[idx]
             _, scc = connected_components(a, directed=True, connection="strong")
             i, j = a.nonzero()
             cross = scc[i] != scc[j]
@@ -509,9 +529,9 @@ class TestBlockSolve:
             return real(block, **kwargs)
 
         monkeypatch.setattr(analysis.spla, "splu", recording)
-        for a in factored_systems(p):
-            system_matrix = sp.identity(a.shape[0], format="csr") - a
-            levels = list(analysis._factor(a))
+        for m, unknown in factored_systems(p):
+            system_matrix = sp.identity(m.shape[0], format="csr") - m
+            levels = list(analysis._factor(m, unknown))
             assert len(blocks) == len(levels)
             for (idx, _, _), block in zip(levels, blocks):
                 want = system_matrix[idx][:, idx]
@@ -553,6 +573,24 @@ class TestBlockSolve:
         monkeypatch.setattr(analysis.spla, "splu", factoring)
         list(solve_queries(build_dtmc(LEVEL_MODELS[name]), FOUR_QUERIES))
         assert len(factors) > 2 and all(ref() is None for ref in factors)
+
+    def test_working_memory_is_bounded_by_the_chain(self):
+        # the NumPy arrays a solve holds at once, against the model's own CSR;
+        # tracemalloc does not see SuperLU's C allocations, so the LU factors
+        # are not counted
+        model = build_dtmc(LEVEL_MODELS["n8r2"])
+        p, targets = model.transitions, target_set(model, 1.0)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            solve_target(model, targets, ("time", "power"))
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak <= 5 * (p.data.nbytes + p.indices.nbytes + p.indptr.nbytes)
 
     @pytest.mark.parametrize("name", sorted(SOLVE_MODELS))
     @pytest.mark.parametrize("lam", [1.0, 0.6])

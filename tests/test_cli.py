@@ -1,5 +1,6 @@
 import csv
 import runpy
+import time
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,25 @@ class TestAnalyze:
         assert code == 0
         rows, _ = read_csv(out)
         assert len(rows) == 2 * 2 * 2  # r values x lambda values x queries
+
+    def test_build_time_is_counted_once_per_grid_point(self, tmp_path, monkeypatch):
+        # summing wall_ms over a grid point's rows counts its build once
+        def slow_build(*args, **kwargs):
+            time.sleep(0.3)
+            return build_dtmc(*args, **kwargs)
+
+        monkeypatch.setattr("pcosync.cli.build_dtmc", slow_build)
+        out = tmp_path / "out.csv"
+        code = main([
+            "analyze", "--n", "3", "--t", "4", "--r", "1", "--eps", "0.1", "--mu", "0.2",
+            "--lambda", "1.0,0.6", "--query", "time:avg", "--query", "power:max",
+            "--output", str(out),
+        ])
+        assert code == 0
+        rows, _ = read_csv(out)
+        wall_ms = [float(row[CSV_COLUMNS.index("wall_ms")]) for row in rows]
+        assert len(wall_ms) == 4 and wall_ms[0] >= 300.0
+        assert all(ms < 300.0 for ms in wall_ms[1:])
 
     def test_unreachable_target_reports_inf(self, tmp_path):
         out = tmp_path / "out.csv"
