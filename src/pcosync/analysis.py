@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core import ModelParams
+from .core import ModelParams, check_integer
 from .dtmc import DtmcModel, HardwareProfile, MICAZ, StateSpace, initial_weights, step_rewards
 from .dynamics import FiringTable, _ranges
 from .metrics import phase_coherences
@@ -73,24 +73,21 @@ def solve_target(
     of ``kinds``, each with the residual of its solve.
 
     ``targets`` is a boolean mask over the model's rows, as ``target_set``
-    gives it.  The unknowns are the states that reach the target but are not
-    in it; Prob1, the states that reach it with probability one, is decided
-    on the graph, and their reachability is exactly 1.  A non-target Prob1
-    state only steps into Prob1 or the target, so its rows reference no
-    unknown outside Prob1: a reward is the solution within Prob1, and
-    infinite elsewhere.  Every answer is one right-hand side of the same
-    x = a x + b, the reachability only when some unknown lies outside
-    Prob1, and ``_solve`` sweeps them all at once."""
+    gives it.  ``_condense`` decides on the graph which states reach the
+    target, and Prob1, the states that reach it with probability one, whose
+    reachability is exactly 1.  A non-target Prob1 state only steps into
+    Prob1 or the target, so its rows reference no unknown outside Prob1: a
+    reward is the solution within Prob1, and infinite elsewhere.  Every
+    answer is one right-hand side of the same x = a x + b over the unknowns,
+    the reachability only when some unknown lies outside Prob1, and
+    ``_solve`` sweeps them all at once, level by level of ``_condense``."""
     p, rewards, n = model.transitions, model.rewards, model.n_states
     if getattr(targets, "dtype", None) != bool or targets.shape != (n,):
         raise ValueError(f"targets must be a boolean array of length {n}, one entry per state")
     if unknown := [kind for kind in kinds if kind not in rewards]:
         raise ValueError(f"unknown reward kind {unknown[0]!r}")
-    pred = p.tocsc()  # column j: the predecessors of state j
-    reaching = _backward(pred, targets, np.ones_like(targets))
-    certain = ~_backward(pred, ~reaching, ~targets)
-    del pred  # a copy of p, not kept through the solve
-    unknown, unsure = reaching & ~targets, reaching & ~certain
+    reaching, certain, levels = _condense(p, targets)
+    unsure = reaching & ~certain
     # b is the one-step probability of entering the target, or the expected
     # one-step reward; a matvec adds each row in stored order, np.add.reduceat
     # would pair terms up
@@ -99,7 +96,7 @@ def solve_target(
         weighted = sp.csr_matrix((p.data * rewards[kind], p.indices, p.indptr), shape=p.shape)
         columns.append(weighted @ np.ones(n))
         del weighted  # a copy of p's values, not kept through the solve
-    solutions = _solve(p, unknown, columns) if columns else []
+    solutions = _solve(p, levels, columns) if columns else []
     reach, residual = certain.astype(float), 0.0  # Prob1, the targets among it, reaches for certain
     if unsure.any():
         (sol, residual), *solutions = solutions
@@ -110,15 +107,15 @@ def solve_target(
     return (reach, residual), values
 
 
-def _solve(p: sp.csr_matrix, unknown: np.ndarray, columns: list) -> list[tuple[np.ndarray, float]]:
+def _solve(p: sp.csr_matrix, levels: list, columns: list) -> list[tuple[np.ndarray, float]]:
     """Solution and residual ||(I - a) x - b||_inf of x = a x + b, for a the
-    entries of p among the ``unknown`` states, of each b in ``columns``, from
-    one bottom-up sweep of the levels of ``_factor``, each level's factor
+    entries of p among the unknowns of ``levels``, of each b in ``columns``,
+    from one bottom-up sweep of the levels of ``_factor``, each level's factor
     freed once used.  Vectors have one entry per state; x is 0 off the unknowns."""
     # a level's rows reference no unknown above it, and x is 0 off the unknowns, so
     # once it is solved they give its part of the residual, each row in stored order
     xs, residuals = [np.zeros(p.shape[0]) for _ in columns], [0.0] * len(columns)
-    for idx, rows, lu in _factor(p, unknown):  # unsolved entries of x are still 0
+    for idx, rows, lu in _factor(p, levels):  # unsolved entries of x are still 0
         for j, (x, b) in enumerate(zip(xs, columns)):
             x[idx] = lu.solve(b[idx] + rows @ x)
             residuals[j] = max(residuals[j], float(np.max(np.abs(x[idx] - rows @ x - b[idx]))))
@@ -126,54 +123,63 @@ def _solve(p: sp.csr_matrix, unknown: np.ndarray, columns: list) -> list[tuple[n
     return list(zip(xs, residuals))
 
 
-def _levels(p: sp.csr_matrix, unknown: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """The states of p in level order, lexicographic within a level, and the
-    bounds of each level.  The levels are those of the SCC condensation of
-    the unknowns' rows alone, so every other state is a sink of level 0, and
-    an unknown's level is its SCC's longest path to a sink."""
+def _condense(p: sp.csr_matrix, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The masks of the states that reach the targets and of those that reach
+    them with probability one (not Prob0, and Prob1: Baier and Katoen,
+    Principles of Model Checking, 2008, 10.1), and the unknowns, the states
+    that reach them but are not in them, by level from 1 up and in state
+    order within a level.  One SCC condensation of p with the target rows cut, so that each
+    target is a sink of its own, is swept from its sinks up.  An SCC reaches
+    the targets if it holds one or steps to an SCC that reaches them; it
+    misses them if it does not reach them or steps to an SCC that misses
+    them.  Its level is 0 for a target or an SCC that does not reach them,
+    and 1 + the largest level among its successors otherwise."""
     from scipy.sparse.csgraph import connected_components
 
-    kept = np.repeat(unknown, np.diff(p.indptr))
-    indptr = np.r_[0, np.cumsum(np.diff(p.indptr) * unknown)]
+    kept = np.repeat(~targets, np.diff(p.indptr))
+    indptr = np.r_[0, np.cumsum(np.diff(p.indptr) * ~targets)]
     a = sp.csr_matrix((p.data[kept], p.indices[kept], indptr), shape=p.shape)
-    del kept
     n_scc, label = connected_components(a, directed=True, connection="strong")
     src, dst = np.repeat(label, np.diff(indptr)), label[a.indices]
-    del a, indptr
+    del a, indptr, kept
     src, dst = src[src != dst], dst[src != dst]  # the edges between SCCs
     out = np.bincount(src, minlength=n_scc)
     # the sources of the edges into SCC j are src[into[j]:into[j + 1]]
     src, into = src[np.argsort(dst)], np.r_[0, np.cumsum(np.bincount(dst, minlength=n_scc))]
-    level, frontier, depth = np.full(n_scc, -1), np.flatnonzero(out == 0), 0
-    while frontier.size:  # the SCCs whose edges all lead to lower levels
-        level[frontier], depth = depth, depth + 1
-        start = into[frontier]
-        pred, count = np.unique(src[_ranges(start, into[frontier + 1] - start)], return_counts=True)
-        out[pred] -= count
-        frontier = pred[out[pred] == 0]
-    level = level[label]
-    return np.argsort(level, kind="stable"), np.r_[0, np.cumsum(np.bincount(level))].tolist()
+    reach, miss, level = np.zeros(n_scc, bool), np.zeros(n_scc, bool), np.zeros(n_scc, np.int64)
+    reach[label[targets]] = True
+    frontier = np.flatnonzero(out == 0)
+    while frontier.size:  # the SCCs whose successors are all swept
+        miss[frontier] |= ~reach[frontier]
+        level[frontier] *= reach[frontier]  # 0 unless it reaches them; a target has no successor
+        count = into[frontier + 1] - into[frontier]
+        pred, succ = src[_ranges(into[frontier], count)], np.repeat(frontier, count)
+        reach[pred[reach[succ]]] = True
+        miss[pred[miss[succ]]] = True
+        np.maximum.at(level, pred, level[succ] + 1)
+        np.subtract.at(out, pred, 1)
+        frontier = np.unique(pred[out[pred] == 0])
+    level = level[label]  # 0 for every state but the unknowns
+    order, bounds = np.argsort(level, kind="stable"), np.cumsum(np.bincount(level)).tolist()
+    return reach[label], ~miss[label], [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _factor(p: sp.csr_matrix, unknown: np.ndarray) -> Iterator[tuple[np.ndarray, sp.csr_matrix, spla.SuperLU]]:
-    """I - a, for a the entries of p among the ``unknown`` states, in
-    block-triangular form (Duff and Reid, ACM TOMS 4, 1978), yielded one
-    level of ``_levels`` at a time, bottom first and level 0 skipped: its
-    states, their rows of p and the natural-order LU factor of its diagonal
-    block, which has no fill between its SCCs.  A level's rows are cut from
-    p when the sweep reaches it; the block holds their entries whose column
-    lies in the level, as none lies above it.  SuperLU's supernodal panels
-    gain nothing on blocks of about two nonzeros per row, and the default
-    panel gives the same fill as one column in more time and memory."""
-    order, bounds = _levels(p, unknown)
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
-    for l, (lo, hi) in enumerate(zip(bounds[1:], bounds[2:])):  # the unknowns' levels, from 0
-        rows, m = p[order[lo:hi]], hi - lo
-        # I - a_ll: the rows' entries in the level, and a diagonal entry of
-        # one per row, which the conversion sums with a self-loop's entry
-        col = position[rows.indices] - lo
-        inside, diag = col >= 0, np.arange(m)
+def _factor(p: sp.csr_matrix, levels: list) -> Iterator[tuple[np.ndarray, sp.csr_matrix, spla.SuperLU]]:
+    """I - a, for a the entries of p among the unknowns, grouped as
+    ``_condense`` gives them, in block-triangular form (Duff and Reid, ACM
+    TOMS 4, 1978), yielded one level at a time, bottom first: its states,
+    their rows of p and the natural-order LU factor of its diagonal block,
+    which has no fill between its SCCs.  A level's rows are cut from p when
+    the sweep reaches it; the block holds their entries whose column lies in
+    the level, as none lies above it.  SuperLU's supernodal panels gain
+    nothing on blocks of about two nonzeros per row, and the default panel
+    gives the same fill as one column in more time and memory."""
+    for l, idx in enumerate(levels):
+        rows, m = p[idx], len(idx)
+        # I - a_ll: the rows' entries in the level, whose states idx are sorted,
+        # and a diagonal one per row, which the conversion sums with a self-loop
+        col = np.searchsorted(idx, rows.indices)
+        inside, diag = idx[np.minimum(col, m - 1)] == rows.indices, np.arange(m)
         entries = np.r_[-rows.data[inside], np.ones(m)]
         at = (np.r_[np.repeat(diag, np.diff(rows.indptr))[inside], diag], np.r_[col[inside], diag])
         block = sp.csc_matrix((entries, at), shape=(m, m))
@@ -181,28 +187,13 @@ def _factor(p: sp.csr_matrix, unknown: np.ndarray) -> Iterator[tuple[np.ndarray,
             lu = spla.splu(block, permc_spec="NATURAL", panel_size=1)
         except RuntimeError as exc:  # a float cycle of probability one
             raise SolverError(f"level {l} of the block factor ({m} unknowns): {exc}") from None
-        yield order[lo:hi], rows, lu
+        yield idx, rows, lu
         del lu  # the caller holds the only reference while it solves
 
 
 def target_set(model: DtmcModel, lam: float) -> np.ndarray:
     """Boolean mask, by row, of the states whose phase coherence is at least lam."""
     return phase_coherences(model.states.array, model.params.t) >= lam
-
-
-def _backward(pred: sp.csc_matrix, seed: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """Boolean mask of the seed states and of the states with a path into
-    the seed through ``allowed`` states only."""
-    mask, new = seed.copy(), seed
-    while new.any():
-        frontier = np.flatnonzero(new)
-        start = pred.indptr[frontier]
-        found = pred.indices[_ranges(start, pred.indptr[frontier + 1] - start)]
-        new = np.zeros_like(mask)
-        new[found] = True
-        new &= allowed & ~mask
-        mask |= new
-    return mask
 
 
 def aggregate(
@@ -366,12 +357,10 @@ def monte_carlo(
     two outcomes keeps the runs stepping.
     """
     AnalysisQuery(lam, reward_kind)  # the same lambda and reward kind checks
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    if step_cap < 0:
-        raise ValueError(f"step_cap must be at least 0, got {step_cap}")
-    if seed < 0:
-        raise ValueError(f"seed must be at least 0, got {seed}")
+    for name, value, low in (("samples", samples, 1), ("step_cap", step_cap, 0), ("seed", seed, 0)):
+        check_integer(name, value)
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
     rng = np.random.default_rng(seed)
     support, weights = initial_weights(p)
     space, table = StateSpace(p, support), FiringTable(p)

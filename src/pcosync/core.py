@@ -9,6 +9,7 @@ that fired) or ``None`` for groups that did not fire.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,8 @@ class ModelParams:
     """One population model: (N, T, R, epsilon, mu) and U.  With U set, the
     initial states are those where at least N - U oscillators share a phase
     (restabilisation); with U None, every state of Gamma is initial.  Made
-    or ``replace``d, it checks 1 <= N, 2 <= T, 0 <= R < T, 0 < epsilon < inf,
-    0 <= mu <= 1 and 1 <= U < N, and raises ``ValueError`` if one fails."""
+    or ``replace``d, it checks integers 1 <= N, 2 <= T, 0 <= R < T and
+    1 <= U < N, 0 < epsilon < inf and 0 <= mu <= 1, or raises ``ValueError``."""
 
     n: int
     t: int
@@ -61,6 +62,8 @@ class ModelParams:
     u: int | None = None
 
     def __post_init__(self) -> None:
+        for name, value in (("N", self.n), ("T", self.t), ("R", self.r), ("U", self.u or 0)):
+            check_integer(name, value)  # a U of None is checked as 0
         if self.n < 1:
             raise ValueError(f"N must satisfy 1 <= N, got {self.n}")
         if self.t < 2:
@@ -75,6 +78,14 @@ class ModelParams:
             raise ValueError(f"mu must be in [0, 1], got {self.mu}")
         if self.u is not None and not 1 <= self.u < self.n:
             raise ValueError(f"U must satisfy 1 <= U < N, got U={self.u} with N={self.n}")
+
+
+def check_integer(name: str, value: object) -> None:
+    """Raise ``ValueError`` naming the value unless it is an integer; NumPy integers pass."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def validate_state(sigma: State, p: ModelParams) -> State:

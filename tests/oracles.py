@@ -264,13 +264,13 @@ def row_sum_bound(n: int) -> float:
 
 
 def natural_factor(
-    p: sp.csr_matrix, unknown: np.ndarray
+    p: sp.csr_matrix, levels: list[np.ndarray]
 ) -> list[tuple[np.ndarray, sp.csr_matrix, spla.SuperLU]]:
     """The factor the level blocks replaced, in their layout: one block
     holding every unknown, with its rows of p, and I - a factored whole in
-    natural order, for a the entries of p among the ``unknown`` states;
-    none for a system without unknowns."""
-    idx = np.flatnonzero(unknown)
+    natural order, for a the entries of p among the unknowns, the states of
+    ``levels``; none for a system without unknowns."""
+    idx = np.sort(np.concatenate([np.zeros(0, int), *levels]))
     if idx.size == 0:
         return []
     system = (sp.identity(idx.size, format="csr") - p[idx][:, idx]).tocsc()

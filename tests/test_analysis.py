@@ -9,6 +9,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from scipy.sparse import csgraph
 from scipy.sparse.csgraph import connected_components
 
 from oracles import csr_rows, exact_masses, natural_factor, rational_solve, row_sum_bound
@@ -26,6 +28,7 @@ from pcosync.analysis import (
 from pcosync.core import ModelParams, is_synchronised
 from pcosync.dtmc import MICAZ, DtmcModel, build_dtmc
 from pcosync.dynamics import FiringTable
+from test_dtmc import small_models
 
 
 def params(**kw):
@@ -206,18 +209,14 @@ class TestAggregate:
         assert result.per_node_mWh == pytest.approx(result.value / 2 * 1000.0)
 
 
-def loop_reference(model, targets, reward_kind, exact=False):
-    """Per-state reachability and expected reward straight from the
-    transition rows: backward searches over predecessor lists for the
-    states that reach the target and those that reach it with probability
-    one, then one dense solve per system, or, if ``exact``, one
-    ``rational_solve`` of its float entries, the right-hand side summed
-    exactly."""
+def reference_masks(model, targets):
+    """The states that reach the ``targets`` and those that reach them with
+    probability one, as sets, from backward searches over predecessor lists
+    built from the transition rows."""
     n = model.n_states
     targets = set(np.flatnonzero(targets).tolist())
-    rows = csr_rows(model)
     predecessors = [[] for _ in range(n)]
-    for src, row in enumerate(rows):
+    for src, row in enumerate(csr_rows(model)):
         for target, *_ in row:
             predecessors[target].append(src)
 
@@ -234,7 +233,19 @@ def loop_reference(model, targets, reward_kind, exact=False):
     reaching = backward(targets, everything)
     # short of one: the states that reach a state outside ``reaching``
     # without passing through the target
-    certain = everything - backward(everything - reaching, everything - targets)
+    return reaching, everything - backward(everything - reaching, everything - targets)
+
+
+def loop_reference(model, targets, reward_kind, exact=False):
+    """Per-state reachability and expected reward straight from the
+    transition rows: ``reference_masks`` for the states that reach the
+    target and those that reach it with probability one, then one dense
+    solve per system, or, if ``exact``, one ``rational_solve`` of its float
+    entries, the right-hand side summed exactly."""
+    n = model.n_states
+    reaching, certain = reference_masks(model, targets)
+    targets = set(np.flatnonzero(targets).tolist())
+    rows = csr_rows(model)
 
     def solve(unknown, one_step):
         idx = sorted(unknown)
@@ -290,9 +301,9 @@ def splu_calls(monkeypatch):
     calls = []
     real = analysis._factor
 
-    def counting(p, unknown):
-        calls.append(int(unknown.sum()))
-        return real(p, unknown)
+    def counting(p, levels):
+        calls.append(sum(map(len, levels)))
+        return real(p, levels)
 
     monkeypatch.setattr(analysis, "_factor", counting)
     return calls
@@ -306,9 +317,10 @@ def solves(monkeypatch):
     calls = []
     real = analysis._solve
 
-    def recording(p, unknown, columns):
-        solutions = real(p, unknown, columns)
-        idx = np.flatnonzero(unknown)
+    def recording(p, levels, columns):
+        solutions = real(p, levels, columns)
+        idx = np.sort(np.concatenate([np.zeros(0, int), *levels]))
+        unknown = np.isin(np.arange(p.shape[0]), idx)
         a = p[idx][:, idx]
         for b, (x, _) in zip(columns, solutions):
             # one entry per state, and nothing written off the unknowns
@@ -465,7 +477,7 @@ class TestRationalOracle:
             np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=0.0)
 
 
-# FACTOR_MODELS, the edge values of mu, R, T, N and epsilon, and a model
+# FACTOR_MODELS, the edge values of mu, R, T, N and epsilon, and two models
 # where some states never reach the target.  At mu = 1 and N = 1 the systems
 # are empty: no broadcast ever arrives, or every state is synchronised.
 SOLVE_MODELS = {
@@ -478,45 +490,91 @@ SOLVE_MODELS = {
     "n1": ModelParams(n=1, t=10, r=2, epsilon=0.1, mu=0.2),
     "eps05": ModelParams(n=5, t=8, r=2, epsilon=0.5, mu=0.2),
     "trapped3": ModelParams(n=3, t=4, r=1, epsilon=0.1, mu=0.2),
+    "n8r6": ModelParams(n=8, t=10, r=6, epsilon=0.3, mu=0.2),
 }
 
-LEVEL_MODELS = {**FACTOR_MODELS, "n8r2": ModelParams(n=8, t=10, r=2, epsilon=0.1, mu=0.2)}
+# "n8r6" at lambda = 0.6: 201 states that miss the target lie outside a
+# bottom SCC and are entered straight from unknowns
+LEVEL_MODELS = {
+    **FACTOR_MODELS,
+    "n8r2": ModelParams(n=8, t=10, r=2, epsilon=0.1, mu=0.2),
+    "n8r6": SOLVE_MODELS["n8r6"],
+}
 
 
 def factored_systems(p):
-    """The transition matrix and the mask of unknowns of the model's reach
-    and reward solves at lambda = 1, if there is an unknown: the states that
-    reach the target and are not in it."""
+    """The transition matrix, the mask of unknowns and the levels of
+    ``_condense`` of the model's reach and reward solves at lambda = 1 and
+    0.6, where there is an unknown: the unknowns are the states that reach
+    the target and are not in it, found by ``reference_masks``."""
     model = build_dtmc(p)
-    targets = target_set(model, 1.0)
-    reaching = analysis._backward(model.transitions.tocsc(), targets, np.ones_like(targets))
-    unknown = reaching & ~targets
-    return [(model.transitions, unknown)] if unknown.any() else []
+    systems = []
+    for lam in (1.0, 0.6):
+        targets = target_set(model, lam)
+        unknown = np.isin(np.arange(model.n_states), list(reference_masks(model, targets)[0])) & ~targets
+        if unknown.any():
+            systems.append((model.transitions, unknown, analysis._condense(model.transitions, targets)[2]))
+    return systems
+
+
+LAMBDAS = [1.0, 0.9, 0.6, 0.3]
+
+
+def assert_masks_match_backward_search(model):
+    for lam in LAMBDAS:
+        targets = target_set(model, lam)
+        reaching, certain, _ = analysis._condense(model.transitions, targets)
+        want_reaching, want_certain = reference_masks(model, targets)
+        assert set(np.flatnonzero(reaching).tolist()) == want_reaching, lam
+        assert set(np.flatnonzero(certain).tolist()) == want_certain, lam
+
+
+class TestCondense:
+    @given(small_models())
+    @settings(max_examples=40, deadline=None)
+    def test_masks_match_backward_search(self, p):
+        assert_masks_match_backward_search(build_dtmc(p))
+
+    def test_masks_match_backward_search_outside_bottom_sccs(self):
+        assert_masks_match_backward_search(build_dtmc(LEVEL_MODELS["n8r6"]))
+
+    def test_one_condensation_per_target_set(self, monkeypatch):
+        calls, real = [], csgraph.connected_components
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(csgraph, "connected_components", counting)
+        model = build_dtmc(FACTOR_MODELS["partial"])
+        solve_target(model, target_set(model, 1.0), ("time", "power"))
+        assert calls == [dict(directed=True, connection="strong")]
 
 
 class TestBlockSolve:
     @pytest.mark.parametrize("name", sorted(LEVEL_MODELS))
     def test_levels_order_the_condensation(self, name):
         p = LEVEL_MODELS[name]
-        for m, unknown in factored_systems(p):
-            level = np.full(m.shape[0], -1)
-            for depth, (idx, rows, _) in enumerate(analysis._factor(m, unknown)):
+        for m, unknown, levels in factored_systems(p):
+            level = np.zeros(m.shape[0], int)  # 0 off the unknowns
+            for depth, (idx, rows, _) in enumerate(analysis._factor(m, levels), 1):
                 assert np.all(np.diff(idx) > 0)
                 assert unknown[idx].all()  # a block holds unknowns only
-                assert np.all(level[idx] == -1)  # no unknown in two blocks
+                assert np.all(level[idx] == 0)  # no unknown in two blocks
                 level[idx] = depth
                 assert (rows != m[idx]).nnz == 0
-            assert np.all(level[unknown] >= 0)
-            # the condensation of the system among the unknowns
+            assert np.all(level[unknown] > 0)
+            # the condensation of the system among the unknowns: an unknown's
+            # level is 1 + the largest level among the states its SCC steps to
             idx = np.flatnonzero(unknown)
-            a, level = m[idx][:, idx], level[idx]
-            _, scc = connected_components(a, directed=True, connection="strong")
-            i, j = a.nonzero()
-            cross = scc[i] != scc[j]
-            # an unknown's block comes after those of the other SCCs it
-            # depends on, and the members of one SCC share a block
-            assert np.all(level[i[cross]] > level[j[cross]])
-            assert np.all(level[i[~cross]] == level[j[~cross]])
+            n_scc, scc = connected_components(m[idx][:, idx], directed=True, connection="strong")
+            edges = m[idx].tocoo()
+            at = np.full(m.shape[0], -1)
+            at[idx] = scc
+            cross = at[edges.col] != scc[edges.row]
+            want = np.zeros(n_scc, int)
+            np.maximum.at(want, scc[edges.row[cross]], level[edges.col[cross]] + 1)
+            assert np.array_equal(level[idx], want[scc])
 
     @pytest.mark.parametrize("name", sorted(LEVEL_MODELS))
     def test_blocks_are_diagonal_blocks_of_the_system(self, name, monkeypatch):
@@ -529,9 +587,10 @@ class TestBlockSolve:
             return real(block, **kwargs)
 
         monkeypatch.setattr(analysis.spla, "splu", recording)
-        for m, unknown in factored_systems(p):
+        for m, _, levels in factored_systems(p):
             system_matrix = sp.identity(m.shape[0], format="csr") - m
-            levels = list(analysis._factor(m, unknown))
+            blocks.clear()
+            levels = list(analysis._factor(m, levels))
             assert len(blocks) == len(levels)
             for (idx, _, _), block in zip(levels, blocks):
                 want = system_matrix[idx][:, idx]
@@ -939,6 +998,14 @@ class TestMonteCarlo:
         p = params(n=3, t=4, r=1, epsilon=0.1, mu=0.2)
         with pytest.raises(ValueError, match="step_cap must be at least 0, got -3"):
             monte_carlo(p, samples=20, seed=1, step_cap=-3)
+
+    @pytest.mark.parametrize("name, value", [("samples", 2.5), ("seed", 1.5), ("step_cap", 2.0)])
+    def test_rejects_non_integral_counts(self, name, value):
+        p, counts = params(n=3, t=4, r=1, epsilon=0.1, mu=0.2), dict(samples=20, seed=1, step_cap=100)
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
+            monte_carlo(p, **{**counts, name: value})
+        # a NumPy integer passes, and gives the result of the same int
+        assert monte_carlo(p, **{**counts, name: np.int64(counts[name])}) == monte_carlo(p, **counts)
 
 
 class TestFailureDraw:

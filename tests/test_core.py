@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -104,6 +105,10 @@ class TestValidation:
             dict(epsilon=math.nan),
             dict(u=0),
             dict(u=4),  # U must stay below N = 4
+            dict(n=3.5),  # counts are integers
+            dict(t=4.0),
+            dict(r=1.5),
+            dict(u=1.5),
         ],
     )
     def test_bad_params_rejected(self, kw):
@@ -113,6 +118,10 @@ class TestValidation:
             params(**kw)
         with pytest.raises(ValueError, match=message):  # replace checks again
             replace(params(), **kw)
+
+    def test_numpy_integer_counts_accepted(self):
+        p = params(n=np.int64(4), t=np.int32(6), r=np.uint8(1), u=np.int64(2))
+        assert p == params(u=2)
 
     def test_state_validation(self):
         p = params(n=3, t=4)
