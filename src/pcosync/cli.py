@@ -116,6 +116,8 @@ def load_profile(name: str) -> HardwareProfile:
         if path.exists():
             values = {k: v[-1] for k, v in load_config(str(path)).items()}
             needed = [f.name for f in fields(HardwareProfile) if f.name != "name"]
+            if unknown := [key for key in values if key not in needed]:
+                raise ValueError(f"profile key {unknown[0]!r} in {path} is not one of {', '.join(needed)}")
             missing = [key for key in needed if key not in values]
             if missing:
                 raise ValueError(f"profile {path} lacks {', '.join(missing)}")

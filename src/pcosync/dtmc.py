@@ -85,37 +85,35 @@ class StateSpace(Sequence):
 
     A state's rank is its position in all of Gamma, from the combinatorial
     number system (Knuth, TAOCP 4A, 7.2.1.3): with m oscillators left for
-    column i and r = T - 1 - i columns after it, C(m + r, r) -
-    C(m - k_i + r, r) states agree with sigma before column i and hold
+    column i and r = T - 1 - i columns after it, B[m, r] - B[m - k_i, r]
+    states, B[x, r] = C(x + r, r), agree with sigma before column i and hold
     fewer than k_i there.  ``ranks`` holds the ranks of the rows, ascending;
     ``index`` and ``in`` find a state tuple by its rank.  When the rows are
-    all of Gamma, a state's row is its rank, and no row is ranked or searched.
+    all of Gamma, a state's row is its rank, and ``ranks`` is None.
     """
 
     def __init__(self, p: ModelParams, array: np.ndarray):
         self.p, self.array = p, array
-        # C(a, b) for b < T and a - b <= N, all at most |Gamma|: Python ints
-        # once that leaves int64
-        self._binom = np.array(
-            [[math.comb(a, b) if a - b <= p.n else 0 for b in range(p.t)] for a in range(p.n + p.t)],
-            dtype=np.int64 if state_count(p) < 2**63 else object,
-        )
-        self.full = len(array) == state_count(p)
-        self.ranks = np.arange(len(array)) if self.full else self.rank(array)
+        # B[x, 0] = 1 and each column sums the one before (hockey stick); the
+        # largest entry, B[N, T - 1] = |Gamma|, takes Python ints beyond int64
+        self._table = np.ones((p.n + 1, p.t), np.int64 if state_count(p) < 2**63 else object)
+        for r in range(1, p.t):
+            self._table[:, r] = np.cumsum(self._table[:, r - 1])
+        self.ranks = None if len(array) == self._table[-1, -1] else self.rank(array)
 
     def rank(self, states: np.ndarray) -> np.ndarray:
         """Ranks of the rows of a count array (of a single state: a scalar)."""
         rank, m = 0, np.full(states.shape[:-1], self.p.n, np.int64)
         for i in range(self.p.t - 1):
             r, k = self.p.t - 1 - i, states[..., i]
-            rank = rank + (self._binom[m + r, r] - self._binom[m - k + r, r])  # stays below |Gamma|
+            rank = rank + (self._table[m, r] - self._table[m - k, r])  # stays below |Gamma|
             m = m - k
         return rank
 
     def rows(self, states: np.ndarray) -> np.ndarray:
         """Rows of the given states, found by rank; each must be in the space."""
         ranks = self.rank(states)
-        return ranks if self.full else np.searchsorted(self.ranks, ranks)
+        return ranks if self.ranks is None else np.searchsorted(self.ranks, ranks)
 
     def index(self, sigma: State) -> int:
         """The row of a state tuple, found by its rank; ``ValueError`` if it
@@ -278,8 +276,7 @@ def step_rewards(
     idle = states[:, -1] == 0
     time_r = np.full(len(states), 1.0 / p.t)
     power = state_power(states, p, profile) + targets[:, 0] * profile.w_transmit()
-    # a skip moves every group up by its length, the lowest occupied phase too
-    time_r[idle] = (np.argmax(targets[idle] > 0, axis=1) - np.argmax(states[idle] > 0, axis=1)) / p.t
+    time_r[idle] = np.argmax(states[idle, ::-1] > 0, axis=1) / p.t  # T - delta
     power[idle] = skip_power(states[idle], p, profile)
     return time_r, power
 

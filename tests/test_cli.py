@@ -679,6 +679,27 @@ class TestProfiles:
         assert rows == [] and status == f"# status: error: {message}"
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_unknown_profile_key_names_file_and_key(self, tmp_path, monkeypatch, capsys):
+        # all six fields are there, and cycle was meant as cycle_s
+        path = tmp_path / "mote.profile"
+        path.write_text(
+            "idle_a = 20e-6\nreceive_a = 19.7e-3\ntransmit_a = 17.4e-3\n"
+            "voltage = 3.0\ncycle_s = 1.0\nmessage_s = 1e-3\ncycle = 10\n"
+        )
+        monkeypatch.setenv("PCOSYNC_PROFILE_DIR", str(tmp_path))
+        out = tmp_path / "o.csv"
+        assert main([
+            "analyze", "--n", "2", "--t", "3", "--r", "1", "--eps", "0.5", "--mu", "0.2",
+            "--profile", "mote", "--output", str(out),
+        ]) == 1
+        message = (
+            f"profile key 'cycle' in {path} is not one of "
+            "idle_a, receive_a, transmit_a, voltage, cycle_s, message_s"
+        )
+        rows, status = read_csv(out)
+        assert rows == [] and status == f"# status: error: {message}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_profile_is_an_error(self, tmp_path, monkeypatch, capsys, value):
         (tmp_path / "odd.profile").write_text(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import deque
 from dataclasses import fields, replace
 
@@ -427,10 +428,15 @@ class TestArrayBuild:
             params(n=6, t=8, r=2, mu=1.0),
             # a lone oscillator, so no group is ever absorbed
             params(n=1, t=10, r=2),
+            # the largest |Gamma| below 2**63 at T=10, and the smallest above:
+            # the last int64 rank table and the first of Python ints
+            params(n=525, t=10, r=4, u=1),
+            params(n=526, t=10, r=4, u=1),
         ],
         ids=[
             "n8t10", "n10t4", "restab35", "huge-gamma", "wide-binomials", "huge-keys",
             "n52t2", "n53t2", "n33t3", "n34t3", "restab200", "n24t4", "mu0", "mu1", "n1",
+            "int64-edge", "object-edge",
         ],
     )
     def test_matches_reference_build_explicit(self, p):
@@ -448,6 +454,47 @@ class TestArrayBuild:
                 assert space.rows(want).tolist() == list(range(len(want))), (n, t)
                 part = StateSpace(p, want[1:])
                 assert part.rows(want[1:]).tolist() == list(range(len(want) - 1)), (n, t)
+
+    @pytest.mark.parametrize("n", [525, 526])
+    def test_rank_matches_python_int_oracle_at_the_int64_edge(self, n):
+        p = params(n=n, t=10, r=4, u=1)
+        support = restabilisation_support(p)
+        want = []
+        for sigma in support.tolist():
+            rank, m = 0, n
+            for i, k in enumerate(sigma[:-1]):
+                r = p.t - 1 - i
+                rank += math.comb(m + r, r) - math.comb(m - k + r, r)
+                m -= k
+            want.append(rank)
+        assert want[-1] == state_count(p) - 1  # (N, 0, ..., 0), the top of Gamma
+        space = StateSpace(p, support)
+        assert space.rank(support).tolist() == want
+        assert space.rows(support).tolist() == list(range(len(support)))
+
+    def test_rank_table_calls_math_comb_only_for_the_state_count(self, monkeypatch):
+        p = params(n=200, t=10, r=4, u=3)
+        support = restabilisation_support(p)
+        calls = []
+        comb = math.comb
+        monkeypatch.setattr(math, "comb", lambda *a: calls.append(a) or comb(*a))
+        StateSpace(p, support)
+        assert len(calls) <= 2
+
+    def test_full_space_holds_no_rank_array(self):
+        p = params(n=10, t=10, r=2)
+        array = state_array(p)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            space = StateSpace(p, array)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        # the rank array of all 92,378 states would take 739 KB
+        assert space.rows(array[-1]) == len(array) - 1 and held < 100_000
 
     def test_index_finds_only_model_states(self):
         p = params(n=10, t=10, r=4, u=1)
