@@ -92,10 +92,8 @@ def solve_target(
     # one-step reward; a matvec adds each row in stored order, np.add.reduceat
     # would pair terms up
     columns = [p @ targets] if unsure.any() else []
-    for kind in kinds:
-        weighted = sp.csr_matrix((p.data * rewards[kind], p.indices, p.indptr), shape=p.shape)
-        columns.append(weighted @ np.ones(n))
-        del weighted  # a copy of p's values, not kept through the solve
+    for kind in kinds:  # the weighted copy of p's values is freed once its column is formed
+        columns.append(sp.csr_matrix((p.data * rewards[kind], p.indices, p.indptr), shape=p.shape) @ np.ones(n))
     solutions = _solve(p, levels, columns) if columns else []
     reach, residual = certain.astype(float), 0.0  # Prob1, the targets among it, reaches for certain
     if unsure.any():
@@ -170,23 +168,17 @@ def _factor(p: sp.csr_matrix, levels: list) -> Iterator[tuple[np.ndarray, sp.csr
     TOMS 4, 1978), yielded one level at a time, bottom first: its states,
     their rows of p and the natural-order LU factor of its diagonal block,
     which has no fill between its SCCs.  A level's rows are cut from p when
-    the sweep reaches it; the block holds their entries whose column lies in
-    the level, as none lies above it.  SuperLU's supernodal panels gain
+    the sweep reaches it, and its block is the identity less their columns
+    in the level, as none lies above it.  SuperLU's supernodal panels gain
     nothing on blocks of about two nonzeros per row, and the default panel
     gives the same fill as one column in more time and memory."""
     for l, idx in enumerate(levels):
-        rows, m = p[idx], len(idx)
-        # I - a_ll: the rows' entries in the level, whose states idx are sorted,
-        # and a diagonal one per row, which the conversion sums with a self-loop
-        col = np.searchsorted(idx, rows.indices)
-        inside, diag = idx[np.minimum(col, m - 1)] == rows.indices, np.arange(m)
-        entries = np.r_[-rows.data[inside], np.ones(m)]
-        at = (np.r_[np.repeat(diag, np.diff(rows.indptr))[inside], diag], np.r_[col[inside], diag])
-        block = sp.csc_matrix((entries, at), shape=(m, m))
+        rows = p[idx]
+        block = sp.identity(len(idx), format="csc") - rows[:, idx]
         try:
             lu = spla.splu(block, permc_spec="NATURAL", panel_size=1)
         except RuntimeError as exc:  # a float cycle of probability one
-            raise SolverError(f"level {l} of the block factor ({m} unknowns): {exc}") from None
+            raise SolverError(f"level {l} of the block factor ({len(idx)} unknowns): {exc}") from None
         yield idx, rows, lu
         del lu  # the caller holds the only reference while it solves
 

@@ -216,9 +216,10 @@ class FiringTable:
     """Firing successors of one model, read from per-success tables.
 
     The fired set and the updated phases depend only on the number s of
-    successful broadcasts, so row s of ``fired`` is the fire flags of
-    ``chain_updates(s, p)`` for s = 0..N, and row s of ``dest`` the phase
-    each group lands on.  The build and the sampler both step with
+    successful broadcasts, so row s of ``dest`` is the phase each group
+    lands on under ``chain_updates(s, p)`` for s = 0..N: 1 for a group that
+    fires, and phi + 1 + delta >= 2 for one that does not, so ``dest == 1``
+    is the fire flags.  The build and the sampler both step with
     ``successors`` and weigh failures with ``masses``;
     ``successor_distribution`` stays the reference the table is tested
     against.
@@ -232,8 +233,8 @@ class FiringTable:
         self.mu = p.mu
         s = np.arange(p.n + 1)
         # every count at once: a phase's entry is an array over s, or a constant
-        self.fired, updated = (np.stack(np.broadcast_arrays(s, *x)[1:], axis=1) for x in chain_updates(s, p))
-        self.dest = np.where(self.fired, 1, updated)
+        fired, updated = (np.stack(np.broadcast_arrays(s, *x)[1:], axis=1) for x in chain_updates(s, p))
+        self.dest = np.where(fired, 1, updated)
         self._masses: dict[int, list[float]] = {}
 
     def successors(self, states: np.ndarray, successes: np.ndarray) -> np.ndarray:
@@ -312,7 +313,7 @@ class FiringTable:
         new = np.r_[True, (row[1:] != row[:-1]) | (target[1:] != target[:-1])]
         hi = hi[np.r_[new[1:], True]]
         row, successes, k_t, lo, target = row[new], successes[new], k_t[new], lo[new], target[new]
-        absorbed = states[row, :-1] * self.fired[successes, :-1]
+        absorbed = states[row, :-1] * (self.dest == 1)[successes, :-1]  # a gather of flags, not of phases
         # the key as base N + 1 digits: the nonzero absorbed sizes, k_T, lo, hi
         base = len(self.dest)
         digits = int(np.count_nonzero(states[:, :-1], axis=1).max(initial=0)) + 3

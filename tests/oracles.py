@@ -162,10 +162,10 @@ def firing_row(table: FiringTable, sigma: State) -> list[tuple[State, float]]:
     for f_t, m_t in enumerate(table.masses(k_t)):
         if not m_t:
             continue
-        fired, dest = table.fired[k_t - f_t], table.dest[k_t - f_t]
+        dest = table.dest[k_t - f_t]
         products = [1.0]
         for i in range(t - 1):
-            if fired[i] and sigma[i]:
+            if dest[i] == 1 and sigma[i]:
                 products = [q * m for m in table.masses(sigma[i]) for q in products]
         target = [0] * t
         for k, d in zip(sigma, dest.tolist()):
