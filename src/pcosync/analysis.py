@@ -27,7 +27,7 @@ import scipy.sparse.linalg as spla
 
 from .core import ModelParams, check_integer
 from .dtmc import DtmcModel, HardwareProfile, MICAZ, StateSpace, initial_weights, step_rewards
-from .dynamics import FiringTable, _ranges
+from .dynamics import FiringTable, _ranges, fold_walks
 from .metrics import phase_coherences
 
 #: Monte Carlo runs still short of the target after this many steps are censored.
@@ -343,10 +343,11 @@ def monte_carlo(
     After 2**i steps, if none since step 2**(i-1) stopped a run or took a
     new slot, ``_closed_set`` looks for a closed set without targets that
     holds the live runs and in which every slot the draw can take of a
-    state has one successor and reward.  Then no run ever stops, and the
-    remaining steps' rewards are added left to right as stepping adds them,
-    so per seed the result is the same; ``trapped`` is set.  A state with
-    two outcomes keeps the runs stepping.
+    state has one successor and reward.  Then no run ever stops, and
+    ``fold_walks`` adds the remaining steps' rewards left to right as
+    stepping adds them, in blocks, once per distinct position and sum so
+    far, so per seed the result is the same; ``trapped`` is set.  A state
+    with two outcomes keeps the runs stepping.
     """
     AnalysisQuery(lam, reward_kind)  # the same lambda and reward kind checks
     for name, value, low in (("samples", samples, 1), ("step_cap", step_cap, 0), ("seed", seed, 0)):
@@ -375,7 +376,9 @@ def monte_carlo(
             ids = np.searchsorted(offset, missing, side="right") - 1  # the slots' states
             successes = k_t[ids] - (missing - offset[ids])
             targets = table.successors(support[ids], successes)
-            time_r, power_r = step_rewards(support[ids], targets, p, profile)
+            time_r, power_r = step_rewards(support[ids], p, profile)
+            fires = k_t[ids] > 0
+            power_r[fires] += targets[fires, 0] * profile.w_transmit()
             succ[missing] = space.rows(targets)
             reward[missing] = power_r if reward_kind == "power" else time_r
         return succ[slots], reward[slots]
@@ -396,9 +399,7 @@ def monte_carlo(
         if j and not j & (j - 1) and last_new < j // 2:
             if (closed := _closed_set(cur, flag, outcomes)) is not None:
                 here, nxt, r = closed
-                for _ in range(step_cap - j):
-                    acc += r[here]
-                    here = nxt[here]
+                acc = fold_walks(here, acc, nxt, r, step_cap - j)
                 break
         slots = offset[cur] + draw.failures(cur, rng.random(len(cur)))
         nxt = succ[slots]

@@ -85,8 +85,8 @@ class StateSpace(Sequence):
 
     A state's rank is its position in all of Gamma, from the combinatorial
     number system (Knuth, TAOCP 4A, 7.2.1.3): with m oscillators left for
-    column i and r = T - 1 - i columns after it, B[m, r] - B[m - k_i, r]
-    states, B[x, r] = C(x + r, r), agree with sigma before column i and hold
+    column i and r = T - 1 - i columns after it, B[r, m] - B[r, m - k_i]
+    states, B[r, x] = C(x + r, r), agree with sigma before column i and hold
     fewer than k_i there.  ``ranks`` holds the ranks of the rows, ascending;
     ``index`` and ``in`` find a state tuple by its rank.  When the rows are
     all of Gamma, a state's row is its rank, and ``ranks`` is None.
@@ -94,21 +94,27 @@ class StateSpace(Sequence):
 
     def __init__(self, p: ModelParams, array: np.ndarray):
         self.p, self.array = p, array
-        # B[x, 0] = 1 and each column sums the one before (hockey stick); the
-        # largest entry, B[N, T - 1] = |Gamma|, takes Python ints beyond int64
-        self._table = np.ones((p.n + 1, p.t), np.int64 if state_count(p) < 2**63 else object)
+        # B[0, x] = 1 and each row sums the one before (hockey stick); the
+        # largest entry, B[T - 1, N] = |Gamma|, takes Python ints beyond int64
+        self._table = np.ones((p.t, p.n + 1), np.int64 if state_count(p) < 2**63 else object)
         for r in range(1, p.t):
-            self._table[:, r] = np.cumsum(self._table[:, r - 1])
+            np.cumsum(self._table[r - 1], out=self._table[r])
         self.ranks = None if len(array) == self._table[-1, -1] else self.rank(array)
 
     def rank(self, states: np.ndarray) -> np.ndarray:
         """Ranks of the rows of a count array (of a single state: a scalar)."""
-        rank, m = 0, np.full(states.shape[:-1], self.p.n, np.int64)
-        for i in range(self.p.t - 1):
-            r, k = self.p.t - 1 - i, states[..., i]
-            rank = rank + (self._table[m, r] - self._table[m - k, r])  # stays below |Gamma|
-            m = m - k
-        return rank
+        shape, table = states.shape[:-1], self._table
+        rank, low = np.zeros(shape, table.dtype), np.empty(shape, table.dtype)
+        high, m = np.empty(shape, table.dtype), np.full(shape, self.p.n, np.int64)
+        # each difference is formed before it is added, so no partial sum
+        # passes |Gamma|; 0 <= m <= N, and take's default mode would buffer
+        for r, k in zip(range(self.p.t - 1, 0, -1), np.moveaxis(states[..., :-1], -1, 0)):
+            np.take(table[r], m, out=high, mode="clip")
+            m -= k
+            np.take(table[r], m, out=low, mode="clip")
+            high -= low
+            rank += high
+        return rank[()]
 
     def rows(self, states: np.ndarray) -> np.ndarray:
         """Rows of the given states, found by rank; each must be in the space."""
@@ -269,13 +275,16 @@ def skip_power(sigma: np.ndarray | State, p: ModelParams, profile: HardwareProfi
 
 
 def step_rewards(
-    states: np.ndarray, targets: np.ndarray, p: ModelParams, profile: HardwareProfile
+    states: np.ndarray, p: ModelParams, profile: HardwareProfile
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Time and power reward of the step from each row of ``states`` to the
-    same row of ``targets``: one firing step, or the skip of a non-firing row."""
+    """Time and power reward of the step from each row of ``states``: one
+    firing step, or the skip of a non-firing row.  A firing step's power is
+    the power given here plus ``w_transmit`` times the phase-1 count of the
+    state it lands on, which the caller adds, as that term depends on the
+    target."""
     idle = states[:, -1] == 0
     time_r = np.full(len(states), 1.0 / p.t)
-    power = state_power(states, p, profile) + targets[:, 0] * profile.w_transmit()
+    power = state_power(states, p, profile)
     time_r[idle] = np.argmax(states[idle, ::-1] > 0, axis=1) / p.t  # T - delta
     power[idle] = skip_power(states[idle], p, profile)
     return time_r, power
@@ -305,7 +314,10 @@ def build_dtmc(
         raise StateSpaceLimitExceeded(len(support), max_states)
     space = StateSpace(p, support)
     rows, probs, cols = FiringTable(p).branches(support, space.rows)
-    time_r, power_r = step_rewards(support[rows], support[cols], p, profile)
+    time_s, power_s = step_rewards(support, p, profile)
+    time_r, power_r = time_s[rows], power_s[rows]
+    fires = (support[:, -1] > 0)[rows]  # the messages sent count on firing rows only
+    power_r[fires] += support[cols[fires], 0] * profile.w_transmit()
     indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=len(support)))]
     return DtmcModel(
         params=p,

@@ -241,15 +241,19 @@ class FiringTable:
         """Row j of states stepped with ``successes[j]`` successful broadcasts
         of its firing group, or, if it does not fire, by ``skip_successor``."""
         n, t = states.shape
+        # a skip by T - delta moves each group up by T - delta, and an empty
+        # group above delta lands on T: row N + 1 + T - delta of the table
+        skips = np.minimum(np.arange(1, t + 1) + np.arange(t)[:, None], t)
+        lands = np.concatenate((self.dest, skips)).T.copy()  # one contiguous row per phase
+        row = np.array(successes, np.int64)
         idle = np.flatnonzero(states[:, -1] == 0)
-        shift = np.argmax(states[idle, ::-1] > 0, axis=1)  # T - delta
-        targets = np.zeros(states.shape, states.dtype)
-        cells = np.arange(n) * t - 1
-        for i in range(t):
-            dest = self.dest[successes, i]  # the phase group i + 1 lands on
-            # a skip moves it up by T - delta; an empty group above delta lands on T
-            dest[idle] = np.minimum(i + 1 + shift, t)
-            np.add.at(targets.reshape(-1), cells + dest, states[:, i])
+        row[idle] = len(self.dest) + np.argmax(states[idle, ::-1] > 0, axis=1)
+        targets, cell = np.zeros(states.shape, states.dtype), np.empty(n, np.int64)
+        cells = np.arange(-1, n * t - 1, t)  # the cell before each row's first
+        for dest, column in zip(lands, states.T):  # the phase each group lands on
+            np.take(dest, row, out=cell, mode="clip")  # rows of lands; "raise" would buffer
+            cell += cells
+            np.add.at(targets.reshape(-1), cell, column)
         return targets
 
     def masses(self, k: int) -> list[float]:
@@ -394,3 +398,37 @@ def fold_segments(
             block[1:] = values[start[segs] + np.arange(j, j + len(block) - 1)[:, None]]
             out[segs] = np.add.accumulate(block, axis=0)[-1]
     return out
+
+
+def fold_walks(
+    start: np.ndarray, acc: np.ndarray, nxt: np.ndarray, reward: np.ndarray, steps: int
+) -> np.ndarray:
+    """``acc[i] + reward[x_0] + ... + reward[x_(steps - 1)]`` for every walk
+    i, where x_0 = ``start[i]`` and x_(k + 1) = ``nxt[x_k]``, each added left
+    to right as stepping the walks together adds it.  Walks that stand at
+    one position with the same acc, bit for bit, fold once.  The rewards of
+    the next L steps from every position are formed once, the positions by
+    doubling, for L = ``FOLD_BLOCK`` // max(pairs, positions); each block of
+    L steps gathers the walks' columns of that table and adds them with
+    ``np.add.accumulate`` down the rows, as ``fold_segments`` does.  So
+    Python steps O(steps / L + log L) times, and no array holds more than
+    ``FOLD_BLOCK`` values beyond the one row of sums."""
+    pairs, inverse = np.unique(np.column_stack((start, acc.view(np.int64))), axis=0, return_inverse=True)
+    here = pairs[:, 0]
+    length = max(1, min(steps, FOLD_BLOCK // max(len(pairs), len(nxt))))
+    walk = np.empty((length, len(nxt)), np.int64)  # walk[k, x]: k steps on from x
+    walk[0] = np.arange(len(nxt))
+    h = 1
+    while h < length:  # k + h steps on from x: k steps on from h steps on
+        walk[h:2 * h] = walk[: min(h, length - h), nxt[walk[h - 1]]]
+        h *= 2
+    jump, gain = nxt[walk[-1]], reward[walk]  # length steps on from x; the reward of each step
+    del walk
+    block = np.empty((length + 1, len(pairs)))
+    block[0] = pairs[:, 1].view(float)  # row 0: the sums so far
+    for j in range(0, steps, length):
+        rows = block[: min(length, steps - j) + 1]
+        np.take(gain[: len(rows) - 1], here, axis=1, out=rows[1:], mode="clip")  # "raise" would buffer
+        np.add.accumulate(rows, axis=0, out=rows)
+        rows[0], here = rows[-1], jump[here]
+    return block[0][inverse.reshape(-1)]

@@ -54,12 +54,15 @@ def phase_coherences(states: np.ndarray, t: int) -> np.ndarray:
     bit: the positions are added in phase order, and the magnitude is taken
     with ``hypot``, as ``abs`` of a complex number is (``np.abs`` differs
     in the last bits)."""
-    re = im = 0.0
-    for phi in range(1, t + 1):
+    columns = np.ascontiguousarray(states.T)  # one contiguous copy, read once per phase
+    re, im, term = np.zeros(len(states)), np.zeros(len(states)), np.empty(len(states))
+    for phi, column in enumerate(columns, start=1):
         z = phase_position(phi, t)
-        re, im = re + states[:, phi - 1] * z.real, im + states[:, phi - 1] * z.imag
-    n = states.sum(axis=1)
-    return np.where((states == n[:, None]).any(axis=1), 1.0, np.minimum(np.hypot(re, im) / n, 1.0))
+        re += np.multiply(column, z.real, out=term)
+        im += np.multiply(column, z.imag, out=term)
+    n = columns.sum(axis=0)
+    coherence = np.minimum(np.divide(np.hypot(re, im, out=re), n, out=re), 1.0, out=re)
+    return np.where((columns == n).any(axis=0), 1.0, coherence)
 
 
 def order_parameter(c: ContinuousConfig) -> float:

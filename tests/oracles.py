@@ -6,11 +6,12 @@ the package under test.  ``reference_build`` is different: it is the
 one-state-at-a-time build that the array build replaced, with its float
 order, kept so that the array build can be compared with it bit for bit.
 ``natural_factor`` is likewise the single natural-order LU factor of a
-whole system that the level-by-level block factor replaced, and
+whole system that the level-by-level block factor replaced,
 ``reference_export`` the line-at-a-time writer that the chunked exporter
-replaced.  ``rational_solve`` solves a linear system in exact rational
-arithmetic, and ``exact_masses`` gives a group's failure masses as exact
-fractions.
+replaced, and ``stepped_walks`` the step-at-a-time finish of trapped Monte
+Carlo runs that ``fold_walks`` replaced.  ``rational_solve`` solves a
+linear system in exact rational arithmetic, and ``exact_masses`` gives a
+group's failure masses as exact fractions.
 """
 
 from __future__ import annotations
@@ -275,6 +276,18 @@ def natural_factor(
         return []
     system = (sp.identity(idx.size, format="csr") - p[idx][:, idx]).tocsc()
     return [(idx, p[idx], spla.splu(system, permc_spec="NATURAL"))]
+
+
+def stepped_walks(
+    start: np.ndarray, acc: np.ndarray, nxt: np.ndarray, reward: np.ndarray, steps: int
+) -> np.ndarray:
+    """The finish ``fold_walks`` replaced: every walk takes each of the
+    ``steps`` steps together, adding the reward of the position it leaves."""
+    here, acc = np.asarray(start), np.array(acc, dtype=float)
+    for _ in range(steps):
+        acc += reward[here]
+        here = nxt[here]
+    return acc
 
 
 def rational_solve(a: sp.spmatrix, b: Sequence) -> np.ndarray:

@@ -971,13 +971,18 @@ class TestMonteCarlo:
              (4.44158, 0.06355737037185952, 100.39999999999937, 0, False)),
             (ModelParams(n=3, t=4, r=1, epsilon=0.1, mu=0.2), "power", 50,
              (0.06228694575000054, 0.006790758256904738, 0.12331166250001938, 32, True)),
+            # 3,712 trapped runs, at 12 distinct (position, reward so far) pairs
+            (ModelParams(n=3, t=4, r=1, epsilon=0.1, mu=0.2), "time", 5000,
+             (2017.23125, 17.37938965856305, 3333.5, 3712, True)),
+            (ModelParams(n=3, t=4, r=1, epsilon=0.1, mu=0.2), "power", 5000,
+             (0.07462533466690234, 0.0006429100128322514, 0.12331576050001937, 3712, True)),
             (ModelParams(n=200, t=10, r=4, epsilon=0.1, mu=0.2, u=3), "time", 2000,
              (2.53575, 0.03558379648148884, 9.999999999999995, 0, False)),
             # firing groups of 1,599 and 1,600: log-space masses
             (ModelParams(n=1600, t=10, r=4, epsilon=0.1, mu=0.2, u=1), "time", 200,
              (1.605, 0.11508517710786975, 7.499999999999997, 0, False)),
         ],
-        ids=["n8", "trapped-power", "restab200", "restab1600"],
+        ids=["n8", "trapped-power", "trapped5000-time", "trapped5000-power", "restab200", "restab1600"],
     )
     def test_pinned_per_seed_values(self, p, kind, samples, want):
         # the draws and steps of one seed, pinned to the last bit

@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -14,6 +15,7 @@ from oracles import (
     brute_force_successors,
     exact_masses,
     log_mass_bound,
+    stepped_walks,
 )
 from pcosync import dynamics
 from pcosync.core import ModelParams, is_firing, is_synchronised
@@ -27,6 +29,7 @@ from pcosync.dynamics import (
     failure_probability,
     firing_successor,
     fold_segments,
+    fold_walks,
     resolve_chain,
     skip_successor,
     successor_distribution,
@@ -266,6 +269,50 @@ class TestFoldSegments:
         got = fold_segments(np.concatenate([np.array(seg) for seg in segments]), start, length, acc)
         want = [reduce(add, seg, a) for seg, a in zip(segments, acc.tolist())]
         assert repr(got.tolist()) == repr(want)
+
+
+class TestFoldWalks:
+    @staticmethod
+    def walks(rng, positions, runs, accs):
+        """A random function on ``positions`` (every one a closed functional
+        graph), ``runs`` walks from random positions, and sums so far drawn
+        from ``accs`` values, so that many walks share a position and an acc."""
+        nxt = rng.integers(0, positions, positions)
+        reward = rng.random(positions) * 10.0 ** rng.integers(-9, 3, positions)
+        start = rng.integers(0, positions, runs)
+        acc = rng.choice(np.r_[0.0, rng.random(accs - 1) * 1e3], runs)
+        return start, acc, nxt, reward
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 2), (5, 40, 3), (60, 3712, 12)])
+    @pytest.mark.parametrize("block", [FOLD_BLOCK, 7])
+    def test_blocked_fold_equals_stepping(self, monkeypatch, block, shape):
+        # every block boundary the pair count gives, and a trapped run's cap
+        monkeypatch.setattr(dynamics, "FOLD_BLOCK", block)
+        start, acc, nxt, reward = self.walks(np.random.default_rng(sum(shape)), *shape)
+        pairs = len({(s, a) for s, a in zip(start.tolist(), acc.tolist())})
+        length = max(1, block // max(pairs, len(nxt)))
+        assert pairs < len(start) or len(start) == 1
+        for steps in sorted({0, 1, length - 1, length, length + 1, 10_000}):
+            got = fold_walks(start, acc.copy(), nxt, reward, steps)
+            want = stepped_walks(start, acc, nxt, reward, steps)
+            assert repr(got.tolist()) == repr(want.tolist()), steps
+
+    def test_equal_values_with_other_bits_fold_apart(self):
+        # -0.0 == 0.0, but each keeps its own bits through the fold
+        start, acc = np.zeros(4, np.int64), np.array([0.0, -0.0, 0.0, -0.0])
+        got = fold_walks(start, acc, np.zeros(1, np.int64), np.array([-0.0]), 3)
+        assert np.signbit(got).tolist() == [False, True, False, True]
+
+    def test_blocks_bound_the_working_memory(self):
+        # 100,000 steps of 50 pairs: one unblocked table of positions or
+        # rewards would hold 5,000,000 values (40 MB); the blocked fold
+        # holds a few arrays of at most FOLD_BLOCK values each
+        start, acc, nxt, reward = self.walks(np.random.default_rng(5), 50, 400, 1)
+        tracemalloc.start()
+        fold_walks(start, acc, nxt, reward, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 6 * FOLD_BLOCK * 8
 
 
 class TestFiringTableMasses:
