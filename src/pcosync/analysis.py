@@ -26,8 +26,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .core import ModelParams, check_integer
-from .dtmc import DtmcModel, HardwareProfile, MICAZ, StateSpace, initial_weights, step_rewards
-from .dynamics import FiringTable, _ranges, fold_walks
+from .dtmc import DtmcModel, HardwareProfile, MICAZ, StateSpace, initial_weights, step_reward
+from .dynamics import FiringTable, _ranges, fold_walks, skip_lengths
 from .metrics import phase_coherences
 
 #: Monte Carlo runs still short of the target after this many steps are censored.
@@ -287,8 +287,12 @@ class FailureDraw:
 
     def failures(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The failure count of each of ``rows`` drawn with uniforms ``u`` in [0, 1)."""
+        return self.position(rows, u) - self.first[rows]
+
+    def position(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``first[rows]`` plus the failure count drawn: the thresholds at or below each key."""
         # the method skips the dispatch of np.searchsorted, most of a small call's cost
-        return self.thresholds.searchsorted(self.key[rows] + u, side="right") - self.first[rows]
+        return self.thresholds.searchsorted(self.key[rows] + u, side="right")
 
     def drawable(self, rows: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Whether the draw can give each of ``rows`` the count f: whether a
@@ -331,9 +335,9 @@ def monte_carlo(
     All live runs take each step together.  In a firing state the failure
     count of the firing group is drawn by ``FailureDraw`` from one uniform
     per run, so the sampler draws from the masses the build uses, and the
-    successor and rewards are those of the build, from
-    ``FiringTable.successors`` and ``step_rewards``; the failures of
-    absorbed groups change neither the successor nor the rewards.  Runs
+    successor and reward are the build's, from ``FiringTable.successors``
+    and ``step_reward`` of the sampled kind; the failures of absorbed groups
+    change neither the successor nor the rewards.  Runs
     still short of the target after step_cap steps are censored at the
     accumulated value and counted.  One seed always gives the same result;
     the draws are taken in step order across the runs.  A state's id is its
@@ -365,22 +369,25 @@ def monte_carlo(
     # so one flag lookup per step finds both the runs that stop and the
     # slots still to work out.
     offset = np.cumsum(k_t + 1) - k_t - 1
+    base = offset - draw.first  # a run's slot is base[i] + the draw's position
     untaken = len(support)
     succ = np.full(untaken + k_t.sum(), untaken)
     reward = np.zeros(len(succ))
     flag = np.append(phase_coherences(support, p.t) >= lam, True)
 
     def fill(slots):  # the slots' successors and rewards, the untaken ones worked out
-        missing = np.unique(slots[succ[slots] == untaken])
-        if missing.size:
+        if (new := succ[slots] == untaken).any():
+            missing, place = slots[new], np.arange(np.count_nonzero(new))
+            succ[missing] = place  # of the places that write one slot, one is left in it
+            missing = missing[succ[missing] == place]  # each slot once, without a sort
             ids = np.searchsorted(offset, missing, side="right") - 1  # the slots' states
-            successes = k_t[ids] - (missing - offset[ids])
-            targets = table.successors(support[ids], successes)
-            time_r, power_r = step_rewards(support[ids], p, profile)
-            fires = k_t[ids] > 0
-            power_r[fires] += targets[fires, 0] * profile.w_transmit()
-            succ[missing] = space.rows(targets)
-            reward[missing] = power_r if reward_kind == "power" else time_r
+            states = support[ids]
+            skips = skip_lengths(states)  # one skip length for the successor and the reward
+            targets = table.successors(states, k_t[ids] - (missing - offset[ids]), skips)
+            r = step_reward(states, skips, reward_kind, p, profile)
+            if reward_kind == "power":  # the messages sent count on firing rows only
+                r[skips == 0] += targets[skips == 0, 0] * profile.w_transmit()
+            succ[missing], reward[missing] = space.rows(targets), r
         return succ[slots], reward[slots]
 
     def outcomes(states):  # the state, successor and reward of each slot the draw can take
@@ -401,16 +408,16 @@ def monte_carlo(
                 here, nxt, r = closed
                 acc = fold_walks(here, acc, nxt, r, step_cap - j)
                 break
-        slots = offset[cur] + draw.failures(cur, rng.random(len(cur)))
+        slots = base[cur] + draw.position(cur, rng.random(len(cur)))
         nxt = succ[slots]
-        stop = flag[nxt]
-        if not stop.any():
+        if not flag[nxt].any():
             acc += reward[slots]
             cur = nxt
             continue
-        nxt, r = fill(slots)
+        if (nxt == untaken).any():  # slots still to work out
+            nxt = fill(slots)[0]
         stop, last_new = flag[nxt], j
-        acc += r
+        acc += reward[slots]
         totals[runs[stop]] = acc[stop]
         live = ~stop
         runs, cur, acc = runs[live], nxt[live], acc[live]

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import ModelParams, State
-from .dynamics import FiringTable, _ranges
+from .dynamics import FiringTable, _ranges, skip_lengths
 
 
 class StateSpaceLimitExceeded(RuntimeError):
@@ -233,14 +233,15 @@ def initial_weights(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     multinomial weight of each state normalised to one.
 
     A multinomial depends only on the sorted counts, so it is computed once
-    per key, the sorted counts read as base N + 1 digits.  The total is the
-    sum of each multinomial times the number of its states (T**N when U is
-    None), and each weight is multinomial / total divided in Python ints,
-    correctly rounded.
+    per key: the last N (U + 1 with U) sorted counts, as no more phases are
+    occupied, read as base N + 1 digits.  The total is the sum of each
+    multinomial times the number of its states (T**N when U is None), and
+    each weight is multinomial / total divided in Python ints, correctly rounded.
     """
     support = state_array(p) if p.u is None else restabilisation_support(p)
-    key = np.zeros(len(support), np.int64 if (p.n + 1) ** p.t < 2**63 else object)
-    for column in np.sort(support, axis=1).T:
+    digits = min(p.n if p.u is None else p.u + 1, p.t)
+    key = np.zeros(len(support), np.int64 if (p.n + 1) ** digits < 2**63 else object)
+    for column in np.sort(support, axis=1)[:, p.t - digits:].T:
         key = key * (p.n + 1) + column.astype(key.dtype)
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     counts = [multinomial(sigma) for sigma in support[first].tolist()]
@@ -255,10 +256,10 @@ def state_power(sigma: np.ndarray | State, p: ModelParams, profile: HardwareProf
     return idle * profile.w_idle(p.t) + (p.n - idle) * profile.w_receive(p.t)
 
 
-def skip_power(sigma: np.ndarray | State, p: ModelParams, profile: HardwareProfile):
+def skip_power(sigma: np.ndarray | State, p: ModelParams, profile: HardwareProfile, steps: np.ndarray | int):
     """Power consumed from a non-firing state until the next firing state,
     accumulated over the omitted intermediate steps, per row of a count
-    array.
+    array whose ``skip_lengths`` are ``steps``.
 
     In step j the refractory interval has effectively shrunk by j for the
     advancing oscillators; index ranges clamp to empty once j >= R.
@@ -266,7 +267,6 @@ def skip_power(sigma: np.ndarray | State, p: ModelParams, profile: HardwareProfi
     sigma = np.asarray(sigma)
     w_i, w_r = profile.w_idle(p.t), profile.w_receive(p.t)
     idle = np.cumsum(sigma[..., : p.r], axis=-1)  # idle[..., m - 1]: the first m groups
-    steps = np.argmax(sigma[..., ::-1] > 0, axis=-1)  # T - delta
     total = np.zeros(sigma.shape[:-1])
     for j in range(p.t - 1):
         busy = idle[..., p.r - j - 1] if j < p.r else 0
@@ -274,20 +274,19 @@ def skip_power(sigma: np.ndarray | State, p: ModelParams, profile: HardwareProfi
     return total[()]
 
 
-def step_rewards(
-    states: np.ndarray, p: ModelParams, profile: HardwareProfile
-) -> tuple[np.ndarray, np.ndarray]:
-    """Time and power reward of the step from each row of ``states``: one
-    firing step, or the skip of a non-firing row.  A firing step's power is
-    the power given here plus ``w_transmit`` times the phase-1 count of the
-    state it lands on, which the caller adds, as that term depends on the
-    target."""
-    idle = states[:, -1] == 0
-    time_r = np.full(len(states), 1.0 / p.t)
-    power = state_power(states, p, profile)
-    time_r[idle] = np.argmax(states[idle, ::-1] > 0, axis=1) / p.t  # T - delta
-    power[idle] = skip_power(states[idle], p, profile)
-    return time_r, power
+def step_reward(
+    states: np.ndarray, skips: np.ndarray, kind: str, p: ModelParams, profile: HardwareProfile
+) -> np.ndarray:
+    """The ``kind`` reward, "time" or "power", of the step from each row of
+    ``states``, whose ``skip_lengths`` are ``skips``: one firing step, or
+    the skip of a non-firing row.  A firing step's power is the power given
+    here plus ``w_transmit`` times the phase-1 count of the state it lands
+    on, which the caller adds, as that term depends on the target."""
+    if kind == "time":  # 1/T per firing step, (T - delta)/T per skip
+        return np.maximum(skips, 1) / p.t
+    power, idle = state_power(states, p, profile), skips > 0
+    power[idle] = skip_power(states[idle], p, profile, skips[idle])
+    return power
 
 
 def build_dtmc(
@@ -312,18 +311,17 @@ def build_dtmc(
     support, weights = initial_weights(p)
     if max_states is not None and len(support) > max_states:
         raise StateSpaceLimitExceeded(len(support), max_states)
-    space = StateSpace(p, support)
-    rows, probs, cols = FiringTable(p).branches(support, space.rows)
-    time_s, power_s = step_rewards(support, p, profile)
-    time_r, power_r = time_s[rows], power_s[rows]
-    fires = (support[:, -1] > 0)[rows]  # the messages sent count on firing rows only
-    power_r[fires] += support[cols[fires], 0] * profile.w_transmit()
+    space, skips = StateSpace(p, support), skip_lengths(support)
+    rows, probs, cols = FiringTable(p).branches(support, skips, space.rows)
+    rewards = {kind: step_reward(support, skips, kind, p, profile)[rows] for kind in ("time", "power")}
+    fires = (skips == 0)[rows]  # the messages sent count on firing rows only
+    rewards["power"][fires] += support[cols[fires], 0] * profile.w_transmit()
     indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=len(support)))]
     return DtmcModel(
         params=p,
         profile=profile,
         states=space,
         transitions=sp.csr_matrix((probs, cols, indptr), shape=(len(support), len(support))),
-        rewards={"time": time_r, "power": power_r},
+        rewards=rewards,
         initial=weights,
     )

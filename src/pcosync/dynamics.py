@@ -74,6 +74,13 @@ def skip_successor(sigma: State) -> tuple[State, int]:
     return tuple(new), shift
 
 
+def skip_lengths(states: np.ndarray) -> np.ndarray:
+    """T - delta of each row of a count array, delta its highest occupied phase
+    (0 for a firing row), in the smallest type that holds T: the build keeps
+    one per state."""
+    return np.argmax(states[..., ::-1] > 0, axis=-1).astype(np.min_scalar_type(states.shape[-1]))
+
+
 def chain_updates(successes: int | np.ndarray, p: ModelParams) -> tuple[list, list]:
     """Fire flags and updated phases for all phase groups, given the number
     of successful broadcasts from the firing group at phase T.  For an
@@ -220,9 +227,9 @@ class FiringTable:
     lands on under ``chain_updates(s, p)`` for s = 0..N: 1 for a group that
     fires, and phi + 1 + delta >= 2 for one that does not, so ``dest == 1``
     is the fire flags.  The build and the sampler both step with
-    ``successors`` and weigh failures with ``masses``;
-    ``successor_distribution`` stays the reference the table is tested
-    against.
+    ``successors``, which reads the landing table ``lands`` formed once, and
+    weigh failures with ``masses``; ``successor_distribution`` stays the
+    reference the table is tested against.
     """
 
     #: C(k, f) of a larger group leaves the float range, so ``masses`` forms
@@ -235,22 +242,20 @@ class FiringTable:
         # every count at once: a phase's entry is an array over s, or a constant
         fired, updated = (np.stack(np.broadcast_arrays(s, *x)[1:], axis=1) for x in chain_updates(s, p))
         self.dest = np.where(fired, 1, updated)
+        # lands: dest, then a skip by T - delta, which moves each group up by T - delta and an
+        # empty group above delta to T, as row N + 1 + T - delta; one contiguous row per phase
+        skips = np.minimum(np.arange(1, p.t + 1) + np.arange(p.t)[:, None], p.t)
+        self.lands = np.concatenate((self.dest, skips)).T.copy()
         self._masses: dict[int, list[float]] = {}
 
-    def successors(self, states: np.ndarray, successes: np.ndarray) -> np.ndarray:
-        """Row j of states stepped with ``successes[j]`` successful broadcasts
-        of its firing group, or, if it does not fire, by ``skip_successor``."""
+    def successors(self, states: np.ndarray, successes: np.ndarray, skips: np.ndarray) -> np.ndarray:
+        """Row j of states stepped with ``successes[j]`` successful broadcasts of its
+        firing group, or, with a ``skip_lengths`` entry ``skips[j]`` > 0, by ``skip_successor``."""
         n, t = states.shape
-        # a skip by T - delta moves each group up by T - delta, and an empty
-        # group above delta lands on T: row N + 1 + T - delta of the table
-        skips = np.minimum(np.arange(1, t + 1) + np.arange(t)[:, None], t)
-        lands = np.concatenate((self.dest, skips)).T.copy()  # one contiguous row per phase
-        row = np.array(successes, np.int64)
-        idle = np.flatnonzero(states[:, -1] == 0)
-        row[idle] = len(self.dest) + np.argmax(states[idle, ::-1] > 0, axis=1)
+        row = np.where(skips > 0, skips.astype(np.int64) + len(self.dest), successes)
         targets, cell = np.zeros(states.shape, states.dtype), np.empty(n, np.int64)
         cells = np.arange(-1, n * t - 1, t)  # the cell before each row's first
-        for dest, column in zip(lands, states.T):  # the phase each group lands on
+        for dest, column in zip(self.lands, states.T):  # the phase each group lands on
             np.take(dest, row, out=cell, mode="clip")  # rows of lands; "raise" would buffer
             cell += cells
             np.add.at(targets.reshape(-1), cell, column)
@@ -280,14 +285,14 @@ class FiringTable:
         return self._masses[k]
 
     def branches(
-        self, states: np.ndarray, rows: Callable[[np.ndarray], np.ndarray]
+        self, states: np.ndarray, skips: np.ndarray, rows: Callable[[np.ndarray], np.ndarray]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The branches of every row of ``states``, bit for bit as
-        ``successor_distribution`` gives them: per branch its row, its
-        probability and its target's row in ``states``, which ``rows``
-        finds, with rows in order and each row's targets by ascending row.
-        A non-firing row (k_T = 0) gets its one branch, the skip, of
-        probability 1.0.
+        """The branches of every row of ``states``, whose ``skip_lengths``
+        are ``skips``, bit for bit as ``successor_distribution`` gives them:
+        per branch its row, its probability and its target's row in
+        ``states``, which ``rows`` finds, with rows in order and each row's
+        targets by ascending row.  A non-firing row (k_T = 0) gets its one
+        branch, the skip, of probability 1.0.
 
         A row's probability for a target is the left fold, from 0.0, of the
         failure-pattern products of the f_T that reach it, in f_T order; a
@@ -312,7 +317,7 @@ class FiringTable:
         # the run's s from bounds[run] to bounds[run + 1] - 1 or k_T: f_T from lo to hi
         k_t, successes = k_t[row], bounds[run]
         lo, hi = k_t - np.minimum(bounds[run + 1] - 1, k_t), k_t - successes
-        target = rows(self.successors(states[row], successes))
+        target = rows(self.successors(states[row], successes, skips[row]))
         # consecutive runs of a row with one target make one branch
         new = np.r_[True, (row[1:] != row[:-1]) | (target[1:] != target[:-1])]
         hi = hi[np.r_[new[1:], True]]

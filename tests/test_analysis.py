@@ -969,6 +969,13 @@ class TestMonteCarlo:
         [
             (ModelParams(n=8, t=10, r=1, epsilon=0.1, mu=0.2), "time", 5000,
              (4.44158, 0.06355737037185952, 100.39999999999937, 0, False)),
+            (ModelParams(n=8, t=10, r=1, epsilon=0.1, mu=0.2), "power", 5000,
+             (0.0005231279870666667, 7.425683598267534e-06, 0.01173927316666667, 0, False)),
+            # firing rows with two or more absorbed groups
+            (ModelParams(n=6, t=8, r=1, epsilon=3.0, mu=0.2), "time", 5000,
+             (0.5879, 0.008151411356410636, 8.375, 0, False)),
+            (ModelParams(n=6, t=8, r=1, epsilon=3.0, mu=0.2), "power", 5000,
+             (5.228265280000001e-05, 6.977157703217275e-07, 0.000725285, 0, False)),
             (ModelParams(n=3, t=4, r=1, epsilon=0.1, mu=0.2), "power", 50,
              (0.06228694575000054, 0.006790758256904738, 0.12331166250001938, 32, True)),
             # 3,712 trapped runs, at 12 distinct (position, reward so far) pairs
@@ -982,12 +989,43 @@ class TestMonteCarlo:
             (ModelParams(n=1600, t=10, r=4, epsilon=0.1, mu=0.2, u=1), "time", 200,
              (1.605, 0.11508517710786975, 7.499999999999997, 0, False)),
         ],
-        ids=["n8", "trapped-power", "trapped5000-time", "trapped5000-power", "restab200", "restab1600"],
+        ids=["n8", "n8-power", "n6eps3-time", "n6eps3-power", "trapped-power", "trapped5000-time",
+             "trapped5000-power", "restab200", "restab1600"],
     )
     def test_pinned_per_seed_values(self, p, kind, samples, want):
         # the draws and steps of one seed, pinned to the last bit
         mc = monte_carlo(p, MICAZ, reward_kind=kind, samples=samples, seed=7)
         assert (mc.mean, mc.std_error, mc.max_observed, mc.censored, mc.trapped) == want
+
+    @pytest.mark.parametrize("kind", ["time", "power"])
+    @pytest.mark.parametrize(
+        "p, lam",
+        [
+            (ModelParams(n=3, t=4, r=1, epsilon=0.1, mu=0.2), 1.0),
+            (ModelParams(n=3, t=4, r=2, epsilon=0.5, mu=0.2), 1.0),
+            (ModelParams(n=4, t=5, r=2, epsilon=0.1, mu=0.0), 1.0),
+            (ModelParams(n=4, t=5, r=2, epsilon=0.1, mu=1.0), 1.0),
+            (ModelParams(n=8, t=10, r=6, epsilon=0.3, mu=0.2), 0.6),
+        ],
+        ids=["trapped", "r2", "mu0", "mu1", "n8r6"],
+    )
+    def test_filled_rewards_equal_the_build(self, monkeypatch, p, lam, kind):
+        # runs that are caught call _closed_set with the sampler's outcomes,
+        # which fill every slot the draw can take of the states asked for
+        model, filled, closed_set = build_dtmc(p), [], analysis._closed_set
+
+        def spy(states, flag, outcomes):
+            filled.append(outcomes(np.arange(model.n_states)))
+            return closed_set(states, flag, outcomes)
+
+        monkeypatch.setattr(analysis, "_closed_set", spy)
+        monte_carlo(p, MICAZ, lam=lam, reward_kind=kind, samples=200, seed=1)
+        owner, succ, reward = filled[0]
+        a = model.transitions
+        assert np.array_equal(np.unique(owner), np.arange(model.n_states))  # every state has a slot
+        for i, j, r in zip(owner.tolist(), succ.tolist(), reward.tolist()):
+            (k,) = np.flatnonzero(a.indices[a.indptr[i]:a.indptr[i + 1]] == j) + a.indptr[i]
+            assert model.rewards[kind][k] == r, (model.states[i], model.states[j], kind)
 
     def test_zero_step_cap_accumulates_nothing(self):
         p = params(n=3, t=4, r=1, epsilon=0.1, mu=0.2)

@@ -27,7 +27,7 @@ from pcosync.dtmc import (
     state_count,
     state_power,
 )
-from pcosync.dynamics import FiringTable, chain_updates, successor_distribution
+from pcosync.dynamics import FiringTable, chain_updates, skip_successor, successor_distribution
 
 
 def params(**kw):
@@ -155,7 +155,7 @@ class TestPowerRewards:
                 for sigma in enumerate_states(p):
                     if is_firing(sigma):
                         continue
-                    got = skip_power(sigma, p, MICAZ)
+                    got = skip_power(sigma, p, MICAZ, skip_successor(sigma)[1])
                     want = materialized_skip_power(sigma, p, MICAZ)
                     assert got == pytest.approx(want, rel=1e-15), (sigma, p)
 

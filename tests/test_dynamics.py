@@ -31,6 +31,7 @@ from pcosync.dynamics import (
     fold_segments,
     fold_walks,
     resolve_chain,
+    skip_lengths,
     skip_successor,
     successor_distribution,
 )
@@ -85,6 +86,24 @@ class TestSkipSuccessor:
     def test_rejects_firing_state(self):
         with pytest.raises(ValueError):
             skip_successor((0, 0, 2))
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            ModelParams(n=3, t=4, r=1, epsilon=0.1, mu=0.0),
+            ModelParams(n=4, t=5, r=2, epsilon=0.1, mu=1.0),
+            ModelParams(n=1, t=6, r=0, epsilon=0.1, mu=0.2),
+            ModelParams(n=5, t=2, r=1, epsilon=0.5, mu=0.5),
+            ModelParams(n=6, t=8, r=1, epsilon=3.0, mu=0.2),
+        ],
+        ids=["mu0", "mu1", "n1", "t2", "eps3"],
+    )
+    def test_skip_lengths_are_the_shifts(self, p):
+        # the one skip length a batch shares for its successors and rewards
+        states = np.array(list(enumerate_states(p)))
+        want = [0 if is_firing(sigma) else skip_successor(sigma)[1] for sigma in map(tuple, states.tolist())]
+        assert skip_lengths(states).tolist() == want
+        assert [skip_lengths(np.array(sigma)) for sigma in states.tolist()] == want  # one state: a scalar
 
     @given(random_state())
     @settings(max_examples=200, deadline=None)
