@@ -26,7 +26,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .core import ModelParams, check_integer
-from .dtmc import DtmcModel, HardwareProfile, MICAZ, StateSpace, initial_weights, step_reward
+from .dtmc import (DtmcModel, HardwareProfile, MICAZ, StateSpace, initial_weights, step_reward,
+                   transition_rewards, transmit_power)
 from .dynamics import FiringTable, _ranges, fold_walks, skip_lengths
 from .metrics import phase_coherences
 
@@ -81,10 +82,10 @@ def solve_target(
     answer is one right-hand side of the same x = a x + b over the unknowns,
     the reachability only when some unknown lies outside Prob1, and
     ``_solve`` sweeps them all at once, level by level of ``_condense``."""
-    p, rewards, n = model.transitions, model.rewards, model.n_states
+    p, n = model.transitions, model.n_states
     if getattr(targets, "dtype", None) != bool or targets.shape != (n,):
         raise ValueError(f"targets must be a boolean array of length {n}, one entry per state")
-    if unknown := [kind for kind in kinds if kind not in rewards]:
+    if unknown := [kind for kind in kinds if kind not in model.rewards]:
         raise ValueError(f"unknown reward kind {unknown[0]!r}")
     reaching, certain, levels = _condense(p, targets)
     unsure = reaching & ~certain
@@ -92,8 +93,9 @@ def solve_target(
     # one-step reward; a matvec adds each row in stored order, np.add.reduceat
     # would pair terms up
     columns = [p @ targets] if unsure.any() else []
-    for kind in kinds:  # the weighted copy of p's values is freed once its column is formed
-        columns.append(sp.csr_matrix((p.data * rewards[kind], p.indices, p.indptr), shape=p.shape) @ np.ones(n))
+    for kind in kinds:  # the product takes the temporary rewards' buffer, freed once the column is formed
+        columns.append(sp.csr_matrix(
+            (transition_rewards(model, kind) * p.data, p.indices, p.indptr), shape=p.shape) @ np.ones(n))
     solutions = _solve(p, levels, columns) if columns else []
     reach, residual = certain.astype(float), 0.0  # Prob1, the targets among it, reaches for certain
     if unsure.any():
@@ -385,8 +387,8 @@ def monte_carlo(
             skips = skip_lengths(states)  # one skip length for the successor and the reward
             targets = table.successors(states, k_t[ids] - (missing - offset[ids]), skips)
             r = step_reward(states, skips, reward_kind, p, profile)
-            if reward_kind == "power":  # the messages sent count on firing rows only
-                r[skips == 0] += targets[skips == 0, 0] * profile.w_transmit()
+            if reward_kind == "power":
+                r += transmit_power(targets[:, 0], profile)
             succ[missing], reward[missing] = space.rows(targets), r
         return succ[slots], reward[slots]
 

@@ -3,11 +3,11 @@
 States are the population count tuples, held as the rows of one count
 array; the distinguished unconfigured initial state is kept implicit and
 represented by the initial distribution.
-Time rewards are measured in oscillation cycles (1/T per firing step,
-(T - delta)/T for a skip over T - delta silent steps).  Power rewards are in
-Watt-hours and follow the hardware profile: idling current inside the
-refractory interval, receive current outside it, plus the transmission cost
-of every synchronisation message sent by a firing group.
+Time rewards are in oscillation cycles (1/T per firing step, (T - delta)/T
+for a skip over T - delta silent steps), power rewards in Watt-hours after
+the hardware profile: idling current inside the refractory interval, receive
+current outside it, plus the cost of each message a firing group sends.  The
+model keeps each state's reward; ``transition_rewards`` adds the target's part.
 """
 
 from __future__ import annotations
@@ -171,8 +171,8 @@ class DtmcModel:
     #: Each row's targets are unique and sorted by index, so the matrix is in
     #: canonical form and no SciPy call reorders ``data``.
     transitions: sp.csr_matrix = field(repr=False, compare=False)
-    #: One-step reward per transition, keyed "time" and "power"; entry k
-    #: belongs to the transition stored at ``transitions.data[k]``.
+    #: One-step reward per state, keyed "time" and "power": the part that
+    #: does not depend on the target, which ``transition_rewards`` adds.
     rewards: dict[str, np.ndarray] = field(repr=False, compare=False)
     #: Initial weight of every state, by row.
     initial: np.ndarray = field(repr=False, compare=False)
@@ -279,14 +279,25 @@ def step_reward(
 ) -> np.ndarray:
     """The ``kind`` reward, "time" or "power", of the step from each row of
     ``states``, whose ``skip_lengths`` are ``skips``: one firing step, or
-    the skip of a non-firing row.  A firing step's power is the power given
-    here plus ``w_transmit`` times the phase-1 count of the state it lands
-    on, which the caller adds, as that term depends on the target."""
+    the skip of a non-firing row, less the ``transmit_power`` of its target."""
     if kind == "time":  # 1/T per firing step, (T - delta)/T per skip
         return np.maximum(skips, 1) / p.t
     power, idle = state_power(states, p, profile), skips > 0
     power[idle] = skip_power(states[idle], p, profile, skips[idle])
     return power
+
+
+def transmit_power(landed: np.ndarray, profile: HardwareProfile) -> np.ndarray:
+    """Power of a step's messages, one per fired oscillator: the phase-1 count ``landed`` of its target."""
+    return landed * profile.w_transmit()
+
+
+def transition_rewards(model: DtmcModel, kind: str) -> np.ndarray:
+    """The ``kind`` reward of each transition, aligned with ``transitions.data``."""
+    values = np.repeat(model.rewards[kind], np.diff(model.transitions.indptr))
+    if kind == "power":
+        values += transmit_power(model.states.array[model.transitions.indices, 0], model.profile)
+    return values
 
 
 def build_dtmc(
@@ -295,7 +306,7 @@ def build_dtmc(
     max_states: int | None = None,
 ) -> DtmcModel:
     """The chain over the initial support, with transition probabilities
-    and rewards, built as arrays.
+    and per-state rewards, built as arrays.
 
     No state outside the support is ever reached: oscillators that share a
     phase move together, so the largest group never shrinks and both Gamma
@@ -313,15 +324,12 @@ def build_dtmc(
         raise StateSpaceLimitExceeded(len(support), max_states)
     space, skips = StateSpace(p, support), skip_lengths(support)
     rows, probs, cols = FiringTable(p).branches(support, skips, space.rows)
-    rewards = {kind: step_reward(support, skips, kind, p, profile)[rows] for kind in ("time", "power")}
-    fires = (skips == 0)[rows]  # the messages sent count on firing rows only
-    rewards["power"][fires] += support[cols[fires], 0] * profile.w_transmit()
     indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=len(support)))]
     return DtmcModel(
         params=p,
         profile=profile,
         states=space,
         transitions=sp.csr_matrix((probs, cols, indptr), shape=(len(support), len(support))),
-        rewards=rewards,
+        rewards={kind: step_reward(support, skips, kind, p, profile) for kind in ("time", "power")},
         initial=weights,
     )

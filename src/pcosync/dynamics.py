@@ -333,8 +333,8 @@ class FiringTable:
             key = key * base + digit
         _, first, key_of = np.unique(key, return_index=True, return_inverse=True)
         probs = self.fold_keys(absorbed[first], k_t[first], lo[first], hi[first])[key_of]
-        # rows ascend already, so a stable sort of one key orders each row's targets
-        order = np.argsort(row * len(states) + target, kind="stable")
+        # rows ascend, so a stable sort of one key, radix above every target, orders each row's targets
+        order = np.argsort(row * (target.max(initial=0) + 1) + target, kind="stable")
         order = order[probs[order] != 0.0]
         return row[order], probs[order], target[order]
 

@@ -3,8 +3,8 @@
 Three plain-text artefacts per model: a states file mapping indices to count
 tuples, a transitions file with a ``<numStates> <numTransitions>`` header and
 one ``<src> <dst> <prob>`` line per transition, and one transition-rewards
-file per reward kind with ``<src> <dst> <reward>`` lines.  Probabilities and
-rewards are printed with 17 significant digits so re-parsing is lossless.
+file per reward kind with ``transition_rewards`` as ``<src> <dst> <reward>``
+lines.  Values are printed with 17 significant digits so re-parsing is lossless.
 
 Lines are formatted ``CHUNK`` at a time, so temporaries stay bounded however
 large the model is.  A model has few distinct probabilities and rewards, so
@@ -20,7 +20,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .dtmc import DtmcModel
+from .dtmc import DtmcModel, transition_rewards
 
 #: States or entries formatted per write.
 CHUNK = 4096
@@ -99,8 +99,8 @@ def export_model(model: DtmcModel, prefix: str | Path) -> dict[str, Path]:
         tra.write(f"{model.n_states} {model.n_transitions}\n")
         _write_entries(model, [
             (tra, model.transitions.data),
-            (time_fh, model.rewards["time"]),
-            (power_fh, model.rewards["power"]),
+            (time_fh, transition_rewards(model, "time")),
+            (power_fh, transition_rewards(model, "power")),
         ])
     return paths
 

@@ -34,6 +34,7 @@ from pcosync.dtmc import (
     HardwareProfile,
     multinomial,
     restabilisation_support,
+    transition_rewards,
 )
 from pcosync.dynamics import FiringTable, skip_successor
 
@@ -134,12 +135,12 @@ def materialized_skip_power(
 
 def csr_rows(model: DtmcModel) -> list[list[tuple[int, float, float, float]]]:
     """Per source state, the (target, probability, time reward, power reward)
-    of each outgoing transition, read from the model's CSR chain in stored
-    order."""
+    of each outgoing transition, read from the model's CSR chain and its
+    ``transition_rewards`` in stored order."""
     p = model.transitions
     entries = list(zip(
         p.indices.tolist(), p.data.tolist(),
-        model.rewards["time"].tolist(), model.rewards["power"].tolist(),
+        transition_rewards(model, "time").tolist(), transition_rewards(model, "power").tolist(),
     ))
     return [entries[a:b] for a, b in zip(p.indptr[:-1].tolist(), p.indptr[1:].tolist())]
 
@@ -325,8 +326,8 @@ def reference_export(model: DtmcModel, prefix: Path) -> dict[str, Path]:
     coo = model.transitions.tocoo()
     for kind, values, header in (
         ("transitions", model.transitions.data, f"{model.n_states} {model.n_transitions}\n"),
-        ("time_rewards", model.rewards["time"], ""),
-        ("power_rewards", model.rewards["power"], ""),
+        ("time_rewards", transition_rewards(model, "time"), ""),
+        ("power_rewards", transition_rewards(model, "power"), ""),
     ):
         with open(paths[kind], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header)

@@ -26,7 +26,7 @@ from pcosync.analysis import (
     target_set,
 )
 from pcosync.core import ModelParams, is_synchronised
-from pcosync.dtmc import MICAZ, DtmcModel, build_dtmc
+from pcosync.dtmc import MICAZ, DtmcModel, build_dtmc, transition_rewards
 from pcosync.dynamics import FiringTable
 from test_dtmc import small_models
 
@@ -839,7 +839,7 @@ class TestMonteCarlo:
         # step_cap steps of the built chain; 2000 draws take every start
         p = params(n=3, t=4, r=1, epsilon=0.5, mu=1.0)
         model = build_dtmc(p)
-        targets, a = target_set(model, 1.0), model.transitions
+        targets, a, rewards = target_set(model, 1.0), model.transitions, transition_rewards(model, kind)
         assert np.all(np.diff(a.indptr) == 1) and np.all(a.data == 1.0)
         per_start = []
         for s in np.flatnonzero(model.initial).tolist():
@@ -847,7 +847,7 @@ class TestMonteCarlo:
             for _ in range(50):
                 if targets[s]:
                     break
-                total += model.rewards[kind][a.indptr[s]]
+                total += rewards[a.indptr[s]]
                 s = a.indices[a.indptr[s]]
             per_start.append(total)
         mc = monte_carlo(p, lam=1.0, reward_kind=kind, samples=2000, seed=0, step_cap=50)
@@ -943,11 +943,11 @@ class TestMonteCarlo:
         # the built chain is deterministic at mu = 0 and mu = 1; from its
         # non-target starts the check follows its rows
         model = build_dtmc(p)
-        a, flag = model.transitions, target_set(model, 1.0)
+        a, flag, rewards = model.transitions, target_set(model, 1.0), transition_rewards(model, kind)
         assert np.all(np.diff(a.indptr) == 1)
 
         def outcomes(states):
-            return states, a.indices[states], model.rewards[kind][states]
+            return states, a.indices[states], rewards[states]
 
         starts = np.flatnonzero((model.initial > 0) & ~flag)
         closed = analysis._closed_set(starts, flag, outcomes)
@@ -960,7 +960,7 @@ class TestMonteCarlo:
         for start, h in zip(starts.tolist(), here.tolist()):
             s, chain_sum, closed_sum = start, 0.0, 0.0
             for _ in range(50):
-                chain_sum, s = chain_sum + model.rewards[kind][s], a.indices[s]
+                chain_sum, s = chain_sum + rewards[s], a.indices[s]
                 closed_sum, h = closed_sum + r[h], nxt[h]
             assert chain_sum == closed_sum
 
@@ -1021,11 +1021,11 @@ class TestMonteCarlo:
         monkeypatch.setattr(analysis, "_closed_set", spy)
         monte_carlo(p, MICAZ, lam=lam, reward_kind=kind, samples=200, seed=1)
         owner, succ, reward = filled[0]
-        a = model.transitions
+        a, rewards = model.transitions, transition_rewards(model, kind)
         assert np.array_equal(np.unique(owner), np.arange(model.n_states))  # every state has a slot
         for i, j, r in zip(owner.tolist(), succ.tolist(), reward.tolist()):
             (k,) = np.flatnonzero(a.indices[a.indptr[i]:a.indptr[i + 1]] == j) + a.indptr[i]
-            assert model.rewards[kind][k] == r, (model.states[i], model.states[j], kind)
+            assert rewards[k] == r, (model.states[i], model.states[j], kind)
 
     def test_zero_step_cap_accumulates_nothing(self):
         p = params(n=3, t=4, r=1, epsilon=0.1, mu=0.2)

@@ -26,6 +26,7 @@ from pcosync.dtmc import (
     state_array,
     state_count,
     state_power,
+    transition_rewards,
 )
 from pcosync.dynamics import FiringTable, chain_updates, skip_successor, successor_distribution
 
@@ -236,8 +237,9 @@ class TestBuildDtmc:
         assert model.transitions.has_canonical_format
         assert model.transitions.shape == (model.n_states, model.n_states)
         assert set(model.rewards) == {"time", "power"}
-        for rewards in model.rewards.values():
-            assert len(rewards) == model.transitions.nnz == model.n_transitions
+        for kind, rewards in model.rewards.items():
+            assert rewards.shape == (model.n_states,)
+            assert transition_rewards(model, kind).shape == (model.transitions.nnz,) == (model.n_transitions,)
 
     def test_models_compare_by_value(self):
         assert build_dtmc(params()) == build_dtmc(params())
@@ -370,6 +372,7 @@ class TestFiringTable:
             a = model.transitions
             return repr([(x.dtype, x.tolist()) for x in (
                 a.indptr, a.indices, a.data, model.rewards["time"], model.rewards["power"],
+                transition_rewards(model, "time"), transition_rewards(model, "power"),
                 model.initial, model.states.array,
             )])
 
@@ -387,7 +390,7 @@ def assert_same_as_reference_build(p):
         got, want = getattr(model.transitions, attr), getattr(transitions, attr)
         assert got.dtype == want.dtype and repr(got.tolist()) == repr(want.tolist()), attr
     for kind in ("time", "power"):
-        assert repr(model.rewards[kind].tolist()) == repr(rewards[kind].tolist()), kind
+        assert repr(transition_rewards(model, kind).tolist()) == repr(rewards[kind].tolist()), kind
     assert repr(model.initial.tolist()) == repr([initial[i] for i in range(len(states))])
 
 
@@ -495,6 +498,23 @@ class TestArrayBuild:
                 tracemalloc.stop()
         # the rank array of all 92,378 states would take 739 KB
         assert space.rows(array[-1]) == len(array) - 1 and held < 100_000
+
+    def test_model_holds_the_chain_and_per_state_rewards(self):
+        # a full N=10 build leaves held its CSR arrays, states, initial
+        # weights and one reward per state and kind (1.5 MB); rewards per
+        # transition would take 16 bytes for each of 176,466 (2.8 MB)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model = build_dtmc(params(n=10, t=10, r=2))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        a = model.transitions
+        arrays = (a.indptr, a.indices, a.data, model.states.array, model.initial)
+        assert held <= sum(x.nbytes for x in arrays) + 2 * 8 * model.n_states + 100_000
 
     def test_index_finds_only_model_states(self):
         p = params(n=10, t=10, r=4, u=1)

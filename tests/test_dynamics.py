@@ -19,7 +19,7 @@ from oracles import (
 )
 from pcosync import dynamics
 from pcosync.core import ModelParams, is_firing, is_synchronised
-from pcosync.dtmc import enumerate_states
+from pcosync.dtmc import StateSpace, enumerate_states, initial_weights
 from pcosync.dynamics import (
     FOLD_BLOCK,
     FiringTable,
@@ -363,6 +363,32 @@ class TestFiringTableMasses:
         assert len(normal) > k // 2
         worst = max(abs(Fraction(masses[f]) - exact[f]) / exact[f] for f in normal)
         assert worst <= log_mass_bound(k)
+
+
+class TestFiringTableBranches:
+    @pytest.mark.parametrize(
+        "p",
+        [
+            ModelParams(n=8, t=10, r=2, epsilon=0.1, mu=0.2),
+            ModelParams(n=6, t=8, r=1, epsilon=3.0, mu=0.2),
+            ModelParams(n=200, t=10, r=4, epsilon=0.1, mu=0.2, u=3),
+        ],
+        ids=["n8", "n6eps3", "restab200"],
+    )
+    @pytest.mark.parametrize("size", [333, 4096])
+    def test_blocks_of_rows_give_their_slices_of_the_branches(self, p, size):
+        # each block of source rows, its rows offset by the block's start,
+        # gives the matching slice of the whole support's branches, bit for
+        # bit, though its targets lie anywhere in the space
+        support, _ = initial_weights(p)
+        space, skips, table = StateSpace(p, support), skip_lengths(support), FiringTable(p)
+        whole = table.branches(support, skips, space.rows)
+        for start in range(0, len(support), size):
+            rows, probs, targets = table.branches(support[start:start + size], skips[start:start + size], space.rows)
+            block = (whole[0] >= start) & (whole[0] < start + size)
+            assert np.array_equal(rows + start, whole[0][block])
+            assert repr(probs.tolist()) == repr(whole[1][block].tolist())
+            assert np.array_equal(targets, whole[2][block])
 
 
 class TestSuccessorDistribution:
