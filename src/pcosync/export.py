@@ -6,77 +6,99 @@ one ``<src> <dst> <prob>`` line per transition, and one transition-rewards
 file per reward kind with ``transition_rewards`` as ``<src> <dst> <reward>``
 lines.  Values are printed with 17 significant digits so re-parsing is lossless.
 
-Lines are formatted ``CHUNK`` at a time, so temporaries stay bounded however
-large the model is.  A model has few distinct probabilities and rewards, so
-each distinct value is formatted once and its string reused for every entry
-that holds it.
+One byte formatter writes every file.  Each field of a line is a slot of
+whole 8-byte words that holds its text and the separator after it: a state
+index with ``" "`` or ``":("``, a count with ``","`` or ``")\\n"``, a value's
+``.17g`` string with ``"\\n"``.  Leading zeros and padding are NUL bytes.
+The lines of ``CHUNK`` states are one array of such slots, gathered from
+tables of formatted indices, counts and values, and dropping its NUL bytes
+leaves the file's bytes.  The ``<src> `` and ``<dst> `` slots of a chunk
+are gathered once for all three entry files.  A model has few distinct
+probabilities and rewards, found by sorting, so each is formatted once and
+each entry keeps only its value's row in the narrowest dtype.
 """
 
 from __future__ import annotations
 
-import operator
 from pathlib import Path
-from typing import TextIO
+from typing import BinaryIO
 
 import numpy as np
 
 from .dtmc import DtmcModel, transition_rewards
 
-#: States or entries formatted per write.
+#: States whose lines are formatted per write.
 CHUNK = 4096
 
 
-def _create(path: str | Path) -> TextIO:
-    return open(path, "w", encoding="utf-8", newline="\n")
+def _slot(nbytes: int) -> int:
+    return -(-nbytes // 8) * 8
+
+
+def int_words(values: np.ndarray, tail: bytes) -> np.ndarray:
+    """Each non-negative integer of ``values`` in decimal followed by
+    ``tail``, as one slot of whole 8-byte words: the text at the slot's end,
+    NUL bytes before it."""
+    top = int(values.max(initial=0))
+    digits = len(str(top))
+    size = _slot(digits + len(tail))
+    rest = values.astype(np.min_scalar_type(top))
+    grid = np.zeros((len(values), size), np.uint8)
+    grid[:, size - len(tail):] = np.frombuffer(tail, np.uint8)
+    units = size - len(tail) - 1
+    grid[:, units] = rest % 10 + ord("0")
+    for col in range(units - 1, units - digits, -1):
+        rest //= 10
+        grid[:, col] = np.where(rest > 0, rest % 10 + ord("0"), 0)
+    return grid.view(f"V{size}")[:, 0]
+
+
+def float_words(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``.17g`` string and ``"\\n"`` of each distinct value (by bit
+    pattern) as one slot of whole 8-byte words, and the row of each entry's
+    slot in the narrowest dtype."""
+    bits = np.sort(values.view(np.uint64))
+    bits = bits[np.append(True, bits[1:] != bits[:-1])]
+    strings = [f"{v:.17g}\n".encode() for v in bits.view(np.float64).tolist()]
+    size = _slot(max(map(len, strings)))
+    table = np.frombuffer(b"".join(s.rjust(size, b"\0") for s in strings), f"V{size}")
+    rows = np.searchsorted(bits, values.view(np.uint64))
+    return table, rows.astype(np.min_scalar_type(len(bits) - 1))
+
+
+def _text(*fields: np.ndarray) -> bytes:
+    """The rows of the fields' slots side by side, NUL bytes dropped."""
+    lines = np.empty(len(fields[0]), [("", f.dtype, f.shape[1:]) for f in fields])
+    for name, field in zip(lines.dtype.names, fields):
+        lines[name] = field
+    return lines.tobytes().translate(None, b"\0")
 
 
 def write_states(model: DtmcModel, path: str | Path) -> None:
-    """One ``<i>:(<k_1>,...,<k_T>)`` line per state.  A chunk's lines are
-    cut from one ``uint8`` array: each integer has a fixed-width slot of
-    digits, wide enough for the largest index or count, and a mask drops
-    its leading zeros."""
+    """One ``<i>:(<k_1>,...,<k_T>)`` line per state."""
     counts = model.states.array
-    n, t = counts.shape
-    widths = [len(str(n))] + [len(str(int(counts.max(initial=0))))] * t
-    line, slots, field, place = b"", [], [], []
-    for i, (width, sep) in enumerate(zip(widths, [b":("] + [b","] * (t - 1) + [b")\n"])):
-        slots += range(len(line), len(line) + width)
-        field += [i] * width
-        place += [10**k for k in range(width - 1, -1, -1)]
-        line += b"0" * width + sep
-    template, place = np.frombuffer(line, np.uint8), np.array(place)
-    with _create(path) as fh:
-        for start in range(0, n, CHUNK):
+    values = np.arange(int(counts.max(initial=0)) + 1)
+    comma, close = int_words(values, b","), int_words(values, b")\n")
+    with open(path, "wb") as fh:
+        for start in range(0, len(counts), CHUNK):
             block = counts[start:start + CHUNK]
-            values = np.column_stack((np.arange(start, start + len(block)), block))[:, field]
-            text = np.tile(template, (len(block), 1))
-            text[:, slots] = values // place % 10 + ord("0")
-            keep = np.ones(text.shape, bool)
-            keep[:, slots] = (values >= place) | (place == 1)
-            fh.write(text[keep].tobytes().decode("ascii"))
+            names = int_words(np.arange(start, start + len(block)), b":(")
+            fh.write(_text(names, comma.take(block[:, :-1]), close.take(block[:, -1])))
 
 
-def _formatted(values: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """Each distinct value (by bit pattern) as a ``.17g`` line ending, and
-    the position of every entry's string in that list."""
-    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    return [f"{v:.17g}\n" for v in bits.view(np.float64).tolist()], inverse
-
-
-def _write_entries(model: DtmcModel, outputs: list[tuple[TextIO, np.ndarray]]) -> None:
+def _write_entries(model: DtmcModel, outputs: list[tuple[BinaryIO, np.ndarray, np.ndarray]]) -> None:
     """One ``<src> <dst> <value>`` line per transition, in CSR order, to each
-    file with its own values; every chunk's ``<src> <dst> `` prefixes are
-    formatted once for all files."""
+    file with its own ``float_words``; every chunk's ``<src> `` and
+    ``<dst> `` slots are gathered once for all files."""
     m = model.transitions
-    src = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    formatted = [(fh, *_formatted(values)) for fh, values in outputs]
-    for start in range(0, m.nnz, CHUNK):
-        end = min(start + CHUNK, m.nnz)
-        pairs = np.column_stack((src[start:end], m.indices[start:end]))
-        prefixes = ("%d %d \n" * (end - start) % tuple(pairs.ravel().tolist())).splitlines()
-        for fh, strings, inverse in formatted:
-            values = map(strings.__getitem__, inverse[start:end].tolist())
-            fh.write("".join(map(operator.add, prefixes, values)))
+    names = int_words(np.arange(m.shape[0]), b" ")
+    for first in range(0, len(names), CHUNK):
+        bounds = m.indptr[first:first + CHUNK + 1]
+        entries = slice(bounds[0], bounds[-1])
+        src = np.repeat(names[first:first + CHUNK], np.diff(bounds))
+        dst = names.take(m.indices[entries])
+        for fh, table, rows in outputs:
+            fh.write(_text(src, dst, table.take(rows[entries])))
 
 
 def export_model(model: DtmcModel, prefix: str | Path) -> dict[str, Path]:
@@ -94,46 +116,12 @@ def export_model(model: DtmcModel, prefix: str | Path) -> dict[str, Path]:
         )
     }
     write_states(model, paths["states"])
-    with _create(paths["transitions"]) as tra, _create(paths["time_rewards"]) as time_fh, \
-            _create(paths["power_rewards"]) as power_fh:
-        tra.write(f"{model.n_states} {model.n_transitions}\n")
+    with open(paths["transitions"], "wb") as tra, open(paths["time_rewards"], "wb") as time_fh, \
+            open(paths["power_rewards"], "wb") as power_fh:
+        tra.write(f"{model.n_states} {model.n_transitions}\n".encode())
         _write_entries(model, [
-            (tra, model.transitions.data),
-            (time_fh, transition_rewards(model, "time")),
-            (power_fh, transition_rewards(model, "power")),
+            (tra, *float_words(model.transitions.data)),
+            (time_fh, *float_words(transition_rewards(model, "time"))),
+            (power_fh, *float_words(transition_rewards(model, "power"))),
         ])
     return paths
-
-
-def read_states(path: str | Path) -> list[tuple[int, ...]]:
-    states = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            idx, counts = line.split(":", 1)
-            if int(idx) != len(states):
-                raise ValueError(
-                    f"{path}, line {lineno}: state index {idx}, expected {len(states)}"
-                )
-            states.append(tuple(int(x) for x in counts.strip("()").split(",")))
-    return states
-
-
-def read_transitions(path: str | Path) -> tuple[int, list[tuple[int, int, float]]]:
-    """Returns the declared state count and the transition triples."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        n_states, n_transitions = int(header[0]), int(header[1])
-        triples = []
-        for line in fh:
-            if not line.strip():
-                continue
-            src, dst, prob = line.split()
-            triples.append((int(src), int(dst), float(prob)))
-    if len(triples) != n_transitions:
-        raise ValueError(
-            f"transition file declares {n_transitions} transitions, found {len(triples)}"
-        )
-    return n_states, triples

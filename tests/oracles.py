@@ -9,7 +9,8 @@ order, kept so that the array build can be compared with it bit for bit.
 whole system that the level-by-level block factor replaced,
 ``reference_export`` the line-at-a-time writer that the chunked exporter
 replaced, and ``stepped_walks`` the step-at-a-time finish of trapped Monte
-Carlo runs that ``fold_walks`` replaced.  ``rational_solve`` solves a
+Carlo runs that ``fold_walks`` replaced.  ``read_states`` and
+``read_transitions`` parse exported files back.  ``rational_solve`` solves a
 linear system in exact rational arithmetic, and ``exact_masses`` gives a
 group's failure masses as exact fractions.
 """
@@ -334,3 +335,37 @@ def reference_export(model: DtmcModel, prefix: Path) -> dict[str, Path]:
             for src, dst, v in zip(coo.row.tolist(), coo.col.tolist(), values.tolist()):
                 fh.write(f"{src} {dst} {v:.17g}\n")
     return paths
+
+
+def read_states(path: str | Path) -> list[tuple[int, ...]]:
+    states = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            idx, counts = line.split(":", 1)
+            if int(idx) != len(states):
+                raise ValueError(
+                    f"{path}, line {lineno}: state index {idx}, expected {len(states)}"
+                )
+            states.append(tuple(int(x) for x in counts.strip("()").split(",")))
+    return states
+
+
+def read_transitions(path: str | Path) -> tuple[int, list[tuple[int, int, float]]]:
+    """Returns the declared state count and the transition triples."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().split()
+        n_states, n_transitions = int(header[0]), int(header[1])
+        triples = []
+        for line in fh:
+            if not line.strip():
+                continue
+            src, dst, prob = line.split()
+            triples.append((int(src), int(dst), float(prob)))
+    if len(triples) != n_transitions:
+        raise ValueError(
+            f"transition file declares {n_transitions} transitions, found {len(triples)}"
+        )
+    return n_states, triples

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import brute_force_successors, materialized_skip_power
+from oracles import brute_force_successors, materialized_skip_power, read_transitions
 from pcosync.analysis import (
     AnalysisQuery,
     monte_carlo,
@@ -40,7 +40,7 @@ from pcosync.dynamics import (
     skip_successor,
     successor_distribution,
 )
-from pcosync.export import export_model, read_transitions
+from pcosync.export import export_model
 from pcosync.metrics import (
     ContinuousConfig,
     order_parameter,

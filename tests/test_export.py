@@ -1,17 +1,14 @@
 import hashlib
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from oracles import csr_rows, reference_export
+from oracles import csr_rows, read_states, read_transitions, reference_export
 from pcosync.core import ModelParams
 from pcosync.dtmc import build_dtmc
-from pcosync.export import (
-    CHUNK,
-    export_model,
-    read_states,
-    read_transitions,
-)
+from pcosync.export import CHUNK, export_model, float_words, int_words
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -83,6 +80,55 @@ class TestSameBytesAsReference:
         assert digests == N8_R2_SHA256
 
 
+class TestWords:
+    """The slots of the byte formatter against Python f-strings."""
+
+    @staticmethod
+    def slot(text: str, size: int) -> bytes:
+        return text.encode().rjust(size, b"\0")
+
+    @pytest.mark.parametrize("tail", [b" ", b":(", b",", b")\n"])
+    def test_zero(self, tail):
+        slots = int_words(np.zeros(2, np.int64), tail)
+        assert slots.dtype.itemsize == 8
+        assert [x.tobytes() for x in slots] == [self.slot("0" + tail.decode(), 8)] * 2
+
+    @pytest.mark.parametrize("nbytes, size", [(7, 8), (8, 8), (9, 16)])
+    @pytest.mark.parametrize("tail", [b" ", b":(", b",", b")\n"])
+    def test_text_fits_fills_or_spills_a_word(self, tail, nbytes, size):
+        digits = nbytes - len(tail)
+        values = [0, 7, 10, 10 ** (digits - 1), 10 ** digits - 1]
+        slots = int_words(np.array(values), tail)
+        assert slots.dtype.itemsize == size
+        assert [x.tobytes() for x in slots] == [self.slot(f"{v}{tail.decode()}", size) for v in values]
+
+    def test_narrow_input_dtypes(self):
+        for dtype in (np.uint8, np.int32):
+            slots = int_words(np.array([0, 9, 127], dtype), b",")
+            assert b"".join(x.tobytes() for x in slots).replace(b"\0", b"") == b"0,9,127,"
+
+    def test_value_zero(self):
+        table, rows = float_words(np.array([0.0, -0.0, 0.0]))
+        assert [x.tobytes() for x in table] == [self.slot("0\n", 8), self.slot("-0\n", 8)]
+        assert rows.tolist() == [0, 1, 0]
+
+    @pytest.mark.parametrize("value, size", [
+        (0.03125, 8), (2.0**-13, 16), (1.2345678901234567e-100, 24),
+    ])
+    def test_value_fills_whole_words(self, value, size):
+        assert len(f"{value:.17g}\n") == size
+        table, rows = float_words(np.array([value, value]))
+        assert [x.tobytes() for x in table] == [f"{value:.17g}\n".encode()]
+        assert rows.tolist() == [0, 0] and rows.dtype == np.uint8
+
+    def test_values_of_every_width_share_one_slot(self):
+        values = np.array([1.2345678901234567e-100, 0.03125, 1.0, 2.0**-13, 0.03125, 0.1])
+        table, rows = float_words(values)
+        assert table.dtype.itemsize == 24 and len(table) == 5
+        text = b"".join(x.tobytes() for x in table[rows]).replace(b"\0", b"")
+        assert text == "".join(f"{v:.17g}\n" for v in values.tolist()).encode()
+
+
 class TestRoundTrip:
     def test_states(self, medium_model, tmp_path):
         paths = export_model(medium_model, tmp_path / "m")
@@ -126,6 +172,24 @@ class TestRoundTrip:
         bad.write_text("2 5\n0 1 1\n")
         with pytest.raises(ValueError):
             read_transitions(bad)
+
+
+def test_full_n10_export_peak_is_bounded(tmp_path):
+    # 3.7 MB: the slot tables and one narrow value row per entry and file,
+    # each chunk's source rows formed from indptr; an int64 source row and an
+    # intp value inverse per entry and file held for the write take 14.3 MB
+    model = build_dtmc(ModelParams(n=10, t=10, r=2, epsilon=0.1, mu=0.2))
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        export_model(model, tmp_path / "m")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 class TestRewardFiles:
