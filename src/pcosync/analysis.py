@@ -159,7 +159,8 @@ def _condense(p: sp.csr_matrix, targets: np.ndarray) -> tuple[np.ndarray, np.nda
         np.maximum.at(level, pred, level[succ] + 1)
         np.subtract.at(out, pred, 1)
         frontier = np.unique(pred[out[pred] == 0])
-    level = level[label]  # 0 for every state but the unknowns
+    # 0 for every state but the unknowns, in the narrowest type: a stable sort of 16 bits sorts by radix
+    level = level.astype(np.min_scalar_type(level.max()))[label]
     order, bounds = np.argsort(level, kind="stable"), np.cumsum(np.bincount(level)).tolist()
     return reach[label], ~miss[label], [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
@@ -265,7 +266,8 @@ class MonteCarloResult:
 class FailureDraw:
     """Inverse-CDF draws of firing-group failure counts from the build's masses.
 
-    Row i stands for a group of ``sizes[i]``.  The cumulative masses P(F <= f)
+    Row i stands for a group of ``sizes[i]``, at most N, so one ``np.bincount``
+    finds the distinct sizes in order.  The cumulative masses P(F <= f)
     of each distinct size are the running float sums of ``FiringTable.masses``,
     and a uniform u draws the number of them at or below u.  All sizes share
     one sorted table: the g-th size (from 0) keeps its sums below one as
@@ -279,9 +281,10 @@ class FailureDraw:
     """
 
     def __init__(self, table: FiringTable, sizes: np.ndarray) -> None:
-        groups, group = np.unique(sizes, return_inverse=True)
+        present = np.bincount(sizes) > 0
+        group = (np.cumsum(present) - 1)[sizes]
         # P(F <= f) for f < k; a sum that reaches one is never passed by u < 1
-        cdfs = [np.cumsum(table.masses(k))[:-1] for k in groups.tolist()]
+        cdfs = [np.cumsum(table.masses(k))[:-1] for k in np.flatnonzero(present).tolist()]
         cdfs = [cdf[cdf < 1.0] for cdf in cdfs]
         self.thresholds = np.concatenate([2.0 * g + cdf for g, cdf in enumerate(cdfs)] + [[np.inf]])
         counts = np.array([len(cdf) for cdf in cdfs])
@@ -344,7 +347,9 @@ def monte_carlo(
     accumulated value and counted.  One seed always gives the same result;
     the draws are taken in step order across the runs.  A state's id is its
     row in the rank-ordered initial support, as in ``build_dtmc``, and the
-    tables are sized by that support.
+    tables are sized by that support: a slot per failure count of each
+    state, and beside them the state that owns each slot, in the narrowest
+    type, so a fill reads the states of its new slots without a search.
 
     After 2**i steps, if none since step 2**(i-1) stopped a run or took a
     new slot, ``_closed_set`` looks for a closed set without targets that
@@ -373,6 +378,7 @@ def monte_carlo(
     offset = np.cumsum(k_t + 1) - k_t - 1
     base = offset - draw.first  # a run's slot is base[i] + the draw's position
     untaken = len(support)
+    owner = np.repeat(np.arange(untaken, dtype=np.min_scalar_type(untaken - 1)), k_t + 1)
     succ = np.full(untaken + k_t.sum(), untaken)
     reward = np.zeros(len(succ))
     flag = np.append(phase_coherences(support, p.t) >= lam, True)
@@ -382,7 +388,7 @@ def monte_carlo(
             missing, place = slots[new], np.arange(np.count_nonzero(new))
             succ[missing] = place  # of the places that write one slot, one is left in it
             missing = missing[succ[missing] == place]  # each slot once, without a sort
-            ids = np.searchsorted(offset, missing, side="right") - 1  # the slots' states
+            ids = owner[missing]
             states = support[ids]
             skips = skip_lengths(states)  # one skip length for the successor and the reward
             targets = table.successors(states, k_t[ids] - (missing - offset[ids]), skips)

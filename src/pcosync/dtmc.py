@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import ModelParams, State
-from .dynamics import FiringTable, _ranges, skip_lengths
+from .dynamics import FiringTable, _ranges, groups, skip_lengths
 
 
 class StateSpaceLimitExceeded(RuntimeError):
@@ -228,22 +228,41 @@ def restabilisation_support(p: ModelParams) -> np.ndarray:
     return lifted[np.r_[True, (lifted[1:] != lifted[:-1]).any(axis=1)]]
 
 
+def largest_counts(states: np.ndarray, digits: int) -> list[np.ndarray]:
+    """The ``digits`` largest counts of each row of a count array, as columns
+    in ascending order: ``np.sort(states, axis=1)[:, -digits:].T``.  Each
+    bubble pass carries the largest of the columns below the top ones up by
+    whole-column compare-exchanges, so ``digits`` passes take at most
+    T * ``digits`` of them, and no row is sorted (Knuth, TAOCP 3, 5.3.4)."""
+    t = states.shape[1]
+    columns, spare = list(states.T.copy()), np.empty(len(states), states.dtype)
+    for top in range(t - 1, t - 1 - digits, -1):
+        for i in range(top):  # the smaller into the spare column, the larger up
+            np.minimum(columns[i], columns[i + 1], out=spare)
+            np.maximum(columns[i], columns[i + 1], out=columns[i + 1])
+            columns[i], spare = spare, columns[i]
+    return columns[t - digits:]
+
+
 def initial_weights(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """The initial support as a lexicographic count array, and the
     multinomial weight of each state normalised to one.
 
     A multinomial depends only on the sorted counts, so it is computed once
-    per key: the last N (U + 1 with U) sorted counts, as no more phases are
-    occupied, read as base N + 1 digits.  The total is the sum of each
-    multinomial times the number of its states (T**N when U is None), and
-    each weight is multinomial / total divided in Python ints, correctly rounded.
+    per key, from any state of the key: the ``largest_counts`` of a row, the
+    last N (U + 1 with U) sorted counts, as no more phases are occupied,
+    read as base N + 1 digits and grouped by ``groups``.  The total is the
+    sum of each multinomial times the number of its states (T**N when U is
+    None), and each weight is multinomial / total divided in Python ints,
+    correctly rounded.
     """
     support = state_array(p) if p.u is None else restabilisation_support(p)
     digits = min(p.n if p.u is None else p.u + 1, p.t)
     key = np.zeros(len(support), np.int64 if (p.n + 1) ** digits < 2**63 else object)
-    for column in np.sort(support, axis=1)[:, p.t - digits:].T:
-        key = key * (p.n + 1) + column.astype(key.dtype)
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    for column in largest_counts(support, digits):
+        key *= p.n + 1
+        key += column
+    first, inverse = groups(key)
     counts = [multinomial(sigma) for sigma in support[first].tolist()]
     total = sum(c * m for c, m in zip(counts, np.bincount(inverse).tolist()))
     return support, np.array([c / total for c in counts])[inverse]

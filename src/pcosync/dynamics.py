@@ -331,10 +331,13 @@ class FiringTable:
             key = np.where(size > 0, key * base + size, key)
         for digit in (k_t, lo, hi):
             key = key * base + digit
-        _, first, key_of = np.unique(key, return_index=True, return_inverse=True)
+        # any branch of a key folds the same: its sizes may sit at other
+        # phases, but an empty phase multiplies by 1.0
+        first, key_of = groups(key)
         probs = self.fold_keys(absorbed[first], k_t[first], lo[first], hi[first])[key_of]
-        # rows ascend, so a stable sort of one key, radix above every target, orders each row's targets
-        order = np.argsort(row * (target.max(initial=0) + 1) + target, kind="stable")
+        # a target is one run of f_T, so each (row, target) is one branch: one
+        # key, radix above every target, is distinct per branch and orders them
+        order = np.argsort(row * (target.max(initial=0) + 1) + target)
         order = order[probs[order] != 0.0]
         return row[order], probs[order], target[order]
 
@@ -376,6 +379,19 @@ class FiringTable:
 def _ranges(start: np.ndarray | int, length: np.ndarray) -> np.ndarray:
     """The ranges start[i], ..., start[i] + length[i] - 1, one after another."""
     return np.repeat(start - np.cumsum(length) + length, length) + np.arange(length.sum())
+
+
+def groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a 1-D key in ascending order, as ``np.unique``
+    gives them, each by one position that holds it, and the inverse: the
+    group of each entry.  One unstable sort finds them, so the position of a
+    repeated value is any of its positions, not the first."""
+    order = np.argsort(key)
+    ordered, new = key[order], np.ones(len(key), bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    inverse = np.empty(len(key), np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 #: Values of one block of ``fold_segments``, beyond the one row per segment.

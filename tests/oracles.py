@@ -8,8 +8,10 @@ order, kept so that the array build can be compared with it bit for bit.
 ``natural_factor`` is likewise the single natural-order LU factor of a
 whole system that the level-by-level block factor replaced,
 ``reference_export`` the line-at-a-time writer that the chunked exporter
-replaced, and ``stepped_walks`` the step-at-a-time finish of trapped Monte
-Carlo runs that ``fold_walks`` replaced.  ``read_states`` and
+replaced, ``stepped_walks`` the step-at-a-time finish of trapped Monte
+Carlo runs that ``fold_walks`` replaced, and ``sorted_initial_weights`` the
+initial weights keyed by whole sorted rows and grouped by ``np.unique``,
+which ``largest_counts`` and ``groups`` replaced.  ``read_states`` and
 ``read_transitions`` parse exported files back.  ``rational_solve`` solves a
 linear system in exact rational arithmetic, and ``exact_masses`` gives a
 group's failure masses as exact fractions.
@@ -35,6 +37,7 @@ from pcosync.dtmc import (
     HardwareProfile,
     multinomial,
     restabilisation_support,
+    state_array,
     transition_rewards,
 )
 from pcosync.dynamics import FiringTable, skip_successor
@@ -239,6 +242,21 @@ def reference_build(p: ModelParams, profile: HardwareProfile = MICAZ):
     transitions = sp.csr_matrix((prob, cols, indptr), shape=(len(states), len(states)))
     initial = {index[sigma]: weight for sigma, weight in init.items()}
     return states, transitions, {"time": time_r, "power": power_r}, initial
+
+
+def sorted_initial_weights(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """``initial_weights`` with each key read off the whole sorted row and
+    the keys grouped by ``np.unique``, its first state of a key standing
+    for the key."""
+    support = state_array(p) if p.u is None else restabilisation_support(p)
+    digits = min(p.n if p.u is None else p.u + 1, p.t)
+    key = np.zeros(len(support), np.int64 if (p.n + 1) ** digits < 2**63 else object)
+    for column in np.sort(support, axis=1)[:, p.t - digits:].T:
+        key = key * (p.n + 1) + column.astype(key.dtype)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    counts = [multinomial(sigma) for sigma in support[first].tolist()]
+    total = sum(c * m for c, m in zip(counts, np.bincount(inverse).tolist()))
+    return support, np.array([c / total for c in counts])[inverse]
 
 
 def exact_masses(k: int, mu: float) -> list[Fraction]:

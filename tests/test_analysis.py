@@ -997,6 +997,14 @@ class TestMonteCarlo:
         mc = monte_carlo(p, MICAZ, reward_kind=kind, samples=samples, seed=7)
         assert (mc.mean, mc.std_error, mc.max_observed, mc.censored, mc.trapped) == want
 
+    def test_pinned_owner_table_above_16_bits(self):
+        # 92,378 states, so each slot's owning state is held as uint32
+        mc = monte_carlo(ModelParams(n=10, t=10, r=2, epsilon=0.1, mu=0.2), samples=500, seed=7)
+        assert repr(mc) == (
+            "MonteCarloResult(mean=3.4913999999999996, std_error=0.06447857825749737, "
+            "max_observed=12.6, samples=500, censored=0, seed=7, trapped=False)"
+        )
+
     @pytest.mark.parametrize("kind", ["time", "power"])
     @pytest.mark.parametrize(
         "p, lam",

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import compositions, csr_rows, materialized_skip_power, reference_build, row_sum_bound
+from oracles import (compositions, csr_rows, materialized_skip_power, reference_build, row_sum_bound,
+                     sorted_initial_weights)
 from pcosync import dtmc
 from pcosync.core import ModelParams, is_firing
 from pcosync.dtmc import (
@@ -20,6 +21,7 @@ from pcosync.dtmc import (
     build_dtmc,
     enumerate_states,
     initial_weights,
+    largest_counts,
     multinomial,
     restabilisation_support,
     skip_power,
@@ -129,6 +131,37 @@ class TestInitialDistribution:
         support, weights = initial_weights(p)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert all(any(k >= 4 for k in s) for s in support.tolist())
+
+    @pytest.mark.parametrize(
+        "p",
+        [params(n=n, t=t, r=1) for n in (1, 2, 8, 12) for t in (2, 3, 10)]
+        + [
+            params(n=6, t=5, r=2, u=1),
+            params(n=6, t=5, r=2, u=5),
+            params(n=10, t=10, r=4, u=1),
+            params(n=10, t=10, r=4, u=9),
+            params(n=8, t=40, r=4, u=2),
+            params(n=100, t=40, r=4, u=1),
+            params(n=3000, t=10, r=4, u=5),  # 3001**6 > 2**63: an object key
+        ],
+        ids=str,
+    )
+    def test_same_bits_as_sorted_keys(self, p):
+        # any state of a key stands for it, so the weights keep every bit
+        for got, want in zip(initial_weights(p), sorted_initial_weights(p)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 10, 40])
+    def test_largest_counts_are_the_sorted_tail(self, t):
+        rng = np.random.default_rng(t)
+        for rows in (1, 300):
+            states = rng.integers(0, 6, size=(rows, t)).astype(np.uint8)  # many ties
+            before = states.copy()
+            for digits in range(1, t + 1):
+                top = largest_counts(states, digits)
+                assert len(top) == digits and {column.dtype for column in top} == {states.dtype}
+                assert np.array_equal(np.array(top), np.sort(states, axis=1)[:, -digits:].T)
+            assert np.array_equal(states, before)  # the network works on a copy
 
     def test_u_out_of_range(self):
         for u in (0, 3, -1):  # N = 3

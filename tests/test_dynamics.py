@@ -30,6 +30,7 @@ from pcosync.dynamics import (
     firing_successor,
     fold_segments,
     fold_walks,
+    groups,
     resolve_chain,
     skip_lengths,
     skip_successor,
@@ -249,6 +250,26 @@ class TestFailureProbability:
         assert failure_probability(sigma, (None, None, 1), 0.2) == pytest.approx(
             3 * 0.2 * 0.8**2
         )
+
+
+class TestGroups:
+    @pytest.mark.parametrize(
+        "key",
+        [
+            np.array([5, 3, 5, 1, 3, 3, 9, 1], np.int64),
+            np.random.default_rng(5).integers(-2**62, 2**62, 2000) // 2**55,  # many repeats
+            np.array([3**50, 1, 3**50, 2**70, 1, -7], dtype=object),
+            np.array([], np.int64),
+            np.array([42], np.int64),
+        ],
+        ids=["int64", "random-int64", "object", "empty", "single"],
+    )
+    def test_same_groups_as_unique(self, key):
+        first, inverse = groups(key)
+        values, want = np.unique(key, return_inverse=True)
+        assert np.array_equal(key[first], values)  # ascending, each position holds its value
+        assert inverse.shape == key.shape and np.array_equal(inverse, want.reshape(-1))
+        assert np.array_equal(key[first][inverse], key)  # the inverse maps back
 
 
 class TestFoldSegments:
