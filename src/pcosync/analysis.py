@@ -26,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .core import ModelParams, check_integer
-from .dtmc import (DtmcModel, HardwareProfile, MICAZ, StateSpace, initial_weights, step_reward,
+from .dtmc import (ROW_BLOCK, DtmcModel, HardwareProfile, MICAZ, StateSpace, initial_weights, step_reward,
                    transition_rewards, transmit_power)
 from .dynamics import FiringTable, _ranges, fold_walks, skip_lengths
 from .metrics import phase_coherences
@@ -90,12 +90,9 @@ def solve_target(
     reaching, certain, levels = _condense(p, targets)
     unsure = reaching & ~certain
     # b is the one-step probability of entering the target, or the expected
-    # one-step reward; a matvec adds each row in stored order, np.add.reduceat
-    # would pair terms up
+    # one-step reward
     columns = [p @ targets] if unsure.any() else []
-    for kind in kinds:  # the product takes the temporary rewards' buffer, freed once the column is formed
-        columns.append(sp.csr_matrix(
-            (transition_rewards(model, kind) * p.data, p.indices, p.indptr), shape=p.shape) @ np.ones(n))
+    columns += [_reward_column(model, kind) for kind in kinds]
     solutions = _solve(p, levels, columns) if columns else []
     reach, residual = certain.astype(float), 0.0  # Prob1, the targets among it, reaches for certain
     if unsure.any():
@@ -105,6 +102,26 @@ def solve_target(
     values = {kind: (np.where(certain, np.maximum(sol, 0.0), np.inf), res)
               for kind, (sol, res) in zip(kinds, solutions)}
     return (reach, residual), values
+
+
+def _reward_column(model: DtmcModel, kind: str) -> np.ndarray:
+    """Each state's expected one-step ``kind`` reward: its transitions'
+    rewards times their probabilities, added in stored order by a sparse
+    matvec (``np.add.reduceat`` would pair terms up).  The rows are taken
+    ``ROW_BLOCK`` at a time, from their own ``transition_rewards``, so no
+    array of every transition's reward is formed; a row's sum is the same
+    wherever its block starts."""
+    p, n = model.transitions, model.n_states
+    column, ones = np.empty(n), np.ones(n)
+    for start in range(0, n, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, n)
+        bounds = p.indptr[start:stop + 1]
+        entries = slice(bounds[0], bounds[-1])
+        values = transition_rewards(model, kind, start, stop)
+        values *= p.data[entries]
+        block = sp.csr_matrix((values, p.indices[entries], bounds - bounds[0]), shape=(stop - start, n))
+        column[start:stop] = block @ ones
+    return column
 
 
 def _solve(p: sp.csr_matrix, levels: list, columns: list) -> list[tuple[np.ndarray, float]]:
@@ -128,21 +145,27 @@ def _condense(p: sp.csr_matrix, targets: np.ndarray) -> tuple[np.ndarray, np.nda
     them with probability one (not Prob0, and Prob1: Baier and Katoen,
     Principles of Model Checking, 2008, 10.1), and the unknowns, the states
     that reach them but are not in them, by level from 1 up and in state
-    order within a level.  One SCC condensation of p with the target rows cut, so that each
-    target is a sink of its own, is swept from its sinks up.  An SCC reaches
+    order within a level.  One SCC condensation of p, with each edge of a
+    target turned back to it so that each target is a sink of its own, is
+    swept from its sinks up.  An SCC reaches
     the targets if it holds one or steps to an SCC that reaches them; it
     misses them if it does not reach them or steps to an SCC that misses
     them.  Its level is 0 for a target or an SCC that does not reach them,
     and 1 + the largest level among its successors otherwise."""
     from scipy.sparse.csgraph import connected_components
 
-    kept = np.repeat(~targets, np.diff(p.indptr))
-    indptr = np.r_[0, np.cumsum(np.diff(p.indptr) * ~targets)]
-    a = sp.csr_matrix((p.data[kept], p.indices[kept], indptr), shape=p.shape)
-    n_scc, label = connected_components(a, directed=True, connection="strong")
-    src, dst = np.repeat(label, np.diff(indptr)), label[a.indices]
-    del a, indptr, kept
-    src, dst = src[src != dst], dst[src != dst]  # the edges between SCCs
+    # each edge of a target leads back to it, so that it is a sink of its own,
+    # and the graph shares p's data and indptr: only the indices are copied
+    counts, cut = np.diff(p.indptr), p.indices.copy()
+    cut[np.repeat(targets, counts)] = np.repeat(np.flatnonzero(targets).astype(cut.dtype), counts[targets])
+    n_scc, label = connected_components(
+        sp.csr_matrix((p.data, cut, p.indptr), shape=p.shape), directed=True, connection="strong")
+    dst = label[cut]
+    del cut
+    src = np.repeat(label, counts)
+    between = src != dst
+    src, dst = src[between], dst[between]  # the edges between SCCs
+    del counts, between
     out = np.bincount(src, minlength=n_scc)
     # the sources of the edges into SCC j are src[into[j]:into[j + 1]]
     src, into = src[np.argsort(dst)], np.r_[0, np.cumsum(np.bincount(dst, minlength=n_scc))]
@@ -187,8 +210,13 @@ def _factor(p: sp.csr_matrix, levels: list) -> Iterator[tuple[np.ndarray, sp.csr
 
 
 def target_set(model: DtmcModel, lam: float) -> np.ndarray:
-    """Boolean mask, by row, of the states whose phase coherence is at least lam."""
-    return phase_coherences(model.states.array, model.params.t) >= lam
+    """Boolean mask, by row, of the states whose phase coherence is at least
+    lam, formed ``ROW_BLOCK`` rows at a time: ``phase_coherences`` holds about
+    50 bytes of temporaries per row."""
+    states, mask = model.states.array, np.empty(model.n_states, bool)
+    for start in range(0, len(states), ROW_BLOCK):
+        mask[start:start + ROW_BLOCK] = phase_coherences(states[start:start + ROW_BLOCK], model.params.t) >= lam
+    return mask
 
 
 def aggregate(

@@ -363,7 +363,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _merge_config(args)
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # so that a reader gone from stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone, as with `| head`: point stdout at devnull,
+        # so that the flush at exit raises nothing, and exit with 1, as
+        # Python's documented SIGPIPE recipe does
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, StateSpaceLimitExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

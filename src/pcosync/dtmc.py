@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import ModelParams, State
-from .dynamics import FiringTable, _ranges, groups, skip_lengths
+from .dynamics import FiringTable, groups, skip_lengths
 
 
 class StateSpaceLimitExceeded(RuntimeError):
@@ -193,16 +193,34 @@ def state_count(p: ModelParams) -> int:
 
 def state_array(p: ModelParams) -> np.ndarray:
     """All global states as the rows of an (S, T) array, in lexicographic
-    order of the counts.  Built column by column from the left: a row with m
-    oscillators left is followed, in the next column, by k = 0..m in turn,
-    and the last column takes what is left."""
+    order of the counts.  The states of m oscillators over t + 1 phases are,
+    for k = 0..m in turn, k beside the states of m - k over t phases, whose
+    totals descend as k ascends.  So with the states of every total x <= N
+    over t phases stacked by descending x, those of m over t + 1 phases are
+    the first counts, k repeated by its block's size, beside the stack's
+    tail from total m on.  Each stack is written once, block by block, and
+    the last one, over T - 1 phases, straight into the columns 1..T - 1 of
+    the result; no array of a row index or of a count per row is formed."""
     dtype = np.min_scalar_type(p.n)
-    states, left = np.zeros((1, 0), dtype), np.array([p.n])
-    for _ in range(p.t - 1):
-        k = _ranges(0, left + 1)
-        states = np.column_stack([np.repeat(states, left + 1, axis=0), k.astype(dtype)])
-        left = np.repeat(left, left + 1) - k
-    return np.column_stack([states, left.astype(dtype)])
+    states = np.empty((state_count(p), p.t), dtype)
+
+    def stack(t: int, rows: int) -> np.ndarray:  # the stack over t phases
+        return states[:, 1:] if t == p.t - 1 else np.empty((rows, t), dtype)
+
+    below = stack(1, p.n + 1)  # over one phase: (N,), (N - 1,), ..., (0,)
+    below[:, 0] = np.arange(p.n, -1, -1)
+    sizes = np.ones(p.n + 1, np.int64)  # sizes[x]: the states of x over the stack's t phases
+    for t in range(1, p.t - 1):
+        tails = np.cumsum(sizes)  # tails[m]: the stack's rows from total m on
+        above, row = stack(t + 1, int(tails.sum())), 0
+        for m in range(p.n, -1, -1):
+            block = above[row:row + tails[m]]
+            block[:, 0] = np.repeat(np.arange(m + 1, dtype=dtype), sizes[m::-1])
+            block[:, 1:] = below[len(below) - tails[m]:]
+            row += tails[m]
+        below, sizes = above, tails
+    states[:, 0] = np.repeat(np.arange(p.n + 1, dtype=dtype), sizes[::-1])
+    return states
 
 
 def enumerate_states(p: ModelParams) -> Iterator[State]:
@@ -311,12 +329,23 @@ def transmit_power(landed: np.ndarray, profile: HardwareProfile) -> np.ndarray:
     return landed * profile.w_transmit()
 
 
-def transition_rewards(model: DtmcModel, kind: str) -> np.ndarray:
-    """The ``kind`` reward of each transition, aligned with ``transitions.data``."""
-    values = np.repeat(model.rewards[kind], np.diff(model.transitions.indptr))
+def transition_rewards(model: DtmcModel, kind: str, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """The ``kind`` reward of each transition of the rows ``start`` to
+    ``stop`` (to the last row by default), aligned with their slice of
+    ``transitions.data``."""
+    m, stop = model.transitions, model.n_states if stop is None else stop
+    bounds = m.indptr[start:stop + 1]
+    values = np.repeat(model.rewards[kind][start:stop], np.diff(bounds))
     if kind == "power":
-        values += transmit_power(model.states.array[model.transitions.indices, 0], model.profile)
+        values += transmit_power(model.states.array[m.indices[bounds[0]:bounds[-1]], 0], model.profile)
     return values
+
+
+#: Source rows per block of the build and of each reward column.  The
+#: branches of one block of the full N=8 model peak at 1.6 to 2.0 MB of
+#: NumPy memory, about one core's 2 MB L2 cache on a 2-vCPU Xeon, and no
+#: array over every branch of the support is formed.
+ROW_BLOCK = 1 << 13
 
 
 def build_dtmc(
@@ -332,7 +361,16 @@ def build_dtmc(
     and a restabilisation support are closed under the dynamics.  States
     are numbered in lexicographic order, which is rank order, and each
     target's row is found by its rank.  Without U, ``max_states`` is
-    checked before Gamma is built."""
+    checked before Gamma is built.
+
+    The support is taken ``ROW_BLOCK`` source rows at a time, with one
+    ``FiringTable`` and its masses for all: a block's branches come from one
+    ``FiringTable.branches`` call and its rewards are written into the
+    per-state arrays.  A row's branches do not depend on the other rows of
+    its block, so the chain has the same bits for any block size.  The
+    probabilities and the targets' rows go straight into the CSR's arrays,
+    the rows in its index dtype, and ``indptr`` is the running sum of each
+    row's branch count, so no row index of every transition is formed."""
     if max_states is not None and max_states < 1:
         raise ValueError(f"max_states must be at least 1, got {max_states}")
     full = p.u is None
@@ -341,14 +379,32 @@ def build_dtmc(
     support, weights = initial_weights(p)
     if max_states is not None and len(support) > max_states:
         raise StateSpaceLimitExceeded(len(support), max_states)
-    space, skips = StateSpace(p, support), skip_lengths(support)
-    rows, probs, cols = FiringTable(p).branches(support, skips, space.rows)
-    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=len(support)))]
+    n, space, table = len(support), StateSpace(p, support), FiringTable(p)
+    # the CSR's index dtype, as SciPy picks it: int32 below 2**31 states
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    # room for one branch per run of a row's success counts, 4-5% above the
+    # branches of the full models, handed back once the blocks are in
+    room = int(np.bincount(support[:, -1], minlength=p.n + 1) @ table.runs(np.arange(p.n + 1)))
+    data, indices, counts, nnz = np.empty(room), np.empty(room, index), np.zeros(n + 1, index), 0
+    rewards = {kind: np.empty(n) for kind in ("time", "power")}
+    for start in range(0, n, ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        states = support[block]
+        skips = skip_lengths(states)
+        rows, probs, targets = table.branches(states, skips, space.rows)
+        counts[start + 1:start + 1 + len(states)] = np.bincount(rows, minlength=len(states))
+        data[nnz:nnz + len(rows)], indices[nnz:nnz + len(rows)] = probs, targets
+        nnz += len(rows)
+        for kind, values in rewards.items():
+            values[block] = step_reward(states, skips, kind, p, profile)
+    for array in (data, indices):  # realloc shrinks in place: no copy
+        array.resize(nnz, refcheck=False)
+    indptr = np.cumsum(counts, dtype=index if nnz <= np.iinfo(np.int32).max else np.int64)
     return DtmcModel(
         params=p,
         profile=profile,
         states=space,
-        transitions=sp.csr_matrix((probs, cols, indptr), shape=(len(support), len(support))),
-        rewards={kind: step_reward(support, skips, kind, p, profile) for kind in ("time", "power")},
+        transitions=sp.csr_matrix((data, indices, indptr), shape=(n, n)),
+        rewards=rewards,
         initial=weights,
     )

@@ -246,6 +246,8 @@ class FiringTable:
         # empty group above delta to T, as row N + 1 + T - delta; one contiguous row per phase
         skips = np.minimum(np.arange(1, p.t + 1) + np.arange(p.t)[:, None], p.t)
         self.lands = np.concatenate((self.dest, skips)).T.copy()
+        # the counts where the dest row changes; a run of counts with one dest row lies between two
+        self.bounds = np.r_[0, np.flatnonzero(np.any(self.dest[1:] != self.dest[:-1], axis=1)) + 1, len(self.dest)]
         self._masses: dict[int, list[float]] = {}
 
     def successors(self, states: np.ndarray, successes: np.ndarray, skips: np.ndarray) -> np.ndarray:
@@ -284,6 +286,11 @@ class FiringTable:
             self._masses[k] = masses
         return self._masses[k]
 
+    def runs(self, k_t: np.ndarray) -> np.ndarray:
+        """The runs of success counts 0..k_T that share a ``dest`` row, for
+        each firing-group size k_T: at most one branch of ``branches`` each."""
+        return np.searchsorted(self.bounds, k_t, side="right")
+
     def branches(
         self, states: np.ndarray, skips: np.ndarray, rows: Callable[[np.ndarray], np.ndarray]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -308,10 +315,8 @@ class FiringTable:
         key.  The target changes only where the ``dest`` row does, so the
         successor is formed once per run of counts that share one.
         """
-        k_t = states[:, -1].astype(np.int64)
-        # the counts where the dest row changes; a run lies between two
-        bounds = np.r_[0, np.flatnonzero(np.any(self.dest[1:] != self.dest[:-1], axis=1)) + 1, len(self.dest)]
-        runs = np.searchsorted(bounds, k_t, side="right")
+        k_t, bounds = states[:, -1].astype(np.int64), self.bounds
+        runs = self.runs(k_t)
         row = np.repeat(np.arange(len(states)), runs)
         run = runs[row] - 1 - _ranges(0, runs)  # f_T ascends, so s descends
         # the run's s from bounds[run] to bounds[run + 1] - 1 or k_T: f_T from lo to hi

@@ -14,14 +14,15 @@ The lines of ``CHUNK`` states are one array of such slots, gathered from
 tables of formatted indices, counts and values, and dropping its NUL bytes
 leaves the file's bytes.  The ``<src> `` and ``<dst> `` slots of a chunk
 are gathered once for all three entry files.  A model has few distinct
-probabilities and rewards, found by sorting, so each is formatted once and
-each entry keeps only its value's row in the narrowest dtype.
+probabilities and rewards: a first pass finds each file's distinct values
+chunk by chunk, so each is formatted once, and the second forms each
+chunk's values from its rows and looks them up in that table.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -53,25 +54,45 @@ def int_words(values: np.ndarray, tail: bytes) -> np.ndarray:
     return grid.view(f"V{size}")[:, 0]
 
 
-def float_words(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``.17g`` string and ``"\\n"`` of each distinct value (by bit
-    pattern) as one slot of whole 8-byte words, and the row of each entry's
-    slot in the narrowest dtype."""
-    bits = np.sort(values.view(np.uint64))
-    bits = bits[np.append(True, bits[1:] != bits[:-1])]
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D integer array, ascending; one sort and a
+    neighbour mask, several times faster than ``np.unique``'s hash path."""
+    values = np.sort(values)
+    return values[np.append(True, values[1:] != values[:-1])]
+
+
+def float_slots(bits: np.ndarray) -> np.ndarray:
+    """The ``.17g`` string and ``"\\n"`` of the float of each bit pattern
+    as one slot of whole 8-byte words."""
     strings = [f"{v:.17g}\n".encode() for v in bits.view(np.float64).tolist()]
     size = _slot(max(map(len, strings)))
-    table = np.frombuffer(b"".join(s.rjust(size, b"\0") for s in strings), f"V{size}")
+    return np.frombuffer(b"".join(s.rjust(size, b"\0") for s in strings), f"V{size}")
+
+
+def float_words(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slot of each distinct value (by bit pattern) of one array, and
+    the row of each entry's slot in the narrowest dtype."""
+    bits = _distinct(values.view(np.uint64))
     rows = np.searchsorted(bits, values.view(np.uint64))
-    return table, rows.astype(np.min_scalar_type(len(bits) - 1))
+    return float_slots(bits), rows.astype(np.min_scalar_type(len(bits) - 1))
 
 
-def _text(*fields: np.ndarray) -> bytes:
-    """The rows of the fields' slots side by side, NUL bytes dropped."""
-    lines = np.empty(len(fields[0]), [("", f.dtype, f.shape[1:]) for f in fields])
-    for name, field in zip(lines.dtype.names, fields):
-        lines[name] = field
-    return lines.tobytes().translate(None, b"\0")
+#: Bytes of line slots per write.  The lines, their bytes and the NUL-free
+#: copy of one write stay below glibc's default mmap threshold (128 KiB), so a
+#: write reuses heap pages instead of mapping and faulting in fresh ones.
+WRITE_BYTES = 1 << 16
+
+
+def _write_text(fh: BinaryIO, *fields: np.ndarray) -> None:
+    """The rows of the fields' slots side by side, NUL bytes dropped,
+    written ``WRITE_BYTES`` of slots at a time."""
+    dtype = np.dtype([("", f.dtype, f.shape[1:]) for f in fields])
+    step = max(1, WRITE_BYTES // dtype.itemsize)
+    for start in range(0, len(fields[0]), step):
+        lines = np.empty(len(fields[0][start:start + step]), dtype)
+        for name, field in zip(dtype.names, fields):
+            lines[name] = field[start:start + step]
+        fh.write(lines.tobytes().translate(None, b"\0"))
 
 
 def write_states(model: DtmcModel, path: str | Path) -> None:
@@ -83,22 +104,29 @@ def write_states(model: DtmcModel, path: str | Path) -> None:
         for start in range(0, len(counts), CHUNK):
             block = counts[start:start + CHUNK]
             names = int_words(np.arange(start, start + len(block)), b":(")
-            fh.write(_text(names, comma.take(block[:, :-1]), close.take(block[:, -1])))
+            _write_text(fh, names, comma.take(block[:, :-1]), close.take(block[:, -1]))
 
 
-def _write_entries(model: DtmcModel, outputs: list[tuple[BinaryIO, np.ndarray, np.ndarray]]) -> None:
+def _write_entries(model: DtmcModel, outputs: list[tuple[BinaryIO, Callable[[int, int], np.ndarray]]]) -> None:
     """One ``<src> <dst> <value>`` line per transition, in CSR order, to each
-    file with its own ``float_words``; every chunk's ``<src> `` and
-    ``<dst> `` slots are gathered once for all files."""
+    file, whose ``values(start, stop)`` are those of the transitions of rows
+    ``start`` to ``stop``.  A first pass over the chunks finds each file's
+    distinct values, which are formatted once; the second writes the lines,
+    and every chunk's ``<src> `` and ``<dst> `` slots are gathered once for
+    all files.  No array of every transition's value is formed."""
     m = model.transitions
     names = int_words(np.arange(m.shape[0]), b" ")
-    for first in range(0, len(names), CHUNK):
-        bounds = m.indptr[first:first + CHUNK + 1]
-        entries = slice(bounds[0], bounds[-1])
-        src = np.repeat(names[first:first + CHUNK], np.diff(bounds))
-        dst = names.take(m.indices[entries])
-        for fh, table, rows in outputs:
-            fh.write(_text(src, dst, table.take(rows[entries])))
+    chunks = [(first, min(first + CHUNK, len(names))) for first in range(0, len(names), CHUNK)]
+    tables = []
+    for _, values in outputs:
+        bits = _distinct(np.concatenate([_distinct(values(*chunk).view(np.uint64)) for chunk in chunks]))
+        tables.append((bits, float_slots(bits)))
+    for first, stop in chunks:
+        bounds = m.indptr[first:stop + 1]
+        src = np.repeat(names[first:stop], np.diff(bounds))
+        dst = names.take(m.indices[bounds[0]:bounds[-1]])
+        for (fh, values), (bits, table) in zip(outputs, tables):
+            _write_text(fh, src, dst, table.take(bits.searchsorted(values(first, stop).view(np.uint64))))
 
 
 def export_model(model: DtmcModel, prefix: str | Path) -> dict[str, Path]:
@@ -119,9 +147,10 @@ def export_model(model: DtmcModel, prefix: str | Path) -> dict[str, Path]:
     with open(paths["transitions"], "wb") as tra, open(paths["time_rewards"], "wb") as time_fh, \
             open(paths["power_rewards"], "wb") as power_fh:
         tra.write(f"{model.n_states} {model.n_transitions}\n".encode())
+        m = model.transitions
         _write_entries(model, [
-            (tra, *float_words(model.transitions.data)),
-            (time_fh, *float_words(transition_rewards(model, "time"))),
-            (power_fh, *float_words(transition_rewards(model, "power"))),
+            (tra, lambda start, stop: m.data[m.indptr[start]:m.indptr[stop]]),
+            (time_fh, lambda start, stop: transition_rewards(model, "time", start, stop)),
+            (power_fh, lambda start, stop: transition_rewards(model, "power", start, stop)),
         ])
     return paths

@@ -26,7 +26,7 @@ from pcosync.analysis import (
     target_set,
 )
 from pcosync.core import ModelParams, is_synchronised
-from pcosync.dtmc import MICAZ, DtmcModel, build_dtmc, transition_rewards
+from pcosync.dtmc import MICAZ, ROW_BLOCK, DtmcModel, build_dtmc, transition_rewards
 from pcosync.dynamics import FiringTable
 from test_dtmc import small_models
 
@@ -670,6 +670,22 @@ class TestBlockSolve:
         for g, w in zip(got, want):
             np.testing.assert_array_equal(np.isinf(g), np.isinf(w))
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+
+
+class TestRewardColumns:
+    @pytest.mark.parametrize("size", [1, 7, ROW_BLOCK])
+    @pytest.mark.parametrize("name", sorted(SOLVE_MODELS))
+    def test_blocks_give_the_whole_model_columns(self, name, size, monkeypatch):
+        # each row's expected reward is added in stored order, so a column
+        # formed block by block has the bits of one matvec of the whole model
+        model = build_dtmc(SOLVE_MODELS[name])
+        p = model.transitions
+        monkeypatch.setattr(analysis, "ROW_BLOCK", size)
+        for kind in ("time", "power"):
+            whole = sp.csr_matrix(
+                (transition_rewards(model, kind) * p.data, p.indices, p.indptr), shape=p.shape
+            ) @ np.ones(model.n_states)
+            assert repr(analysis._reward_column(model, kind).tolist()) == repr(whole.tolist()), kind
 
 
 # repr of (value, reach_probability, residual) for each of FOUR_QUERIES,

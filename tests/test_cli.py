@@ -1,5 +1,8 @@
 import csv
+import os
 import runpy
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -732,6 +735,60 @@ class TestProfiles:
         val_b = float(dict(zip(CSV_COLUMNS, row_b))["value"])
         # listening energy scales with the cycle, transmissions do not
         assert val_a < val_b < 10.0 * val_a
+
+
+class TestClosedStdout:
+    """The reader of stdout goes away, as with ``pcosync analyze ... | head -2``."""
+
+    ARGV = [
+        "analyze", "--n", "3", "--t", "4", "--r", "1", "--eps", "0.1", "--mu", "0.2",
+        "--lambda", "1.0,0.9,0.8,0.7,0.6,0.5", "--query", "time:avg",
+    ]
+
+    class Stdout:
+        def __init__(self, fd: int):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    def test_stops_quietly_with_status_1(self, tmp_path, monkeypatch, capsys):
+        # a file stands in for the pipe's descriptor, which then points at devnull
+        path = tmp_path / "stdout"
+        with open(path, "wb") as fh:
+            monkeypatch.setattr(sys, "stdout", self.Stdout(fh.fileno()))
+            code = main(self.ARGV)
+            monkeypatch.undo()
+            os.write(fh.fileno(), b"after the pipe closed")
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        assert path.read_bytes() == b""
+
+    def test_closed_pipe_prints_nothing_at_exit(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen([sys.executable, "-m", "pcosync.cli", *self.ARGV],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # before the first row is written
+        try:
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert err == b""
+
+    def test_output_file_is_unaffected(self, tmp_path):
+        out = tmp_path / "out.csv"
+        assert main([*self.ARGV, "--output", str(out)]) == 0
+        rows, status = read_csv(out)
+        assert len(rows) == 6 and status == "# status: ok"
 
 
 class TestTrajectoryExplorer:

@@ -356,6 +356,38 @@ def assert_firing_rows_match_oracle(model):
         assert got == want, (sigma, p)
 
 
+BLOCKED_MODELS = {
+    "n8": params(n=8, t=10, r=2),
+    # rows that sum failure-pattern products over two absorbed groups
+    "n6eps3": params(n=6, t=8, r=1, epsilon=3.0),
+    "restab200": params(n=200, t=10, r=4, u=3),
+    "n1": params(n=1, t=10, r=2),
+    "t2": params(n=6, t=2, r=0),
+    "mu0": params(n=6, t=8, r=2, mu=0.0),
+    "mu1": params(n=6, t=8, r=2, mu=1.0),
+}
+
+
+class TestBlockedBuild:
+    @staticmethod
+    def chain(model):
+        a = model.transitions
+        return [(x.dtype, x.tobytes()) for x in (a.data, a.indices, a.indptr, *model.rewards.values())]
+
+    @pytest.mark.parametrize("name, size", [
+        (name, size) for name in sorted(BLOCKED_MODELS) for size in (1, 333, dtmc.ROW_BLOCK)
+        if (name, size) != ("n8", 1)  # 24,310 blocks of one row take 9 s
+    ])
+    def test_any_block_size_gives_the_same_chain(self, name, size, monkeypatch):
+        # against one block of the whole support; n8 at ROW_BLOCK is 3 blocks
+        p = BLOCKED_MODELS[name]
+        monkeypatch.setattr(dtmc, "ROW_BLOCK", state_count(p) + 1)
+        whole = build_dtmc(p)
+        monkeypatch.setattr(dtmc, "ROW_BLOCK", size)
+        assert self.chain(build_dtmc(p)) == self.chain(whole)
+        assert whole.transitions.indices.dtype == np.int32
+
+
 class TestFiringTable:
     @pytest.mark.parametrize("p", [params(n=8, t=10, r=2), params(n=5, t=6, r=0, epsilon=2.5)])
     def test_chain_entries_equal_chain_updates(self, p):
@@ -548,6 +580,25 @@ class TestArrayBuild:
         a = model.transitions
         arrays = (a.indptr, a.indices, a.data, model.states.array, model.initial)
         assert held <= sum(x.nbytes for x in arrays) + 2 * 8 * model.n_states + 100_000
+
+    def test_build_peak_is_bounded_by_the_model(self):
+        # full N=10, built ROW_BLOCK source rows at a time: the NumPy peak is
+        # 1.50 times the arrays the model holds (8.4 of 5.6 MB), set by one
+        # block's temporaries beside the preallocated chain; forming the
+        # branches of the whole support at once peaked at 4.29 times (24.1 MB)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            model = build_dtmc(params(n=10, t=10, r=2))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        a = model.transitions
+        arrays = (a.indptr, a.indices, a.data, model.states.array, model.initial, *model.rewards.values())
+        assert peak <= 2 * sum(x.nbytes for x in arrays)
 
     def test_index_finds_only_model_states(self):
         p = params(n=10, t=10, r=4, u=1)
