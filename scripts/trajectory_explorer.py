@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Inspect the step-by-step behavior of one global state.
 
-Prints the successor distribution of a state (branch probabilities, witness
-failure vectors, phase coherence of each target) and optionally follows the
-most likely branch for a number of steps.  Useful for checking chain
-reactions by hand.
+Prints the successor branches of a state as the built chain holds them
+(branch probabilities, phase coherence of each target, and one failure
+vector that reaches it) and optionally follows the most likely branch for a
+number of steps.  Useful for checking chain reactions by hand.
 """
 
 import argparse
 import sys
 
+import numpy as np
+
 from pcosync.core import ModelParams, format_failure_vector, is_firing, validate_state
-from pcosync.dynamics import skip_successor, successor_distribution
+from pcosync.dynamics import FiringTable, skip_lengths, skip_successor
 from pcosync.metrics import phase_coherence
 
 
@@ -19,6 +21,32 @@ def show_state(sigma, p):
     pcf = phase_coherence(sigma, p.t)
     kind = "firing" if is_firing(sigma) else "non-firing"
     print(f"state {sigma}  ({kind}, coherence {pcf:.4f})")
+
+
+def branches(sigma, table):
+    """The (probability, target, failure vector) of each branch of a firing
+    state, by ascending target.  Probability and target are the chain's:
+    ``FiringTable.branches`` on the state's own row.  The failure vector is
+    the branch's canonical witness: the fewest failures in the firing group
+    that reach the target with nonzero mass, none in the absorbed groups."""
+    states = np.array([sigma])
+    found = []
+
+    def rows(targets):  # ids in lexicographic order, as the rows of a built chain
+        distinct, inverse = np.unique(targets, axis=0, return_inverse=True)
+        found.extend(map(tuple, distinct.tolist()))
+        return inverse.reshape(-1)
+
+    _, probs, ids = table.branches(states, skip_lengths(states), rows)
+    k_t = sigma[-1]
+    successes = np.arange(k_t, -1, -1)  # f_T = 0, 1, ..., k_T failures
+    reached = table.successors(np.repeat(states, k_t + 1, axis=0), successes, np.zeros(k_t + 1, np.int64))
+    witnesses = {}
+    for f_t, (target, mass) in enumerate(zip(map(tuple, reached.tolist()), table.masses(k_t))):
+        if mass and target not in witnesses:
+            fired = (table.dest[k_t - f_t, :-1] == 1).tolist()
+            witnesses[target] = tuple(0 if fire else None for fire in fired) + (f_t,)
+    return [(prob, found[i], witnesses[found[i]]) for prob, i in zip(probs.tolist(), ids.tolist())]
 
 
 def main() -> int:
@@ -38,6 +66,7 @@ def main() -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    table = FiringTable(p)
     for step in range(args.steps):
         show_state(sigma, p)
         if not is_firing(sigma):
@@ -45,16 +74,14 @@ def main() -> int:
             print(f"  skip over {skipped} silent steps -> {target}")
             sigma = target
             continue
-        dist = successor_distribution(sigma, p)
-        for b in sorted(dist.branches, key=lambda b: -b.probability):
-            wits = ", ".join(format_failure_vector(fv) for fv in b.witnesses[:4])
-            more = "" if len(b.witnesses) <= 4 else f" (+{len(b.witnesses) - 4} more)"
+        out = branches(sigma, table)
+        for prob, target, fv in sorted(out, key=lambda b: -b[0]):
             print(
-                f"  p={b.probability:.6f} -> {b.target}"
-                f"  coherence {phase_coherence(b.target, p.t):.4f}"
-                f"  via {wits}{more}"
+                f"  p={prob:.6f} -> {target}"
+                f"  coherence {phase_coherence(target, p.t):.4f}"
+                f"  via {format_failure_vector(fv)}"
             )
-        sigma = max(dist.branches, key=lambda b: b.probability).target
+        sigma = max(out, key=lambda b: b[0])[1]
     show_state(sigma, p)
     return 0
 

@@ -6,33 +6,16 @@ from .core import (
     ModelParams,
     State,
     is_firing,
-    is_synchronised,
     perturbation,
     refractory,
 )
-from .dynamics import (
-    ChainOutcome,
-    SuccessorDistribution,
-    enumerate_failure_vectors,
-    firing_successor,
-    resolve_chain,
-    skip_successor,
-    successor_distribution,
-)
-from .metrics import (
-    ContinuousConfig,
-    order_parameter,
-    order_parameter_gradient,
-    phase_coherence,
-    phase_position,
-    r_min,
-)
+from .dynamics import skip_successor
+from .metrics import phase_coherence, phase_position
 from .dtmc import (
     MICAZ,
     DtmcModel,
     HardwareProfile,
     build_dtmc,
-    enumerate_states,
     initial_weights,
     multinomial,
     state_count,
@@ -52,40 +35,28 @@ from .analysis import (
 __all__ = [
     "AnalysisQuery",
     "AnalysisResult",
-    "ChainOutcome",
-    "ContinuousConfig",
     "DtmcModel",
     "FailureVector",
     "HardwareProfile",
     "MICAZ",
     "ModelParams",
     "State",
-    "SuccessorDistribution",
     "aggregate",
     "build_dtmc",
-    "enumerate_failure_vectors",
-    "enumerate_states",
     "export_model",
-    "firing_successor",
     "initial_weights",
     "is_firing",
-    "is_synchronised",
     "monte_carlo",
     "multinomial",
-    "order_parameter",
-    "order_parameter_gradient",
     "perturbation",
     "phase_coherence",
     "phase_position",
-    "r_min",
     "refractory",
-    "resolve_chain",
     "skip_successor",
     "solve_queries",
     "solve_query",
     "solve_target",
     "state_count",
-    "successor_distribution",
     "target_set",
 ]
 

@@ -103,10 +103,5 @@ def is_firing(sigma: State) -> bool:
     return sigma[-1] > 0
 
 
-def is_synchronised(sigma: State) -> bool:
-    n = sum(sigma)
-    return any(k == n for k in sigma)
-
-
 def format_failure_vector(fv: FailureVector) -> str:
     return "(" + ",".join(STAR if f is None else str(f) for f in fv) + ")"

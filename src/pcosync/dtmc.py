@@ -223,11 +223,6 @@ def state_array(p: ModelParams) -> np.ndarray:
     return states
 
 
-def enumerate_states(p: ModelParams) -> Iterator[State]:
-    """All global states in lexicographic order of the counts tuple."""
-    return map(tuple, state_array(p).tolist())
-
-
 def multinomial(counts: State) -> int:
     """Number of assignments of distinct oscillators realizing the counts."""
     # prod_i C(k_1 + ... + k_i, k_i), every step in C; unlike N! / prod k!,

@@ -15,46 +15,11 @@ perturb anyone else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import (
-    FailureVector,
-    ModelParams,
-    State,
-    format_failure_vector,
-    is_firing,
-    perturbation,
-    refractory,
-)
-
-
-class InconsistentFailureVector(ValueError):
-    """Failure vector marks a phase as fired/non-fired contrary to the chain."""
-
-
-@dataclass(frozen=True)
-class ChainOutcome:
-    """Resolution of one chain reaction: per-phase fire flag and updated
-    phase (both indexed by phase - 1)."""
-
-    fired: tuple[bool, ...]
-    updated: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Branch:
-    target: State
-    probability: float
-    witnesses: tuple[FailureVector, ...]
-
-
-@dataclass(frozen=True)
-class SuccessorDistribution:
-    source: State
-    branches: tuple[Branch, ...]
+from .core import ModelParams, State, is_firing, perturbation, refractory
 
 
 def skip_successor(sigma: State) -> tuple[State, int]:
@@ -95,130 +60,6 @@ def chain_updates(successes: int | np.ndarray, p: ModelParams) -> tuple[list, li
     return [upd > p.t for upd in updated], updated
 
 
-def resolve_chain(sigma: State, fv: FailureVector, p: ModelParams) -> ChainOutcome:
-    """Resolve the chain reaction in a firing state under a failure vector.
-
-    Raises InconsistentFailureVector if fv records a failure count for a
-    phase that does not fire, or a star for one that does.
-    """
-    if not is_firing(sigma):
-        raise ValueError(f"resolve_chain applied to non-firing state {sigma}")
-    t = p.t
-    f_t = fv[t - 1]
-    if f_t is None or not 0 <= f_t <= sigma[t - 1]:
-        raise InconsistentFailureVector(
-            f"failure entry {f_t} invalid for the firing group k_{t}={sigma[t - 1]} in {sigma}"
-        )
-    fired, updated = chain_updates(sigma[t - 1] - f_t, p)
-    for phi in range(t - 1, 0, -1):
-        k = sigma[phi - 1]
-        f = fv[phi - 1]
-        if fired[phi - 1]:
-            if f is None:
-                raise InconsistentFailureVector(
-                    f"phase {phi} fires in {sigma} but {format_failure_vector(fv)} marks it as non-fired"
-                )
-            if not 0 <= f <= k:
-                raise InconsistentFailureVector(
-                    f"failure count {f} out of range for k_{phi}={k} in {sigma}"
-                )
-        elif f is not None:
-            raise InconsistentFailureVector(
-                f"phase {phi} does not fire in {sigma} but {format_failure_vector(fv)} records {f} failures"
-            )
-    return ChainOutcome(tuple(fired), tuple(updated))
-
-
-def enumerate_failure_vectors(sigma: State, p: ModelParams) -> list[FailureVector]:
-    """All failure vectors consistent with some resolution of the chain.
-
-    Branches first over the failure count of the firing group at phase T,
-    which fixes the perceived success count and hence the set of absorbed
-    groups; every absorbed group with k > 0 then branches over its own
-    failure count.  Fired phases with k = 0 get entry 0, non-fired phases a
-    star (None).
-    """
-    if not is_firing(sigma):
-        raise ValueError(f"enumerate_failure_vectors applied to non-firing state {sigma}")
-    t = p.t
-    k_t = sigma[t - 1]
-    vectors: list[FailureVector] = []
-    for f_t in range(k_t + 1):
-        fired, _ = chain_updates(k_t - f_t, p)
-        entries: list[int | None] = [None] * t
-        entries[t - 1] = f_t
-        choice_phases = []
-        for phi in range(t - 1, 0, -1):
-            if fired[phi - 1]:
-                entries[phi - 1] = 0
-                if sigma[phi - 1] > 0:
-                    choice_phases.append(phi)
-
-        def walk(i: int) -> None:
-            if i == len(choice_phases):
-                vectors.append(tuple(entries))
-                return
-            phi = choice_phases[i]
-            for f in range(sigma[phi - 1] + 1):
-                entries[phi - 1] = f
-                walk(i + 1)
-            entries[phi - 1] = 0
-
-        walk(0)
-    return vectors
-
-
-def firing_successor(sigma: State, fv: FailureVector, p: ModelParams) -> State:
-    """Successor of a firing state: fired groups reset to phase 1, the rest
-    move to their updated phase; groups landing on one phase merge."""
-    outcome = resolve_chain(sigma, fv, p)
-    t = p.t
-    new = [0] * t
-    for phi in range(1, t + 1):
-        k = sigma[phi - 1]
-        if k == 0:
-            continue
-        target = 1 if outcome.fired[phi - 1] else outcome.updated[phi - 1]
-        new[target - 1] += k
-    return tuple(new)
-
-
-def failure_probability(sigma: State, fv: FailureVector, mu: float) -> float:
-    """Probability of the failure pattern fv occurring in sigma: product of
-    binomial point masses over the fired phase groups."""
-    prob = 1.0
-    for k, f in zip(sigma, fv):
-        if f is not None:
-            prob *= math.comb(k, f) * mu**f * (1.0 - mu) ** (k - f)
-    return prob
-
-
-def successor_distribution(sigma: State, p: ModelParams) -> SuccessorDistribution:
-    """Full successor distribution of a state.
-
-    Non-firing states have a single probability-one skip branch.  For firing
-    states, failure vectors reaching the same target are merged; the merged
-    branch keeps all witnesses.
-    """
-    if not is_firing(sigma):
-        target, _ = skip_successor(sigma)
-        return SuccessorDistribution(sigma, (Branch(target, 1.0, ()),))
-    merged: dict[State, tuple[float, list[FailureVector]]] = {}
-    for fv in enumerate_failure_vectors(sigma, p):
-        prob = failure_probability(sigma, fv, p.mu)
-        if prob == 0.0:
-            continue
-        target = firing_successor(sigma, fv, p)
-        acc, wits = merged.setdefault(target, (0.0, []))
-        merged[target] = (acc + prob, wits)
-        wits.append(fv)
-    branches = tuple(
-        Branch(target, prob, tuple(wits))
-        for target, (prob, wits) in sorted(merged.items())
-    )
-    return SuccessorDistribution(sigma, branches)
-
-
 class FiringTable:
     """Firing successors of one model, read from per-success tables.
 
@@ -228,8 +69,9 @@ class FiringTable:
     fires, and phi + 1 + delta >= 2 for one that does not, so ``dest == 1``
     is the fire flags.  The build and the sampler both step with
     ``successors``, which reads the landing table ``lands`` formed once, and
-    weigh failures with ``masses``; ``successor_distribution`` stays the
-    reference the table is tested against.
+    weigh failures with ``masses``.  The paper's enumeration of failure
+    vectors, one state at a time, is the test oracle the table is checked
+    against; the package itself has no other successor semantics.
     """
 
     #: C(k, f) of a larger group leaves the float range, so ``masses`` forms
@@ -264,12 +106,13 @@ class FiringTable:
         return targets
 
     def masses(self, k: int) -> list[float]:
-        """Failure-count masses of a group of k, formed as in
-        ``failure_probability``.  Above ``MAX_GROUP`` the same terms are
-        formed in log space; for a term in the normal float range the logs
-        sum to at most 2k log 2 + 709 in magnitude, so their rounding leaves
-        it within (2k log 2 + 709) * 2**-52 relative (5.0e-13 at k = 1,100,
-        where 2.8e-13 was measured)."""
+        """Failure-count masses of a group of k, f = 0..k: the binomial
+        point masses C(k, f) * mu**f * (1 - mu)**(k - f), multiplied in that
+        order.  Above ``MAX_GROUP`` the same terms are formed in log space;
+        for a term in the normal float range the logs sum to at most
+        2k log 2 + 709 in magnitude, so their rounding leaves it within
+        (2k log 2 + 709) * 2**-52 relative (5.0e-13 at k = 1,100, where
+        2.8e-13 was measured)."""
         k = int(k)  # a NumPy k would take the powers in NumPy, off in the last bit
         if k not in self._masses:
             mu, masses = self.mu, [0.0] * (k + 1)
@@ -295,11 +138,11 @@ class FiringTable:
         self, states: np.ndarray, skips: np.ndarray, rows: Callable[[np.ndarray], np.ndarray]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The branches of every row of ``states``, whose ``skip_lengths``
-        are ``skips``, bit for bit as ``successor_distribution`` gives them:
-        per branch its row, its probability and its target's row in
-        ``states``, which ``rows`` finds, with rows in order and each row's
-        targets by ascending row.  A non-firing row (k_T = 0) gets its one
-        branch, the skip, of probability 1.0.
+        are ``skips``, bit for bit as the enumeration of failure vectors
+        gives them: per branch its row, its probability and its target's
+        row in ``states``, which ``rows`` finds, with rows in order and each
+        row's targets by ascending row.  A non-firing row (k_T = 0) gets its
+        one branch, the skip, of probability 1.0.
 
         A row's probability for a target is the left fold, from 0.0, of the
         failure-pattern products of the f_T that reach it, in f_T order; a
@@ -353,7 +196,7 @@ class FiringTable:
         products: f_T from ``lo[i]`` to ``hi[i]``, and within each the
         failure counts of the absorbed group sizes ``absorbed[i]`` (0 for
         none: radix 1, mass 1.0) by mixed radix, lowest phase fastest, as
-        ``successor_distribution`` enumerates them.  Each product is
+        the enumeration of failure vectors lists them.  Each product is
         ((1.0 * m_1) * m_2) * ... * m_T, with the mass of f_T failures in
         the firing group of ``k_t[i]`` last.  So the absorbed part q of a
         pattern is formed once per key, and its product for f_T is

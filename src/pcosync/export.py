@@ -69,14 +69,6 @@ def float_slots(bits: np.ndarray) -> np.ndarray:
     return np.frombuffer(b"".join(s.rjust(size, b"\0") for s in strings), f"V{size}")
 
 
-def float_words(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The slot of each distinct value (by bit pattern) of one array, and
-    the row of each entry's slot in the narrowest dtype."""
-    bits = _distinct(values.view(np.uint64))
-    rows = np.searchsorted(bits, values.view(np.uint64))
-    return float_slots(bits), rows.astype(np.min_scalar_type(len(bits) - 1))
-
-
 #: Bytes of line slots per write.  The lines, their bytes and the NUL-free
 #: copy of one write stay below glibc's default mmap threshold (128 KiB), so a
 #: write reuses heap pages instead of mapping and faulting in fresh ones.

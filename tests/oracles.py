@@ -1,5 +1,14 @@
 """Independent reference implementations used to cross-check the library.
 
+``successor_distribution`` is the paper's semantics of one step, state by
+state: ``enumerate_failure_vectors`` lists every failure vector consistent
+with a chain reaction, ``resolve_chain`` and ``firing_successor`` resolve
+one, ``failure_probability`` weighs it, and the branches merge the vectors
+that reach one target.  The package steps with ``FiringTable`` alone, which
+is checked against it.  ``order_parameter`` and its closed forms work on
+real-valued phases (``ContinuousConfig``) and back the discrete-to-continuous
+correspondence bound ``r_min``.
+
 The oscillator-level oracles work on individual oscillators and explicit
 intermediate states, deliberately avoiding the counting shortcuts used by
 the package under test.  ``reference_build`` is different: it is the
@@ -19,9 +28,11 @@ group's failure masses as exact fractions.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -30,7 +41,15 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from pcosync.core import ModelParams, State, is_firing, perturbation, refractory
+from pcosync.core import (
+    FailureVector,
+    ModelParams,
+    State,
+    format_failure_vector,
+    is_firing,
+    perturbation,
+    refractory,
+)
 from pcosync.dtmc import (
     MICAZ,
     DtmcModel,
@@ -40,7 +59,243 @@ from pcosync.dtmc import (
     state_array,
     transition_rewards,
 )
-from pcosync.dynamics import FiringTable, skip_successor
+from pcosync.dynamics import FiringTable, chain_updates, skip_successor
+
+
+# --- the paper's per-state semantics ---------------------------------------
+
+
+def is_synchronised(sigma: State) -> bool:
+    n = sum(sigma)
+    return any(k == n for k in sigma)
+
+
+def enumerate_states(p: ModelParams) -> Iterator[State]:
+    """All global states in lexicographic order of the counts tuple."""
+    return map(tuple, state_array(p).tolist())
+
+
+class InconsistentFailureVector(ValueError):
+    """Failure vector marks a phase as fired/non-fired contrary to the chain."""
+
+
+@dataclass(frozen=True)
+class ChainOutcome:
+    """Resolution of one chain reaction: per-phase fire flag and updated
+    phase (both indexed by phase - 1)."""
+
+    fired: tuple[bool, ...]
+    updated: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Branch:
+    target: State
+    probability: float
+    witnesses: tuple[FailureVector, ...]
+
+
+@dataclass(frozen=True)
+class SuccessorDistribution:
+    source: State
+    branches: tuple[Branch, ...]
+
+
+def resolve_chain(sigma: State, fv: FailureVector, p: ModelParams) -> ChainOutcome:
+    """Resolve the chain reaction in a firing state under a failure vector.
+
+    Raises InconsistentFailureVector if fv records a failure count for a
+    phase that does not fire, or a star for one that does.
+    """
+    if not is_firing(sigma):
+        raise ValueError(f"resolve_chain applied to non-firing state {sigma}")
+    t = p.t
+    f_t = fv[t - 1]
+    if f_t is None or not 0 <= f_t <= sigma[t - 1]:
+        raise InconsistentFailureVector(
+            f"failure entry {f_t} invalid for the firing group k_{t}={sigma[t - 1]} in {sigma}"
+        )
+    fired, updated = chain_updates(sigma[t - 1] - f_t, p)
+    for phi in range(t - 1, 0, -1):
+        k = sigma[phi - 1]
+        f = fv[phi - 1]
+        if fired[phi - 1]:
+            if f is None:
+                raise InconsistentFailureVector(
+                    f"phase {phi} fires in {sigma} but {format_failure_vector(fv)} marks it as non-fired"
+                )
+            if not 0 <= f <= k:
+                raise InconsistentFailureVector(
+                    f"failure count {f} out of range for k_{phi}={k} in {sigma}"
+                )
+        elif f is not None:
+            raise InconsistentFailureVector(
+                f"phase {phi} does not fire in {sigma} but {format_failure_vector(fv)} records {f} failures"
+            )
+    return ChainOutcome(tuple(fired), tuple(updated))
+
+
+def enumerate_failure_vectors(sigma: State, p: ModelParams) -> list[FailureVector]:
+    """All failure vectors consistent with some resolution of the chain.
+
+    Branches first over the failure count of the firing group at phase T,
+    which fixes the perceived success count and hence the set of absorbed
+    groups; every absorbed group with k > 0 then branches over its own
+    failure count.  Fired phases with k = 0 get entry 0, non-fired phases a
+    star (None).
+    """
+    if not is_firing(sigma):
+        raise ValueError(f"enumerate_failure_vectors applied to non-firing state {sigma}")
+    t = p.t
+    k_t = sigma[t - 1]
+    vectors: list[FailureVector] = []
+    for f_t in range(k_t + 1):
+        fired, _ = chain_updates(k_t - f_t, p)
+        entries: list[int | None] = [None] * t
+        entries[t - 1] = f_t
+        choice_phases = []
+        for phi in range(t - 1, 0, -1):
+            if fired[phi - 1]:
+                entries[phi - 1] = 0
+                if sigma[phi - 1] > 0:
+                    choice_phases.append(phi)
+
+        def walk(i: int) -> None:
+            if i == len(choice_phases):
+                vectors.append(tuple(entries))
+                return
+            phi = choice_phases[i]
+            for f in range(sigma[phi - 1] + 1):
+                entries[phi - 1] = f
+                walk(i + 1)
+            entries[phi - 1] = 0
+
+        walk(0)
+    return vectors
+
+
+def firing_successor(sigma: State, fv: FailureVector, p: ModelParams) -> State:
+    """Successor of a firing state: fired groups reset to phase 1, the rest
+    move to their updated phase; groups landing on one phase merge."""
+    outcome = resolve_chain(sigma, fv, p)
+    t = p.t
+    new = [0] * t
+    for phi in range(1, t + 1):
+        k = sigma[phi - 1]
+        if k == 0:
+            continue
+        target = 1 if outcome.fired[phi - 1] else outcome.updated[phi - 1]
+        new[target - 1] += k
+    return tuple(new)
+
+
+def failure_probability(sigma: State, fv: FailureVector, mu: float) -> float:
+    """Probability of the failure pattern fv occurring in sigma: product of
+    binomial point masses over the fired phase groups."""
+    prob = 1.0
+    for k, f in zip(sigma, fv):
+        if f is not None:
+            prob *= math.comb(k, f) * mu**f * (1.0 - mu) ** (k - f)
+    return prob
+
+
+def successor_distribution(sigma: State, p: ModelParams) -> SuccessorDistribution:
+    """Full successor distribution of a state.
+
+    Non-firing states have a single probability-one skip branch.  For firing
+    states, failure vectors reaching the same target are merged; the merged
+    branch keeps all witnesses.
+    """
+    if not is_firing(sigma):
+        target, _ = skip_successor(sigma)
+        return SuccessorDistribution(sigma, (Branch(target, 1.0, ()),))
+    merged: dict[State, tuple[float, list[FailureVector]]] = {}
+    for fv in enumerate_failure_vectors(sigma, p):
+        prob = failure_probability(sigma, fv, p.mu)
+        if prob == 0.0:
+            continue
+        target = firing_successor(sigma, fv, p)
+        acc, wits = merged.setdefault(target, (0.0, []))
+        merged[target] = (acc + prob, wits)
+        wits.append(fv)
+    branches = tuple(
+        Branch(target, prob, tuple(wits))
+        for target, (prob, wits) in sorted(merged.items())
+    )
+    return SuccessorDistribution(sigma, branches)
+
+
+# --- the continuous order parameter -----------------------------------------
+
+SINGULARITY_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class ContinuousConfig:
+    """Real-valued phases of N oscillators, each in [0, 2*pi]."""
+
+    thetas: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.thetas) < 1:
+            raise ValueError("configuration needs at least one oscillator")
+        if any(not 0.0 <= th <= 2.0 * math.pi for th in self.thetas):
+            raise ValueError("phases must lie in [0, 2*pi]")
+
+
+def order_parameter(c: ContinuousConfig) -> float:
+    """Kuramoto order parameter of a continuous configuration."""
+    n = len(c.thetas)
+    mean = sum(cmath.exp(1j * th) for th in c.thetas) / n
+    return min(abs(mean), 1.0)
+
+
+def _pairwise_cos_sum(thetas: np.ndarray) -> float:
+    n = len(thetas)
+    return sum(
+        math.cos(thetas[i] - thetas[j]) for i in range(n) for j in range(i)
+    )
+
+
+def order_parameter_sqrt_form(c: ContinuousConfig) -> float:
+    """Equivalent closed form (1/N) sqrt(N + 2 sum_{i<j} cos(theta_i - theta_j))."""
+    thetas = np.asarray(c.thetas)
+    n = len(thetas)
+    inner = n + 2.0 * _pairwise_cos_sum(thetas)
+    return math.sqrt(max(inner, 0.0)) / n
+
+
+def order_parameter_gradient(c: ContinuousConfig) -> tuple[float, ...]:
+    """Gradient of the order parameter with respect to each phase.
+
+    Component k is sum_{i != k} sin(theta_i - theta_k) divided by
+    N * sqrt(N + 2 sum_{i<j} cos(theta_i - theta_j)).  Undefined at zero
+    coherence, where the square root vanishes.
+    """
+    thetas = np.asarray(c.thetas)
+    n = len(thetas)
+    inner = n + 2.0 * _pairwise_cos_sum(thetas)
+    root = math.sqrt(max(inner, 0.0))
+    if root / n < SINGULARITY_TOL:
+        raise ValueError("gradient undefined: order parameter is (numerically) zero")
+    grad = []
+    for k in range(n):
+        num = sum(math.sin(thetas[i] - thetas[k]) for i in range(n) if i != k)
+        grad.append(num / (n * root))
+    return tuple(grad)
+
+
+def r_min(n: int, t: int) -> float:
+    """Worst-case order parameter over configurations confined to one arc of
+    width 2*pi/t.
+
+    The minimum splits the population between the two arc endpoints, so it
+    suffices to minimise |m + (n-m) e^{2*pi*i/t}| / n over m = 0..n.
+    """
+    if n < 1 or t < 2:
+        raise ValueError(f"need n >= 1 and t >= 2, got n={n}, t={t}")
+    w = cmath.exp(2j * math.pi / t)
+    return min(abs(m + (n - m) * w) / n for m in range(n + 1))
 
 
 def expand(sigma: State) -> list[int]:

@@ -15,7 +15,20 @@ import time
 import numpy as np
 import pytest
 
-from oracles import brute_force_successors, materialized_skip_power, read_transitions
+from oracles import (
+    ContinuousConfig,
+    brute_force_successors,
+    enumerate_failure_vectors,
+    enumerate_states,
+    firing_successor,
+    is_synchronised,
+    materialized_skip_power,
+    order_parameter,
+    order_parameter_gradient,
+    order_parameter_sqrt_form,
+    read_transitions,
+    successor_distribution,
+)
 from pcosync.analysis import (
     AnalysisQuery,
     monte_carlo,
@@ -24,30 +37,18 @@ from pcosync.analysis import (
     solve_target,
     target_set,
 )
-from pcosync.core import ModelParams, is_firing, is_synchronised, perturbation
+from pcosync.core import ModelParams, is_firing, perturbation
 from pcosync.dtmc import (
     MICAZ,
     HardwareProfile,
     build_dtmc,
-    enumerate_states,
     multinomial,
     skip_power,
     state_count,
 )
-from pcosync.dynamics import (
-    enumerate_failure_vectors,
-    firing_successor,
-    skip_successor,
-    successor_distribution,
-)
+from pcosync.dynamics import skip_successor
 from pcosync.export import export_model
-from pcosync.metrics import (
-    ContinuousConfig,
-    order_parameter,
-    order_parameter_gradient,
-    order_parameter_sqrt_form,
-    phase_coherence,
-)
+from pcosync.metrics import phase_coherence
 
 # ten-second cycle: one second per discrete step at granularity 10
 MICAZ_10S = HardwareProfile(

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from scipy.sparse import csgraph
 from scipy.sparse.csgraph import connected_components
 
-from oracles import csr_rows, exact_masses, natural_factor, rational_solve, row_sum_bound
+from oracles import csr_rows, exact_masses, is_synchronised, natural_factor, rational_solve, row_sum_bound
 from pcosync import analysis
 from pcosync.analysis import (
     AnalysisQuery,
@@ -25,7 +25,7 @@ from pcosync.analysis import (
     solve_target,
     target_set,
 )
-from pcosync.core import ModelParams, is_synchronised
+from pcosync.core import ModelParams
 from pcosync.dtmc import MICAZ, ROW_BLOCK, DtmcModel, build_dtmc, transition_rewards
 from pcosync.dynamics import FiringTable
 from test_dtmc import small_models

@@ -1,3 +1,4 @@
+import ast
 import csv
 import os
 import runpy
@@ -818,3 +819,37 @@ class TestTrajectoryExplorer:
         out = capsys.readouterr().out
         assert "p=0.640000 -> (3, 0, 0, 0)" in out
         assert out.splitlines()[-1].startswith("state (0, 0, 0, 3)")
+
+    @pytest.mark.parametrize(
+        "argv, p",
+        [
+            (["0,0,1,2", "--r", "1", "--steps", "2"], ModelParams(n=3, t=4, r=1, epsilon=0.1, mu=0.2)),
+            (["0,1,0,2,0,0,1,2", "--r", "1", "--eps", "3", "--steps", "3"],
+             ModelParams(n=6, t=8, r=1, epsilon=3.0, mu=0.2)),
+            (["2,1,0,0,5,0,0,0,0,0", "--steps", "3"], ModelParams(n=8, t=10, r=2, epsilon=0.1, mu=0.2)),
+        ],
+        ids=["n3", "n6eps3-absorbed", "non-firing"],
+    )
+    def test_branches_are_the_chain_rows(self, monkeypatch, capsys, argv, p):
+        # the branches printed for a state, or its skip, are its whole row
+        # of the built chain: each probability to the printed decimals, and
+        # each target
+        assert self.run(monkeypatch, *argv) == 0
+        blocks = []  # per printed state, its printed (probability, target) entries
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("state "):
+                blocks.append((ast.literal_eval(line.split("  ")[0].removeprefix("state ")), []))
+            elif line.startswith("  p="):
+                prob, target = line.split("  ")[1].removeprefix("p=").split(" -> ")
+                blocks[-1][1].append((prob, ast.literal_eval(target)))
+            else:
+                assert line.startswith("  skip over ")
+                blocks[-1][1].append(("1.000000", ast.literal_eval(line.split(" -> ")[1])))
+        assert len(blocks) == int(argv[-1]) + 1 and blocks[-1][1] == []  # the last state is only shown
+        model = build_dtmc(p)
+        m = model.transitions
+        for sigma, printed in blocks[:-1]:
+            i = model.states.index(sigma)
+            entries = slice(m.indptr[i], m.indptr[i + 1])
+            row = [(f"{prob:.6f}", model.states[j]) for j, prob in zip(m.indices[entries].tolist(), m.data[entries].tolist())]
+            assert sorted(printed, key=lambda b: b[1]) == row

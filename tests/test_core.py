@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import is_synchronised
 from pcosync.core import (
     ModelParams,
     format_failure_vector,
     is_firing,
-    is_synchronised,
     perturbation,
     refractory,
     round_half_up,

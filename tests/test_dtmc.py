@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import (compositions, csr_rows, materialized_skip_power, reference_build, row_sum_bound,
-                     sorted_initial_weights)
+from oracles import (compositions, csr_rows, enumerate_states, materialized_skip_power, reference_build,
+                     row_sum_bound, sorted_initial_weights, successor_distribution)
 from pcosync import dtmc
 from pcosync.core import ModelParams, is_firing
 from pcosync.dtmc import (
@@ -19,7 +19,6 @@ from pcosync.dtmc import (
     StateSpace,
     StateSpaceLimitExceeded,
     build_dtmc,
-    enumerate_states,
     initial_weights,
     largest_counts,
     multinomial,
@@ -30,7 +29,7 @@ from pcosync.dtmc import (
     state_power,
     transition_rewards,
 )
-from pcosync.dynamics import FiringTable, chain_updates, skip_successor, successor_distribution
+from pcosync.dynamics import FiringTable, chain_updates, skip_successor
 
 
 def params(**kw):

@@ -11,30 +11,32 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    InconsistentFailureVector,
     brute_force_failure_vector_count,
     brute_force_successors,
+    enumerate_failure_vectors,
+    enumerate_states,
     exact_masses,
+    failure_probability,
+    firing_successor,
+    is_synchronised,
     log_mass_bound,
+    resolve_chain,
     stepped_walks,
+    successor_distribution,
 )
 from pcosync import dynamics
-from pcosync.core import ModelParams, is_firing, is_synchronised
-from pcosync.dtmc import StateSpace, enumerate_states, initial_weights
+from pcosync.core import ModelParams, is_firing
+from pcosync.dtmc import StateSpace, initial_weights
 from pcosync.dynamics import (
     FOLD_BLOCK,
     FiringTable,
-    InconsistentFailureVector,
     chain_updates,
-    enumerate_failure_vectors,
-    failure_probability,
-    firing_successor,
     fold_segments,
     fold_walks,
     groups,
-    resolve_chain,
     skip_lengths,
     skip_successor,
-    successor_distribution,
 )
 
 REF_PARAMS = ModelParams(n=8, t=10, r=2, epsilon=0.1, mu=0.2)

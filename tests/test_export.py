@@ -8,7 +8,7 @@ import pytest
 from oracles import csr_rows, read_states, read_transitions, reference_export
 from pcosync.core import ModelParams
 from pcosync.dtmc import build_dtmc
-from pcosync.export import CHUNK, export_model, float_words, int_words
+from pcosync.export import CHUNK, _distinct, export_model, float_slots, int_words
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -87,6 +87,13 @@ class TestWords:
     def slot(text: str, size: int) -> bytes:
         return text.encode().rjust(size, b"\0")
 
+    @staticmethod
+    def float_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The exporter's value table of one array: the slots of its
+        distinct bit patterns, and the row of each entry's slot."""
+        bits = _distinct(values.view(np.uint64))
+        return float_slots(bits), bits.searchsorted(values.view(np.uint64))
+
     @pytest.mark.parametrize("tail", [b" ", b":(", b",", b")\n"])
     def test_zero(self, tail):
         slots = int_words(np.zeros(2, np.int64), tail)
@@ -108,7 +115,7 @@ class TestWords:
             assert b"".join(x.tobytes() for x in slots).replace(b"\0", b"") == b"0,9,127,"
 
     def test_value_zero(self):
-        table, rows = float_words(np.array([0.0, -0.0, 0.0]))
+        table, rows = self.float_table(np.array([0.0, -0.0, 0.0]))
         assert [x.tobytes() for x in table] == [self.slot("0\n", 8), self.slot("-0\n", 8)]
         assert rows.tolist() == [0, 1, 0]
 
@@ -117,13 +124,13 @@ class TestWords:
     ])
     def test_value_fills_whole_words(self, value, size):
         assert len(f"{value:.17g}\n") == size
-        table, rows = float_words(np.array([value, value]))
+        table, rows = self.float_table(np.array([value, value]))
         assert [x.tobytes() for x in table] == [f"{value:.17g}\n".encode()]
-        assert rows.tolist() == [0, 0] and rows.dtype == np.uint8
+        assert rows.tolist() == [0, 0]
 
     def test_values_of_every_width_share_one_slot(self):
         values = np.array([1.2345678901234567e-100, 0.03125, 1.0, 2.0**-13, 0.03125, 0.1])
-        table, rows = float_words(values)
+        table, rows = self.float_table(values)
         assert table.dtype.itemsize == 24 and len(table) == 5
         text = b"".join(x.tobytes() for x in table[rows]).replace(b"\0", b"")
         assert text == "".join(f"{v:.17g}\n" for v in values.tolist()).encode()

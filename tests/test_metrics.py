@@ -5,19 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcosync.core import is_synchronised
-from pcosync.dtmc import enumerate_states, state_array
-from pcosync.core import ModelParams
-from pcosync.metrics import (
+from oracles import (
     ContinuousConfig,
+    enumerate_states,
+    is_synchronised,
     order_parameter,
     order_parameter_gradient,
     order_parameter_sqrt_form,
-    phase_coherence,
-    phase_coherences,
-    phase_position,
     r_min,
 )
+from pcosync.core import ModelParams
+from pcosync.dtmc import state_array
+from pcosync.metrics import phase_coherence, phase_coherences, phase_position
 
 thetas_strategy = st.lists(
     st.floats(min_value=0.0, max_value=2.0 * math.pi), min_size=2, max_size=8
